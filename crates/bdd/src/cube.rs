@@ -6,33 +6,6 @@
 //! example in Table 2(b) of the paper, and every Minesweeper counterexample.
 
 use crate::manager::{Bdd, Manager};
-use crate::shared::SharedManager;
-
-/// Where an iterator reads its nodes from: a private arena or a shared one.
-/// Both expose the same `(var, low, high)` triples, so iteration order is a
-/// function of the BDD alone — identical across engines.
-pub(crate) enum NodeSrc<'m> {
-    Priv(&'m Manager),
-    Shared(&'m SharedManager),
-}
-
-impl NodeSrc<'_> {
-    #[inline]
-    fn node(&self, f: Bdd) -> (u32, Bdd, Bdd) {
-        match self {
-            NodeSrc::Priv(m) => m.node(f),
-            NodeSrc::Shared(s) => s.node_view(f),
-        }
-    }
-
-    #[inline]
-    fn num_vars(&self) -> u32 {
-        match self {
-            NodeSrc::Priv(m) => m.num_vars(),
-            NodeSrc::Shared(s) => s.num_vars(),
-        }
-    }
-}
 
 /// A complete assignment of every variable to a boolean.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -140,7 +113,7 @@ impl Cube {
 /// lexicographic (low-branch-first) order. The yielded cubes are pairwise
 /// disjoint and their union is exactly the satisfying set.
 pub struct CubeIter<'m> {
-    src: NodeSrc<'m>,
+    manager: &'m Manager,
     /// Explicit DFS stack of (node, path-so-far). `path` holds constraints
     /// for variables above the node's level.
     stack: Vec<(Bdd, Vec<Option<bool>>)>,
@@ -148,16 +121,12 @@ pub struct CubeIter<'m> {
 
 impl<'m> CubeIter<'m> {
     pub(crate) fn new(manager: &'m Manager, f: Bdd) -> Self {
-        CubeIter::new_src(NodeSrc::Priv(manager), f)
-    }
-
-    pub(crate) fn new_src(src: NodeSrc<'m>, f: Bdd) -> Self {
         let stack = if f.is_const_false() {
             Vec::new()
         } else {
-            vec![(f, vec![None; src.num_vars() as usize])]
+            vec![(f, vec![None; manager.num_vars() as usize])]
         };
-        CubeIter { src, stack }
+        CubeIter { manager, stack }
     }
 }
 
@@ -172,7 +141,7 @@ impl Iterator for CubeIter<'_> {
             if node.is_const_false() {
                 continue;
             }
-            let (var, low, high) = self.src.node(node);
+            let (var, low, high) = self.manager.node(node);
             // Push high first so low is explored first (lexicographic order:
             // false < true).
             if !high.is_const_false() {
@@ -201,26 +170,22 @@ type Frontier = std::collections::BinaryHeap<std::cmp::Reverse<(usize, Vec<Optio
 /// Lazy best-first iterator over satisfying cubes (see the module note
 /// above): most general first, deterministic tie-breaking.
 pub struct GeneralCubeIter<'m> {
-    src: NodeSrc<'m>,
+    manager: &'m Manager,
     /// Min-heap keyed by (fixed-count, path, node).
     heap: Frontier,
 }
 
 impl<'m> GeneralCubeIter<'m> {
     pub(crate) fn new(manager: &'m Manager, f: Bdd) -> Self {
-        GeneralCubeIter::new_src(NodeSrc::Priv(manager), f)
-    }
-
-    pub(crate) fn new_src(src: NodeSrc<'m>, f: Bdd) -> Self {
         let mut heap = std::collections::BinaryHeap::new();
         if !f.is_const_false() {
             heap.push(std::cmp::Reverse((
                 0,
-                vec![None; src.num_vars() as usize],
+                vec![None; manager.num_vars() as usize],
                 f,
             )));
         }
-        GeneralCubeIter { src, heap }
+        GeneralCubeIter { manager, heap }
     }
 }
 
@@ -235,7 +200,7 @@ impl Iterator for GeneralCubeIter<'_> {
             if node.is_const_false() {
                 continue;
             }
-            let (var, low, high) = self.src.node(node);
+            let (var, low, high) = self.manager.node(node);
             if !low.is_const_false() {
                 let mut p = path.clone();
                 p[var as usize] = Some(false);

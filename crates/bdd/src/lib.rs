@@ -36,15 +36,11 @@
 
 #![warn(missing_docs)]
 
-mod any;
 mod cube;
 mod manager;
-mod shared;
 
-pub use any::AnyManager;
 pub use cube::{Assignment, Cube, CubeIter, GeneralCubeIter};
 pub use manager::{Bdd, GcPolicy, Manager, ManagerStats};
-pub use shared::{SharedManager, SharedPool, SharedWorker};
 
 #[cfg(test)]
 mod tests;

@@ -99,7 +99,7 @@ struct Node {
 
 /// Binary operations memoized in the apply cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Op {
+enum Op {
     And,
     Or,
     Xor,
@@ -108,7 +108,7 @@ pub(crate) enum Op {
 
 impl Op {
     /// Evaluate the operation on constants (returns None when not yet decided).
-    pub(crate) fn terminal(self, f: Bdd, g: Bdd) -> Option<Bdd> {
+    fn terminal(self, f: Bdd, g: Bdd) -> Option<Bdd> {
         match self {
             Op::And => {
                 if f.is_const_false() || g.is_const_false() {
@@ -157,21 +157,21 @@ impl Op {
     }
 
     /// Whether the operation is commutative (lets us normalize cache keys).
-    pub(crate) fn commutative(self) -> bool {
+    fn commutative(self) -> bool {
         matches!(self, Op::And | Op::Or | Op::Xor)
     }
 }
 
 /// FxHash-style word mixer: rotate, xor, multiply by a large odd constant.
 #[inline]
-pub(crate) fn fx_mix(hash: u64, word: u64) -> u64 {
+fn fx_mix(hash: u64, word: u64) -> u64 {
     const K: u64 = 0x517C_C1B7_2722_0A95;
     (hash.rotate_left(5) ^ word).wrapping_mul(K)
 }
 
 /// Hash of a node key `(var, low, high)`.
 #[inline]
-pub(crate) fn node_hash(var: u32, low: Bdd, high: Bdd) -> u64 {
+fn node_hash(var: u32, low: Bdd, high: Bdd) -> u64 {
     let h = fx_mix(0, u64::from(var));
     let h = fx_mix(h, u64::from(low.0));
     fx_mix(h, u64::from(high.0))
@@ -179,7 +179,7 @@ pub(crate) fn node_hash(var: u32, low: Bdd, high: Bdd) -> u64 {
 
 /// Fold a 64-bit hash down to a table index with `mask = len - 1`.
 #[inline]
-pub(crate) fn slot_of(hash: u64, mask: usize) -> usize {
+fn slot_of(hash: u64, mask: usize) -> usize {
     // The multiply pushes entropy toward the high bits; fold them back in
     // before masking.
     ((hash ^ (hash >> 32)) as usize) & mask
@@ -191,7 +191,7 @@ const EMPTY: u32 = u32::MAX;
 /// `var` value poisoning a freed arena slot. Distinct from every decision
 /// level and from the terminals' `var == num_vars`, so table rebuilds can
 /// skip dead slots and debug traversals of dangling handles fail loudly.
-pub(crate) const POISON: u32 = u32::MAX;
+const POISON: u32 = u32::MAX;
 
 /// The node written into a freed arena slot.
 const POISON_NODE: Node = Node {
@@ -298,16 +298,16 @@ impl UniqueTable {
 /// A direct-mapped computed table (lossy overwrite on collision). The slot
 /// count is fixed between collections; the collector may resize it.
 #[derive(Clone)]
-pub(crate) struct DirectCache<K: Copy + PartialEq> {
+struct DirectCache<K: Copy + PartialEq> {
     entries: Vec<Option<(K, Bdd)>>,
     mask: usize,
     bits: u32,
-    pub(crate) lookups: u64,
-    pub(crate) hits: u64,
+    lookups: u64,
+    hits: u64,
 }
 
 impl<K: Copy + PartialEq> DirectCache<K> {
-    pub(crate) fn new(bits: u32) -> Self {
+    fn new(bits: u32) -> Self {
         let capacity = 1usize << bits;
         DirectCache {
             entries: vec![None; capacity],
@@ -321,7 +321,7 @@ impl<K: Copy + PartialEq> DirectCache<K> {
     /// Drop every entry for which `keep` returns false. The sweep uses
     /// this to scrub out entries naming freed slots while leaving results
     /// over surviving nodes warm (live indices never move).
-    pub(crate) fn retain(&mut self, keep: impl Fn(&K, Bdd) -> bool) {
+    fn retain(&mut self, keep: impl Fn(&K, Bdd) -> bool) {
         for e in &mut self.entries {
             if let Some((k, v)) = e {
                 if !keep(k, *v) {
@@ -334,7 +334,7 @@ impl<K: Copy + PartialEq> DirectCache<K> {
     /// Change the slot count, dropping every entry. Returns true when the
     /// size actually changed; on false the cache is left untouched (the
     /// caller scrubs it instead).
-    pub(crate) fn reshape(&mut self, bits: u32) -> bool {
+    fn reshape(&mut self, bits: u32) -> bool {
         if bits == self.bits {
             return false;
         }
@@ -347,7 +347,7 @@ impl<K: Copy + PartialEq> DirectCache<K> {
     }
 
     #[inline]
-    pub(crate) fn get(&mut self, hash: u64, key: K) -> Option<Bdd> {
+    fn get(&mut self, hash: u64, key: K) -> Option<Bdd> {
         self.lookups += 1;
         match self.entries[slot_of(hash, self.mask)] {
             Some((k, v)) if k == key => {
@@ -359,7 +359,7 @@ impl<K: Copy + PartialEq> DirectCache<K> {
     }
 
     #[inline]
-    pub(crate) fn put(&mut self, hash: u64, key: K, value: Bdd) {
+    fn put(&mut self, hash: u64, key: K, value: Bdd) {
         self.entries[slot_of(hash, self.mask)] = Some((key, value));
     }
 }
@@ -367,9 +367,9 @@ impl<K: Copy + PartialEq> DirectCache<K> {
 /// Initial slot-count exponents for the computed tables. Sized so that a
 /// fresh manager costs well under a megabyte; the collector re-sizes them
 /// adaptively (see [`adaptive_cache_bits`]) once the live set is known.
-pub(crate) const APPLY_CACHE_BITS: u32 = 14;
-pub(crate) const NOT_CACHE_BITS: u32 = 12;
-pub(crate) const ITE_CACHE_BITS: u32 = 12;
+const APPLY_CACHE_BITS: u32 = 14;
+const NOT_CACHE_BITS: u32 = 12;
+const ITE_CACHE_BITS: u32 = 12;
 
 /// Adaptive slot-count exponents `(apply, not, ite)` for a given live node
 /// count, applied after each sweep: the apply cache tracks `live` rounded
@@ -488,13 +488,6 @@ pub struct ManagerStats {
     pub pairs_pruned: u64,
     /// Semantic-diff inner loops cut short by the remainder early exit.
     pub early_exits: u64,
-    /// Shared-manager unique-table CAS insertions that lost the race and
-    /// retried (zero on a private [`Manager`] — it has no shards).
-    pub shard_cas_retries: u64,
-    /// Shared-manager shard accesses that blocked on the shard lock
-    /// (insert contention or a concurrent segment growth; zero on a
-    /// private [`Manager`]).
-    pub shard_lock_waits: u64,
 }
 
 impl ManagerStats {
@@ -551,8 +544,6 @@ impl ManagerStats {
         self.pairs_examined += other.pairs_examined;
         self.pairs_pruned += other.pairs_pruned;
         self.early_exits += other.early_exits;
-        self.shard_cas_retries += other.shard_cas_retries;
-        self.shard_lock_waits += other.shard_lock_waits;
     }
 }
 
@@ -698,8 +689,6 @@ impl Manager {
             pairs_examined: 0,
             pairs_pruned: 0,
             early_exits: 0,
-            shard_cas_retries: 0,
-            shard_lock_waits: 0,
         }
     }
 

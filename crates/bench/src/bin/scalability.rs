@@ -239,44 +239,13 @@ fn main() {
         rep_seq.bdd_stats.nodes
     );
 
-    // Shared concurrent arena — the tentpole engine. Re-run the 10k-rule
-    // single pair (one semantic work item, so all parallelism is
-    // *intra-pair*: two-side enumeration plus the diff's row fan on forked
-    // workers) on the shared manager and check the report against the
-    // private engine's bytes.
-    const SHARED_RULES: usize = 10000;
-    let shared_jobs = if hw < 2 { 1 } else { 4.min(hw) };
-    println!(
-        "\nShared-manager engine — one {SHARED_RULES}-rule ACL pair, \
-         intra-pair jobs={shared_jobs}"
-    );
-    let (cisco1, juniper1) = capirca_acl_pair(SHARED_RULES, 10, 0xC0FFEE + SHARED_RULES as u64);
-    let (t_priv, rep_priv) = timed_compare(&cisco1, &juniper1, &opts_with_jobs(1));
-    let shared_opts = CampionOptions {
-        jobs: shared_jobs,
-        shared_manager: true,
-        ..CampionOptions::default()
-    };
-    let (t_shared, rep_shared) = timed_compare(&cisco1, &juniper1, &shared_opts);
-    assert_eq!(
-        rep_priv.to_string(),
-        rep_shared.to_string(),
-        "shared-manager report must be byte-identical to the private engine's"
-    );
-    let shared_speedup = t_priv / t_shared.max(1e-9);
-    let shard_cas = rep_shared.bdd_stats.shard_cas_retries;
-    let shard_waits = rep_shared.bdd_stats.shard_lock_waits;
-    println!(
-        "  private jobs=1: {t_priv:.3} s   shared jobs={shared_jobs}: {t_shared:.3} s \
-         (speedup {shared_speedup:.2}x)\n  \
-         shard CAS retries: {shard_cas}   shard lock waits: {shard_waits}"
-    );
-
     // Tracing overhead: the observability bar is that the collector costs
-    // nothing when idle and close to nothing when armed. Reuse the 10k-rule
-    // pair, min-of-3 each way in the same process (min, not mean — the
-    // floor is the honest cost once the allocator and caches are warm). CI
-    // gates the enabled/disabled ratio at ≤ 1.02.
+    // nothing when idle and close to nothing when armed. One 10k-rule pair,
+    // min-of-3 each way in the same process (min, not mean — the floor is
+    // the honest cost once the allocator and caches are warm). CI gates the
+    // enabled/disabled ratio at ≤ 1.02.
+    const OVERHEAD_RULES: usize = 10000;
+    let (cisco1, juniper1) = capirca_acl_pair(OVERHEAD_RULES, 10, 0xC0FFEE + OVERHEAD_RULES as u64);
     let (rc1, rj1) = (load(&cisco1), load(&juniper1));
     let min_of_3 = |traced: bool| -> f64 {
         (0..3)
@@ -301,7 +270,7 @@ fn main() {
     let overhead_on = min_of_3(true);
     let overhead_ratio = overhead_on / overhead_off.max(1e-9);
     println!(
-        "\nTracing overhead — {SHARED_RULES}-rule pair, min of 3:\n  \
+        "\nTracing overhead — {OVERHEAD_RULES}-rule pair, min of 3:\n  \
          collector off: {overhead_off:.3} s   on: {overhead_on:.3} s   \
          ratio: {overhead_ratio:.3}x"
     );
@@ -425,18 +394,8 @@ fn main() {
         );
         let _ = write!(
             out,
-            "  \"shared_manager\": {{\n    \
-             \"rules\": {SHARED_RULES}, \"jobs\": {shared_jobs}, \
-             \"private_s\": {t_priv:.6}, \"shared_s\": {t_shared:.6}, \
-             \"intra_pair_speedup\": {shared_speedup:.3}, \
-             \"shard_cas_retries\": {shard_cas}, \
-             \"shard_lock_waits\": {shard_waits}, \
-             \"hardware_threads\": {hw}\n  }},\n"
-        );
-        let _ = write!(
-            out,
             "  \"trace_overhead\": {{\n    \
-             \"rules\": {SHARED_RULES}, \"untraced_s\": {overhead_off:.6}, \
+             \"rules\": {OVERHEAD_RULES}, \"untraced_s\": {overhead_off:.6}, \
              \"traced_s\": {overhead_on:.6}, \"ratio\": {overhead_ratio:.4}\n  }},\n"
         );
         let _ = write!(

@@ -9,7 +9,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use campion_bdd::{GcPolicy, ManagerStats, SharedPool};
+use campion_bdd::{GcPolicy, Manager, ManagerStats};
 use campion_cfg::Span;
 use campion_ir::{AclIr, RoutePolicy, RouterIr};
 use campion_net::PrefixRange;
@@ -74,11 +74,6 @@ pub struct CampionOptions {
     pub jobs: usize,
     /// Garbage-collection mode for the per-pair BDD managers.
     pub gc: GcMode,
-    /// Run every pair on one process-wide shared concurrent BDD arena
-    /// (per-thread workers, cross-pair node sharing, intra-pair fan-out)
-    /// instead of a private manager per pair. The report is identical
-    /// either way.
-    pub shared_manager: bool,
 }
 
 impl Default for CampionOptions {
@@ -93,7 +88,6 @@ impl Default for CampionOptions {
             exhaustive_communities: false,
             jobs: 0,
             gc: GcMode::default(),
-            shared_manager: false,
         }
     }
 }
@@ -148,16 +142,14 @@ fn run_item(
     r2: &RouterIr,
     item: &WorkItem<'_>,
     opts: &CampionOptions,
-    pool: Option<&SharedPool>,
 ) -> WorkOutput {
     match item {
         WorkItem::Policy(pair) => {
-            let (diffs, stats) = diff_policy_pair(r1, r2, pair, opts, pool);
+            let (diffs, stats) = diff_policy_pair(r1, r2, pair, opts);
             WorkOutput::RouteMaps(diffs, stats)
         }
         WorkItem::Acl(name) => {
-            let (diffs, stats) =
-                diff_acl_pair(r1, r2, &r1.acls[*name], &r2.acls[*name], opts, pool);
+            let (diffs, stats) = diff_acl_pair(r1, r2, &r1.acls[*name], &r2.acls[*name], opts);
             WorkOutput::Acls(diffs, stats)
         }
         WorkItem::StaticRoutes => {
@@ -354,17 +346,10 @@ pub fn compare_routers(r1: &RouterIr, r2: &RouterIr, opts: &CampionOptions) -> C
     let mut diff_opts = opts.clone();
     diff_opts.jobs = inner.max(1);
     let diff_opts = &diff_opts;
-    // One shared arena pool for the whole run when requested; pair workers
-    // (one per thread, keyed by variable count) hang off it. `None` keeps
-    // the classic private-manager-per-pair layout.
-    let pool = opts
-        .shared_manager
-        .then(|| SharedPool::new(opts.effective_gc().policy()));
-    let pool = pool.as_ref();
     let outputs: Vec<WorkOutput> = if jobs <= 1 {
         items
             .iter()
-            .map(|it| run_item(r1, r2, it, diff_opts, pool))
+            .map(|it| run_item(r1, r2, it, diff_opts))
             .collect()
     } else {
         steal_indexed(
@@ -373,7 +358,7 @@ pub fn compare_routers(r1: &RouterIr, r2: &RouterIr, opts: &CampionOptions) -> C
             // Each worker gets its own trace track (lane in the Chrome
             // trace); track 0 is the coordinating thread.
             |w| campion_trace::set_track(w as u32 + 1),
-            |(), i| run_item(r1, r2, &items[i], diff_opts, pool),
+            |(), i| run_item(r1, r2, &items[i], diff_opts),
         )
     };
 
@@ -390,11 +375,6 @@ pub fn compare_routers(r1: &RouterIr, r2: &RouterIr, opts: &CampionOptions) -> C
             }
             WorkOutput::Structural(findings) => report.structural.extend(findings),
         }
-    }
-    // Shared mode: per-item stats carry only worker-local counters; the
-    // arena-wide node/GC/shard figures come from the pool, once.
-    if let Some(p) = pool {
-        report.bdd_stats.merge(&p.stats());
     }
     report
 }
@@ -427,7 +407,6 @@ pub fn compare_policies_by_name(r1: &RouterIr, r2: &RouterIr, name: &str) -> Vec
             name2: Some(name.to_string()),
         },
         &CampionOptions::default(),
-        None,
     )
     .0
 }
@@ -457,7 +436,6 @@ fn diff_policy_pair(
     r2: &RouterIr,
     pair: &PolicyPair,
     opts: &CampionOptions,
-    pool: Option<&SharedPool>,
 ) -> (Vec<PolicyDiffReport>, ManagerStats) {
     let mut item_span = campion_trace::span("item.policy_pair");
     let p1 = match &pair.name1 {
@@ -468,7 +446,7 @@ fn diff_policy_pair(
         Some(n) => r2.policy_or_permit(n),
         None => RoutePolicy::permit_all("(no policy)"),
     };
-    let mut space = RouteSpace::for_policies_in(&[&p1, &p2], pool);
+    let mut space = RouteSpace::for_policies(&[&p1, &p2]);
     space.manager.set_gc_policy(opts.effective_gc().policy());
     let stats_at_entry = space.manager.stats();
     let universe = space.universe();
@@ -478,13 +456,7 @@ fn diff_policy_pair(
     let paths1 = policy_paths(&mut space, &p1, universe);
     let paths2 = policy_paths(&mut space, &p2, universe);
     let mut prune = DiffPruneStats::default();
-    let diffs = semantic_diff_jobs(
-        &mut space.manager,
-        &paths1,
-        &paths2,
-        &mut prune,
-        opts.effective_jobs(),
-    );
+    let diffs = semantic_diff_jobs(&mut space.manager, &paths1, &paths2, &mut prune, 1);
     // The diffs' inputs are rooted by semantic_diff; the paths themselves
     // are now garbage.
     release_paths(&mut space.manager, &paths1);
@@ -499,59 +471,13 @@ fn diff_policy_pair(
     let dag = headerloc::RangeDag::build(&mut space, &ranges);
     space.manager.gc_checkpoint();
 
-    let inner_jobs = opts.effective_jobs().min(diffs.len());
-    let out: Vec<PolicyDiffReport> = if diffs.is_empty() {
-        Vec::new()
-    } else if inner_jobs <= 1 {
-        // Present against a snapshot clone even when sequential: the
-        // localization intermediates then live (and die) in the clone's
-        // arena exactly as they do in a parallel worker's, so the main
-        // manager sees the same operation sequence — and the pair reports
-        // the same ManagerStats — at every worker count. The parent worker
-        // goes idle for the duration: on a shared arena the clone is a
-        // sibling worker, and a collection it requests at a safe point
-        // can only proceed once the (blocked) parent is off the active
-        // roster. No-op for private managers.
-        let (mut sp, dg) = (space.clone(), dag.clone());
-        let out = space.manager.with_idle(|| {
-            diffs
-                .iter()
-                .map(|d| present_policy_diff(r1, r2, &mut sp, &dg, &p1, &p2, pair, d, opts))
-                .collect()
-        });
-        drop(sp);
-        for d in &diffs {
-            space.manager.unprotect(d.input);
-        }
-        space.manager.gc_checkpoint();
-        out
-    } else {
-        // Per-difference fan-out: localizations against a fixed DAG are
-        // independent, so each sub-worker takes a snapshot clone of the
-        // space and the DAG (node indices survive cloning, so results are
-        // the sequential ones bit for bit) and the differences are claimed
-        // work-stealing style. The clones' arenas and stats are discarded;
-        // the original manager stays untouched (and idle, so sub-workers
-        // can collect) until the roots are dropped below, at the same safe
-        // point a sequential run reaches.
-        let parent = campion_trace::track().unwrap_or(0);
-        let states: Vec<(RouteSpace, headerloc::RangeDag)> = (0..inner_jobs)
-            .map(|_| (space.clone(), dag.clone()))
-            .collect();
-        let out = space.manager.with_idle(|| {
-            steal_indexed(
-                states,
-                diffs.len(),
-                |w| campion_trace::set_track(campion_trace::sub_track(parent, w as u32)),
-                |(sp, dg), i| present_policy_diff(r1, r2, sp, dg, &p1, &p2, pair, &diffs[i], opts),
-            )
-        });
-        for d in &diffs {
-            space.manager.unprotect(d.input);
-        }
-        space.manager.gc_checkpoint();
-        out
-    };
+    let out = present_on_snapshots(
+        diffs.len(),
+        opts.effective_jobs(),
+        || (space.clone(), dag.clone()),
+        |(sp, dg), i| present_policy_diff(r1, r2, sp, dg, &p1, &p2, pair, &diffs[i], opts),
+    );
+    release_inputs(&mut space.manager, &diffs);
     dag.release(&mut space.manager);
     space.manager.unprotect(universe);
     let mut stats = space.manager.stats();
@@ -563,6 +489,50 @@ fn diff_policy_pair(
     stats.early_exits = prune.early_exits;
     attach_stats_delta(&mut item_span, &stats_at_entry, &stats);
     (out, stats)
+}
+
+/// Present `n` differences against snapshot clones of a pair's state (its
+/// space and ddNF DAGs; clones keep node indices, so results are bit for
+/// bit the ones the original would give). Localizations against fixed DAGs
+/// are independent, so with `jobs > 1` they are claimed work-stealing style
+/// by up to `jobs` sub-workers, each on its own clone and trace sub-track.
+/// A sequential run still presents on one clone: the localization
+/// intermediates then live and die in a clone's arena exactly as in a
+/// parallel worker's, so the pair's own manager sees the same operation
+/// sequence — and reports the same `ManagerStats` — at every worker count.
+fn present_on_snapshots<S: Send, T: Send>(
+    n: usize,
+    jobs: usize,
+    snapshot: impl Fn() -> S,
+    present: impl Fn(&mut S, usize) -> T + Sync,
+) -> Vec<T> {
+    let jobs = jobs.min(n);
+    if n == 0 {
+        Vec::new()
+    } else if jobs <= 1 {
+        let mut state = snapshot();
+        (0..n).map(|i| present(&mut state, i)).collect()
+    } else {
+        let parent = campion_trace::track().unwrap_or(0);
+        steal_indexed(
+            (0..jobs).map(|_| snapshot()).collect(),
+            n,
+            |w| campion_trace::set_track(campion_trace::sub_track(parent, w as u32)),
+            present,
+        )
+    }
+}
+
+/// Drop the roots `semantic_diff` put on the presented differences' inputs
+/// and reach the safe point a pair passes once its differences are done.
+fn release_inputs(manager: &mut Manager, diffs: &[SemanticDifference]) {
+    if diffs.is_empty() {
+        return;
+    }
+    for d in diffs {
+        manager.unprotect(d.input);
+    }
+    manager.gc_checkpoint();
 }
 
 /// Present one route-map difference: localize its input over the pair's
@@ -763,25 +733,17 @@ fn diff_acl_pair(
     a1: &AclIr,
     a2: &AclIr,
     opts: &CampionOptions,
-    pool: Option<&SharedPool>,
 ) -> (Vec<PolicyDiffReport>, ManagerStats) {
     let mut item_span = campion_trace::span("item.acl_pair");
-    let mut space = PacketSpace::new_in(pool);
+    let mut space = PacketSpace::new();
     space.manager.set_gc_policy(opts.effective_gc().policy());
     let stats_at_entry = space.manager.stats();
     // Pair-aware enumeration: both sides' classes restricted to the
     // disagreement set, so the chain never materializes predicates the
-    // diff would prune anyway (the 10k-rule hot path). On a shared arena
-    // with spare workers the two sides enumerate in parallel.
-    let (paths1, paths2) = acl_diff_paths(&mut space, a1, a2, opts.effective_jobs());
+    // diff would prune anyway (the 10k-rule hot path).
+    let (paths1, paths2) = acl_diff_paths(&mut space, a1, a2, 1);
     let mut prune = DiffPruneStats::default();
-    let diffs = semantic_diff_jobs(
-        &mut space.manager,
-        &paths1,
-        &paths2,
-        &mut prune,
-        opts.effective_jobs(),
-    );
+    let diffs = semantic_diff_jobs(&mut space.manager, &paths1, &paths2, &mut prune, 1);
     release_paths(&mut space.manager, &paths1);
     release_paths(&mut space.manager, &paths2);
     space.manager.gc_checkpoint();
@@ -816,47 +778,13 @@ fn diff_acl_pair(
     let dst_dag = headerloc::RangeDag::build(&mut DstAddrSpace(&mut space), &dst_ranges);
     let src_dag = headerloc::RangeDag::build(&mut SrcAddrSpace(&mut space), &src_ranges);
     space.manager.gc_checkpoint();
-    let inner_jobs = opts.effective_jobs().min(diffs.len());
-    let out: Vec<PolicyDiffReport> = if diffs.is_empty() {
-        Vec::new()
-    } else if inner_jobs <= 1 {
-        // Sequential presentation runs on a snapshot clone too, keeping
-        // the main manager's operation sequence (and so the pair's
-        // ManagerStats) identical at every worker count; the parent goes
-        // idle for the clone's safe points — see diff_policy_pair.
-        let (mut sp, ddag, sdag) = (space.clone(), dst_dag.clone(), src_dag.clone());
-        let out = space.manager.with_idle(|| {
-            diffs
-                .iter()
-                .map(|d| present_acl_diff(r1, r2, &mut sp, &ddag, &sdag, a1, a2, d))
-                .collect()
-        });
-        drop(sp);
-        for d in &diffs {
-            space.manager.unprotect(d.input);
-        }
-        space.manager.gc_checkpoint();
-        out
-    } else {
-        // Per-difference fan-out over snapshot clones; see diff_policy_pair.
-        let parent = campion_trace::track().unwrap_or(0);
-        let states: Vec<(PacketSpace, headerloc::RangeDag, headerloc::RangeDag)> = (0..inner_jobs)
-            .map(|_| (space.clone(), dst_dag.clone(), src_dag.clone()))
-            .collect();
-        let out = space.manager.with_idle(|| {
-            steal_indexed(
-                states,
-                diffs.len(),
-                |w| campion_trace::set_track(campion_trace::sub_track(parent, w as u32)),
-                |(sp, ddag, sdag), i| present_acl_diff(r1, r2, sp, ddag, sdag, a1, a2, &diffs[i]),
-            )
-        });
-        for d in &diffs {
-            space.manager.unprotect(d.input);
-        }
-        space.manager.gc_checkpoint();
-        out
-    };
+    let out = present_on_snapshots(
+        diffs.len(),
+        opts.effective_jobs(),
+        || (space.clone(), dst_dag.clone(), src_dag.clone()),
+        |(sp, ddag, sdag), i| present_acl_diff(r1, r2, sp, ddag, sdag, a1, a2, &diffs[i]),
+    );
+    release_inputs(&mut space.manager, &diffs);
     dst_dag.release(&mut space.manager);
     src_dag.release(&mut space.manager);
     let mut stats = space.manager.stats();

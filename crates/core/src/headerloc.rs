@@ -34,9 +34,9 @@
 //! the closure/containment passes never call `diff`, and a [`PrefixTrie`]
 //! over the node prefixes supplies each node's possible partners (only
 //! prefix-nested ranges can be related) instead of a per-call BTreeMap scan
-//! with sort/dedup. The pre-trie, BDD-deciding builder is retained as
-//! [`build_ddnf_oracle`]; a property suite asserts both produce identical
-//! DAGs, node order included.
+//! with sort/dedup. The pre-trie, BDD-deciding builder is kept under
+//! `#[cfg(test)]` as `oracle::build_ddnf_oracle`; a property suite asserts
+//! both produce identical DAGs, node order included.
 //!
 //! ## How localization queries are kept cheap
 //!
@@ -49,7 +49,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
-use campion_bdd::{AnyManager, Bdd};
+use campion_bdd::{Bdd, Manager};
 use campion_net::{Prefix, PrefixRange, PrefixTrie};
 use campion_symbolic::{PacketSpace, RouteSpace};
 
@@ -70,7 +70,7 @@ pub enum RangeSemantics {
 /// ACLs (pure address dimensions for source or destination).
 pub trait RangeEncoder {
     /// The underlying manager.
-    fn manager(&mut self) -> &mut AnyManager;
+    fn manager(&mut self) -> &mut Manager;
     /// The set denoted by a prefix range in this space.
     fn encode(&mut self, r: &PrefixRange) -> Bdd;
     /// Which structural reading of a range [`RangeEncoder::encode`]
@@ -81,7 +81,7 @@ pub trait RangeEncoder {
 }
 
 impl RangeEncoder for RouteSpace {
-    fn manager(&mut self) -> &mut AnyManager {
+    fn manager(&mut self) -> &mut Manager {
         &mut self.manager
     }
     fn encode(&mut self, r: &PrefixRange) -> Bdd {
@@ -98,7 +98,7 @@ impl RangeEncoder for RouteSpace {
 pub struct DstAddrSpace<'a>(pub &'a mut PacketSpace);
 
 impl RangeEncoder for DstAddrSpace<'_> {
-    fn manager(&mut self) -> &mut AnyManager {
+    fn manager(&mut self) -> &mut Manager {
         &mut self.0.manager
     }
     fn encode(&mut self, r: &PrefixRange) -> Bdd {
@@ -113,7 +113,7 @@ impl RangeEncoder for DstAddrSpace<'_> {
 pub struct SrcAddrSpace<'a>(pub &'a mut PacketSpace);
 
 impl RangeEncoder for SrcAddrSpace<'_> {
-    fn manager(&mut self) -> &mut AnyManager {
+    fn manager(&mut self) -> &mut Manager {
         &mut self.0.manager
     }
     fn encode(&mut self, r: &PrefixRange) -> Bdd {
@@ -235,7 +235,7 @@ pub struct RangeDag {
     released: Cell<bool>,
     /// `GetMatch` memo: `(node, S) → (terms, exact)`. Valid for one GC
     /// generation — a sweep may recycle node indices, so the table is
-    /// cleared whenever the manager's sweep count moves past `memo_gen`.
+    /// cleared whenever the manager's GC run count moves past `memo_gen`.
     memo: RefCell<GetMatchMemo>,
     memo_gen: Cell<u64>,
 }
@@ -257,7 +257,7 @@ impl RangeDag {
     /// protects every node BDD and remainder so the DAG survives the
     /// collections the driver runs between differences). The DAG must not
     /// be used for localization afterwards (debug-asserted).
-    pub fn release(&self, manager: &mut AnyManager) {
+    pub fn release(&self, manager: &mut Manager) {
         debug_assert!(!self.released.get(), "RangeDag released twice");
         self.released.set(true);
         for &b in self.bdds.iter().chain(self.remainders.iter()) {
@@ -412,163 +412,6 @@ fn finish_dag<E: RangeEncoder>(
     }
 }
 
-/// The pre-trie `closed_ranges`: BDD-keyed dedup plus a BTreeMap prefix
-/// index. Retained verbatim as the differential oracle for the structural
-/// builder (`tests::ddnf` asserts identical DAGs).
-fn closed_ranges_oracle<E: RangeEncoder>(
-    space: &mut E,
-    ranges: &[PrefixRange],
-) -> (Vec<PrefixRange>, Vec<Bdd>, RangeIndex) {
-    let mut out: Vec<PrefixRange> = Vec::new();
-    let mut bdds: Vec<Bdd> = Vec::new();
-    let mut seen: std::collections::HashSet<Bdd> = std::collections::HashSet::new();
-    let mut push =
-        |space: &mut E, out: &mut Vec<PrefixRange>, bdds: &mut Vec<Bdd>, r: PrefixRange| {
-            let b = space.encode(&r);
-            if space.manager().is_false(b) {
-                return;
-            }
-            if seen.insert(b) {
-                space.manager().protect(b);
-                out.push(r);
-                bdds.push(b);
-            }
-        };
-    push(space, &mut out, &mut bdds, PrefixRange::universe());
-    for r in ranges {
-        push(space, &mut out, &mut bdds, *r);
-    }
-    let mut index = RangeIndex::new();
-    for (id, r) in out.iter().enumerate() {
-        index.insert(id, r);
-    }
-    let mut i = 0;
-    while i < out.len() {
-        for j in index.candidates(&out[i]) {
-            if j >= i {
-                break;
-            }
-            if let Some(x) = out[i].intersect(&out[j]) {
-                let before = out.len();
-                push(space, &mut out, &mut bdds, x);
-                if out.len() > before {
-                    index.insert(before, &out[before]);
-                }
-            }
-        }
-        i += 1;
-    }
-    (out, bdds, index)
-}
-
-/// The pre-trie DAG builder, deciding containment with BDD `diff`. Retained
-/// as the differential-testing oracle for [`RangeDag::build`]; not used on
-/// the production path.
-#[doc(hidden)]
-pub fn build_ddnf_oracle<E: RangeEncoder>(space: &mut E, ranges: &[PrefixRange]) -> RangeDag {
-    let (ranges, bdds, index) = closed_ranges_oracle(space, ranges);
-    let n = ranges.len();
-    let mut containers: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for c in 0..n {
-        for m in index.candidates(&ranges[c]) {
-            if c == m || ranges[c].intersect(&ranges[m]).is_none() {
-                continue;
-            }
-            let extra = space.manager().diff(bdds[c], bdds[m]);
-            if space.manager().is_false(extra) {
-                containers[c].push(m);
-            }
-        }
-    }
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for c in 0..n {
-        for &m in &containers[c] {
-            let covered = containers[c]
-                .iter()
-                .any(|&k| k != m && containers[k].contains(&m));
-            if !covered {
-                children[m].push(c);
-            }
-        }
-    }
-    finish_dag(space, ranges, bdds, children)
-}
-
-/// The DAG's full skeleton `(ranges, bdds, children, remainders, root)`,
-/// for the differential suite's node-order-included equality assertions
-/// (two builds in one manager must agree on every node handle too).
-#[doc(hidden)]
-#[allow(clippy::type_complexity)]
-pub fn dag_structure(dag: &RangeDag) -> (&[PrefixRange], &[Bdd], &[Vec<usize>], &[Bdd], usize) {
-    (
-        &dag.ranges,
-        &dag.bdds,
-        &dag.children,
-        &dag.remainders,
-        dag.root,
-    )
-}
-
-/// Candidate-pair index for the oracle's closure and containment scans.
-///
-/// Two prefix ranges can intersect only when one's prefix is a truncation
-/// of the other's (`PrefixRange::intersect` demands the shorter prefix's
-/// bits match the longer's), so node `i`'s possible partners all carry
-/// either a truncation of `ranges[i].prefix` — found by exact lookup at
-/// each length — or an extension of it — found by scanning `i`'s address
-/// block in a map ordered by `(bits, len)`. The result is a superset of
-/// the true partner set (the caller still runs `intersect`), returned in
-/// ascending node order so scan order matches the plain nested loops
-/// exactly (node order flows into report rendering order).
-/// [`PrefixTrie`] answers the same query without the per-call sort/dedup.
-struct RangeIndex {
-    by_prefix: std::collections::BTreeMap<(u32, u8), Vec<usize>>,
-}
-
-impl RangeIndex {
-    fn new() -> Self {
-        RangeIndex {
-            by_prefix: std::collections::BTreeMap::new(),
-        }
-    }
-
-    fn insert(&mut self, id: usize, r: &PrefixRange) {
-        self.by_prefix
-            .entry((r.prefix.bits(), r.prefix.len()))
-            .or_default()
-            .push(id);
-    }
-
-    fn candidates(&self, r: &PrefixRange) -> Vec<usize> {
-        let p = &r.prefix;
-        let mut out = Vec::new();
-        // Strict truncations of p (p itself falls inside the block scan).
-        for len in 0..p.len() {
-            let bits = if len == 0 {
-                0
-            } else {
-                p.bits() & (u32::MAX << (32 - u32::from(len)))
-            };
-            if let Some(v) = self.by_prefix.get(&(bits, len)) {
-                out.extend_from_slice(v);
-            }
-        }
-        // Everything whose bits lie inside p's address block: all
-        // extensions of p (plus p itself, plus a few same-block keys the
-        // intersect re-check weeds out).
-        let block_end = p.bits() | (((1u64 << (32 - u64::from(p.len()))) - 1) as u32);
-        for (_, v) in self
-            .by_prefix
-            .range((p.bits(), p.len())..=(block_end, 32u8))
-        {
-            out.extend_from_slice(v);
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-}
-
 /// `GetMatch` (paper §3.2): returns terms representing `S ∩ set(node)`,
 /// assuming every ddNF cell is inside or outside `S`. Terms may be nested
 /// (a minus item carrying its own minus list) until the cleanup pass.
@@ -689,10 +532,10 @@ pub fn header_localize_with<E: RangeEncoder>(
         "localize against a released RangeDag (its node BDDs are unrooted)"
     );
     // Memo entries name arena indices, which stay put between sweeps and
-    // may be recycled by one: key the table to the manager's sweep count.
+    // may be recycled by one: key the table to the manager's GC run count.
     // (No sweep can happen inside this call — collection only runs at
     // explicit checkpoints, and there are none below.)
-    let gc_gen = space.manager().sweep_count();
+    let gc_gen = space.manager().stats().gc_runs;
     if ddnf.memo_gen.get() != gc_gen {
         ddnf.memo.borrow_mut().clear();
         ddnf.memo_gen.set(gc_gen);
@@ -737,4 +580,174 @@ pub fn reencode<E: RangeEncoder>(space: &mut E, loc: &HeaderLocalization) -> Bdd
         acc = space.manager().or(acc, b);
     }
     space.manager().and(acc, valid)
+}
+
+/// Test-only oracles for the structural ddNF builder: the pre-trie,
+/// BDD-deciding builder and its prefix index, plus a skeleton accessor for
+/// node-order-included DAG equality.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use campion_bdd::Bdd;
+    use campion_net::PrefixRange;
+
+    use super::{finish_dag, RangeDag, RangeEncoder};
+
+    /// The pre-trie `closed_ranges`: BDD-keyed dedup plus a BTreeMap prefix
+    /// index. Retained verbatim as the differential oracle for the structural
+    /// builder (`tests::ddnf` asserts identical DAGs).
+    fn closed_ranges_oracle<E: RangeEncoder>(
+        space: &mut E,
+        ranges: &[PrefixRange],
+    ) -> (Vec<PrefixRange>, Vec<Bdd>, RangeIndex) {
+        let mut out: Vec<PrefixRange> = Vec::new();
+        let mut bdds: Vec<Bdd> = Vec::new();
+        let mut seen: std::collections::HashSet<Bdd> = std::collections::HashSet::new();
+        let mut push =
+            |space: &mut E, out: &mut Vec<PrefixRange>, bdds: &mut Vec<Bdd>, r: PrefixRange| {
+                let b = space.encode(&r);
+                if space.manager().is_false(b) {
+                    return;
+                }
+                if seen.insert(b) {
+                    space.manager().protect(b);
+                    out.push(r);
+                    bdds.push(b);
+                }
+            };
+        push(space, &mut out, &mut bdds, PrefixRange::universe());
+        for r in ranges {
+            push(space, &mut out, &mut bdds, *r);
+        }
+        let mut index = RangeIndex::new();
+        for (id, r) in out.iter().enumerate() {
+            index.insert(id, r);
+        }
+        let mut i = 0;
+        while i < out.len() {
+            for j in index.candidates(&out[i]) {
+                if j >= i {
+                    break;
+                }
+                if let Some(x) = out[i].intersect(&out[j]) {
+                    let before = out.len();
+                    push(space, &mut out, &mut bdds, x);
+                    if out.len() > before {
+                        index.insert(before, &out[before]);
+                    }
+                }
+            }
+            i += 1;
+        }
+        (out, bdds, index)
+    }
+
+    /// The pre-trie DAG builder, deciding containment with BDD `diff`: the
+    /// differential-testing oracle for [`RangeDag::build`].
+    pub(crate) fn build_ddnf_oracle<E: RangeEncoder>(
+        space: &mut E,
+        ranges: &[PrefixRange],
+    ) -> RangeDag {
+        let (ranges, bdds, index) = closed_ranges_oracle(space, ranges);
+        let n = ranges.len();
+        let mut containers: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for c in 0..n {
+            for m in index.candidates(&ranges[c]) {
+                if c == m || ranges[c].intersect(&ranges[m]).is_none() {
+                    continue;
+                }
+                let extra = space.manager().diff(bdds[c], bdds[m]);
+                if space.manager().is_false(extra) {
+                    containers[c].push(m);
+                }
+            }
+        }
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for c in 0..n {
+            for &m in &containers[c] {
+                let covered = containers[c]
+                    .iter()
+                    .any(|&k| k != m && containers[k].contains(&m));
+                if !covered {
+                    children[m].push(c);
+                }
+            }
+        }
+        finish_dag(space, ranges, bdds, children)
+    }
+
+    /// The DAG's full skeleton `(ranges, bdds, children, remainders, root)`,
+    /// for the differential suite's node-order-included equality assertions
+    /// (two builds in one manager must agree on every node handle too).
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn dag_structure(
+        dag: &RangeDag,
+    ) -> (&[PrefixRange], &[Bdd], &[Vec<usize>], &[Bdd], usize) {
+        (
+            &dag.ranges,
+            &dag.bdds,
+            &dag.children,
+            &dag.remainders,
+            dag.root,
+        )
+    }
+
+    /// Candidate-pair index for the oracle's closure and containment scans.
+    ///
+    /// Two prefix ranges can intersect only when one's prefix is a truncation
+    /// of the other's (`PrefixRange::intersect` demands the shorter prefix's
+    /// bits match the longer's), so node `i`'s possible partners all carry
+    /// either a truncation of `ranges[i].prefix` — found by exact lookup at
+    /// each length — or an extension of it — found by scanning `i`'s address
+    /// block in a map ordered by `(bits, len)`. The result is a superset of
+    /// the true partner set (the caller still runs `intersect`), returned in
+    /// ascending node order so scan order matches the plain nested loops
+    /// exactly (node order flows into report rendering order).
+    /// [`PrefixTrie`] answers the same query without the per-call sort/dedup.
+    struct RangeIndex {
+        by_prefix: std::collections::BTreeMap<(u32, u8), Vec<usize>>,
+    }
+
+    impl RangeIndex {
+        fn new() -> Self {
+            RangeIndex {
+                by_prefix: std::collections::BTreeMap::new(),
+            }
+        }
+
+        fn insert(&mut self, id: usize, r: &PrefixRange) {
+            self.by_prefix
+                .entry((r.prefix.bits(), r.prefix.len()))
+                .or_default()
+                .push(id);
+        }
+
+        fn candidates(&self, r: &PrefixRange) -> Vec<usize> {
+            let p = &r.prefix;
+            let mut out = Vec::new();
+            // Strict truncations of p (p itself falls inside the block scan).
+            for len in 0..p.len() {
+                let bits = if len == 0 {
+                    0
+                } else {
+                    p.bits() & (u32::MAX << (32 - u32::from(len)))
+                };
+                if let Some(v) = self.by_prefix.get(&(bits, len)) {
+                    out.extend_from_slice(v);
+                }
+            }
+            // Everything whose bits lie inside p's address block: all
+            // extensions of p (plus p itself, plus a few same-block keys the
+            // intersect re-check weeds out).
+            let block_end = p.bits() | (((1u64 << (32 - u64::from(p.len()))) - 1) as u32);
+            for (_, v) in self
+                .by_prefix
+                .range((p.bits(), p.len())..=(block_end, 32u8))
+            {
+                out.extend_from_slice(v);
+            }
+            out.sort_unstable();
+            out.dedup();
+            out
+        }
+    }
 }

@@ -148,9 +148,7 @@ pub fn stats_json(s: &ManagerStats) -> String {
     );
     let _ = write!(o, "\"pairs_examined\": {}, ", s.pairs_examined);
     let _ = write!(o, "\"pairs_pruned\": {}, ", s.pairs_pruned);
-    let _ = write!(o, "\"early_exits\": {},\n  ", s.early_exits);
-    let _ = write!(o, "\"shard_cas_retries\": {}, ", s.shard_cas_retries);
-    let _ = write!(o, "\"shard_lock_waits\": {}\n}}\n", s.shard_lock_waits);
+    let _ = write!(o, "\"early_exits\": {}\n}}\n", s.early_exits);
     o
 }
 

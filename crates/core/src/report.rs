@@ -162,13 +162,6 @@ impl CampionReport {
             format!("{} ({} pruned)", s.pairs_examined, s.pairs_pruned),
         );
         row("diff early exits", s.early_exits.to_string());
-        row(
-            "shard CAS retries",
-            format!(
-                "{} ({} lock waits)",
-                s.shard_cas_retries, s.shard_lock_waits
-            ),
-        );
         out
     }
 }

@@ -22,7 +22,7 @@
 //! [`SemanticDifference`] inputs stay protected**: callers release them via
 //! [`release_paths`] (or per-handle `unprotect`) once done.
 
-use campion_bdd::{AnyManager, Bdd};
+use campion_bdd::{Bdd, Manager};
 use campion_cfg::Span;
 use campion_ir::{AclIr, AclRuleIr, RoutePolicy, Terminal};
 use campion_net::{PortRange, WildcardMask};
@@ -79,7 +79,7 @@ pub fn policy_paths(
     // Every frame on the exploration stack is held across checkpoints, so
     // its predicate and symbolic community functions are rooted at push and
     // released once the frame has been fully processed.
-    fn protect_frame(m: &mut AnyManager, predicate: Bdd, state: &SymbolicRoute) {
+    fn protect_frame(m: &mut Manager, predicate: Bdd, state: &SymbolicRoute) {
         m.protect(predicate);
         for &b in &state.comm {
             m.protect(b);
@@ -273,15 +273,14 @@ pub fn acl_paths(space: &mut PacketSpace, acl: &AclIr, universe: Bdd) -> Vec<Pol
 /// falls back to the universe and this degrades to plain [`acl_paths`]
 /// (minus shadowed duplicates).
 ///
-/// With `jobs ≥ 2` on a shared-arena manager the two sides enumerate in
-/// parallel on forked workers (the parent goes idle for the join); the
-/// private engine ignores `jobs`. Returned predicates are protected, like
-/// [`acl_paths`]'s; release with [`release_paths`].
+/// `jobs` is accepted and ignored: both sides enumerate sequentially on the
+/// one manager. Returned predicates are protected, like [`acl_paths`]'s;
+/// release with [`release_paths`].
 pub fn acl_diff_paths(
     space: &mut PacketSpace,
     a1: &AclIr,
     a2: &AclIr,
-    jobs: usize,
+    _jobs: usize,
 ) -> (Vec<PolicyPath>, Vec<PolicyPath>) {
     campion_trace::span!("semdiff.acl_paths");
     let unaligned: Option<Vec<&AclRuleIr>> = {
@@ -332,38 +331,10 @@ pub fn acl_diff_paths(
     };
     let (paths1, paths2) = {
         campion_trace::span!("semdiff.enumerate");
-        let fan = jobs >= 2 && space.manager.is_shared();
-        if fan {
-            // Fork a worker per side on the shared arena; the parent goes
-            // idle so the sides can collect at their checkpoints while it
-            // blocks joining them. Rule-cache counter deltas fold back so
-            // `--stats` is fan-out-invariant.
-            let (l0, h0) = space.rule_cache_stats();
-            let clones: Vec<PacketSpace> = (0..2).map(|_| space.clone()).collect();
-            let parent = campion_trace::track().unwrap_or(0);
-            let mut results = space.manager.with_idle(|| {
-                crate::driver::steal_indexed(
-                    clones,
-                    2,
-                    |w| campion_trace::set_track(campion_trace::sub_track(parent, w as u32)),
-                    |sp, i| {
-                        let acl = if i == 0 { a1 } else { a2 };
-                        let paths = acl_paths_within(sp, acl, restrict, gens);
-                        let (l, h) = sp.rule_cache_stats();
-                        (paths, l - l0, h - h0)
-                    },
-                )
-            });
-            let (p2, l2, h2) = results.pop().expect("two sides");
-            let (p1, l1, h1) = results.pop().expect("two sides");
-            space.add_rule_cache_counts(l1 + l2, h1 + h2);
-            (p1, p2)
-        } else {
-            (
-                acl_paths_within(space, a1, restrict, gens),
-                acl_paths_within(space, a2, restrict, gens),
-            )
-        }
+        (
+            acl_paths_within(space, a1, restrict, gens),
+            acl_paths_within(space, a2, restrict, gens),
+        )
     };
     space.manager.unprotect(restrict);
     space.manager.gc_checkpoint();
@@ -770,37 +741,22 @@ pub struct DiffPruneStats {
 /// handles — identical to the all-pairs loop (kept as a `#[cfg(test)]`
 /// reference oracle below).
 pub fn semantic_diff(
-    manager: &mut AnyManager,
+    manager: &mut Manager,
     paths1: &[PolicyPath],
     paths2: &[PolicyPath],
 ) -> Vec<SemanticDifference> {
-    let mut stats = DiffPruneStats::default();
-    semantic_diff_stats(manager, paths1, paths2, &mut stats)
+    semantic_diff_jobs(manager, paths1, paths2, &mut DiffPruneStats::default(), 1)
 }
 
 /// [`semantic_diff`] with pruning counters reported through `stats`
 /// (counters accumulate, so one instance can span several components).
-pub fn semantic_diff_stats(
-    manager: &mut AnyManager,
-    paths1: &[PolicyPath],
-    paths2: &[PolicyPath],
-    stats: &mut DiffPruneStats,
-) -> Vec<SemanticDifference> {
-    semantic_diff_jobs(manager, paths1, paths2, stats, 1)
-}
-
-/// [`semantic_diff_stats`] with the row loop fanned across `jobs` forked
-/// workers when the manager is shared-arena (each row's remainder chain is
-/// independent of every other row's, so rows are embarrassingly parallel;
-/// results merge in row order, which with hash-consing keeps quintuples,
-/// order, and handles byte-identical to the sequential loop). The private
-/// engine, `jobs < 2`, or too few rows fall back to the sequential loop.
+/// `jobs` is accepted and ignored: the rows run sequentially on `manager`.
 pub fn semantic_diff_jobs(
-    manager: &mut AnyManager,
+    manager: &mut Manager,
     paths1: &[PolicyPath],
     paths2: &[PolicyPath],
     stats: &mut DiffPruneStats,
-    jobs: usize,
+    _jobs: usize,
 ) -> Vec<SemanticDifference> {
     campion_trace::span!("semdiff.diff");
     let total_pairs = paths1.len() as u64 * paths2.len() as u64;
@@ -842,52 +798,9 @@ pub fn semantic_diff_jobs(
     manager.gc_checkpoint();
 
     let mut out = Vec::new();
-    let workers = if jobs >= 2 && paths1.len() >= 2 {
-        manager.try_split(jobs.min(paths1.len()))
-    } else {
-        None
-    };
-    match workers {
-        Some(ws) => {
-            // Fan the rows across forked workers on the shared arena; the
-            // parent goes idle so workers can collect at their checkpoints
-            // while it blocks on the join. Each worker's row output and
-            // counters come back indexed, then merge in row order.
-            let nrows = paths1.len();
-            let parent = campion_trace::track().unwrap_or(0);
-            let rows = manager.with_idle(|| {
-                crate::driver::steal_indexed(
-                    ws,
-                    nrows,
-                    |w| campion_trace::set_track(campion_trace::sub_track(parent, w as u32)),
-                    |m, i| {
-                        let mut row_out = Vec::new();
-                        let mut row_stats = DiffPruneStats::default();
-                        diff_row(
-                            m,
-                            &paths1[i],
-                            paths2,
-                            disagree,
-                            &mut row_stats,
-                            &mut row_out,
-                        );
-                        m.gc_checkpoint();
-                        (row_out, row_stats)
-                    },
-                )
-            });
-            for (row_out, row_stats) in rows {
-                out.extend(row_out);
-                stats.pairs_examined += row_stats.pairs_examined;
-                stats.early_exits += row_stats.early_exits;
-            }
-        }
-        None => {
-            for p1 in paths1 {
-                diff_row(manager, p1, paths2, disagree, stats, &mut out);
-                manager.gc_checkpoint();
-            }
-        }
+    for p1 in paths1 {
+        diff_row(manager, p1, paths2, disagree, stats, &mut out);
+        manager.gc_checkpoint();
     }
     manager.unprotect(disagree);
     stats.pairs_pruned += total_pairs - (stats.pairs_examined - examined_before);
@@ -895,11 +808,10 @@ pub fn semantic_diff_jobs(
 }
 
 /// One row of the pruned comparison: `p1` against every side-2 class, with
-/// the remainder early exit. Emitted inputs are protected (on a shared
-/// arena roots are global, so a forked worker's protections survive the
-/// join and are released by the parent as usual).
+/// the remainder early exit. Emitted inputs are protected; the caller
+/// releases them.
 fn diff_row(
-    manager: &mut AnyManager,
+    manager: &mut Manager,
     p1: &PolicyPath,
     paths2: &[PolicyPath],
     disagree: Bdd,
@@ -951,7 +863,7 @@ fn diff_row(
 /// random policy/ACL pairs under every GC mode.
 #[cfg(test)]
 pub(crate) fn semantic_diff_all_pairs(
-    manager: &mut AnyManager,
+    manager: &mut Manager,
     paths1: &[PolicyPath],
     paths2: &[PolicyPath],
 ) -> Vec<SemanticDifference> {
@@ -986,7 +898,7 @@ pub(crate) fn semantic_diff_all_pairs(
 /// Release the GC roots held by a set of path predicates (the counterpart
 /// of [`policy_paths`]/[`acl_paths`], which return their outputs rooted).
 /// Call once `semantic_diff` has consumed the paths.
-pub fn release_paths(manager: &mut AnyManager, paths: &[PolicyPath]) {
+pub fn release_paths(manager: &mut Manager, paths: &[PolicyPath]) {
     for p in paths {
         manager.unprotect(p.predicate);
     }

@@ -851,7 +851,7 @@ mod prune_oracle {
 
     /// Field-by-field comparison of two difference lists (order included).
     fn assert_same(
-        manager: &campion_bdd::AnyManager,
+        manager: &campion_bdd::Manager,
         pruned: &[SemanticDifference],
         reference: &[SemanticDifference],
         gc: GcMode,
@@ -1048,10 +1048,8 @@ mod ddnf {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::headerloc::{
-        build_ddnf_oracle, dag_structure, header_localize_with, DstAddrSpace, RangeDag,
-        RangeEncoder,
-    };
+    use crate::headerloc::oracle::{build_ddnf_oracle, dag_structure};
+    use crate::headerloc::{header_localize_with, DstAddrSpace, RangeDag, RangeEncoder};
 
     /// Build with both builders in the same space (so deterministic
     /// hash-consing makes node handles comparable), assert full equality,

@@ -1,11 +1,11 @@
 //! Bit-vector helpers: equality and interval constraints over big-endian
 //! variable runs.
 
-use campion_bdd::{AnyManager, Bdd};
+use campion_bdd::{Bdd, Manager};
 
 /// Constrain variables `vars[0..]` (big-endian) to equal the low `vars.len()`
 /// bits of `value`.
-pub fn eq_const(m: &mut AnyManager, vars: &[u32], value: u64) -> Bdd {
+pub fn eq_const(m: &mut Manager, vars: &[u32], value: u64) -> Bdd {
     let n = vars.len();
     let mut acc = Bdd::TRUE;
     for (i, &v) in vars.iter().enumerate() {
@@ -18,7 +18,7 @@ pub fn eq_const(m: &mut AnyManager, vars: &[u32], value: u64) -> Bdd {
 
 /// Constrain the first `prefix_len` of the 32 `vars` to equal the top bits
 /// of `bits` (a prefix-address constraint).
-pub fn prefix_const(m: &mut AnyManager, vars: &[u32], bits: u32, prefix_len: u8) -> Bdd {
+pub fn prefix_const(m: &mut Manager, vars: &[u32], bits: u32, prefix_len: u8) -> Bdd {
     debug_assert_eq!(vars.len(), 32);
     // Built bottom-up, one node per constrained bit. The top-down
     // `and(acc, literal)` form re-walks the whole accumulated chain on
@@ -40,7 +40,7 @@ pub fn prefix_const(m: &mut AnyManager, vars: &[u32], bits: u32, prefix_len: u8)
 
 /// Constrain 32 address variables by a wildcard mask: every *care* bit must
 /// equal the base address bit.
-pub fn wildcard_const(m: &mut AnyManager, vars: &[u32], addr: u32, wildcard: u32) -> Bdd {
+pub fn wildcard_const(m: &mut Manager, vars: &[u32], addr: u32, wildcard: u32) -> Bdd {
     debug_assert_eq!(vars.len(), 32);
     let mut acc = Bdd::TRUE;
     for (i, &v) in vars.iter().enumerate() {
@@ -55,7 +55,7 @@ pub fn wildcard_const(m: &mut AnyManager, vars: &[u32], addr: u32, wildcard: u32
 }
 
 /// `value ≤ hi` over big-endian variables.
-pub fn le_const(m: &mut AnyManager, vars: &[u32], hi: u64) -> Bdd {
+pub fn le_const(m: &mut Manager, vars: &[u32], hi: u64) -> Bdd {
     // Build from the least-significant bit backwards:
     // le(empty) = true; prepending bit b of the bound:
     //   bound-bit 1: var=0 → anything below is fine; var=1 → rest must be ≤.
@@ -76,7 +76,7 @@ pub fn le_const(m: &mut AnyManager, vars: &[u32], hi: u64) -> Bdd {
 }
 
 /// `value ≥ lo` over big-endian variables.
-pub fn ge_const(m: &mut AnyManager, vars: &[u32], lo: u64) -> Bdd {
+pub fn ge_const(m: &mut Manager, vars: &[u32], lo: u64) -> Bdd {
     let n = vars.len();
     let mut acc = Bdd::TRUE;
     for i in (0..n).rev() {
@@ -93,7 +93,7 @@ pub fn ge_const(m: &mut AnyManager, vars: &[u32], lo: u64) -> Bdd {
 }
 
 /// `lo ≤ value ≤ hi` over big-endian variables.
-pub fn range_const(m: &mut AnyManager, vars: &[u32], lo: u64, hi: u64) -> Bdd {
+pub fn range_const(m: &mut Manager, vars: &[u32], lo: u64, hi: u64) -> Bdd {
     let a = ge_const(m, vars, lo);
     let b = le_const(m, vars, hi);
     m.and(a, b)
@@ -114,7 +114,7 @@ mod tests {
 
     #[test]
     fn eq_const_matches_exactly() {
-        let mut m = AnyManager::new_private(4);
+        let mut m = Manager::new(4);
         let vars: Vec<u32> = (0..4).collect();
         let f = eq_const(&mut m, &vars, 0b1010);
         for v in 0..16u64 {
@@ -124,7 +124,7 @@ mod tests {
 
     #[test]
     fn interval_bounds_are_inclusive() {
-        let mut m = AnyManager::new_private(6);
+        let mut m = Manager::new(6);
         let vars: Vec<u32> = (0..6).collect();
         let f = range_const(&mut m, &vars, 16, 32);
         for v in 0..64u64 {
@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn wildcard_const_semantics() {
-        let mut m = AnyManager::new_private(32);
+        let mut m = Manager::new(32);
         let vars: Vec<u32> = (0..32).collect();
         // 10.0.0.0 with wildcard 0.0.2.255: bit 22 (the "2") and the last
         // octet are free.

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use campion_bdd::{AnyManager, Assignment, Bdd, SharedPool};
+use campion_bdd::{Assignment, Bdd, Manager};
 use campion_ir::AclRuleIr;
 use campion_net::{Flow, IpProtocol, PortRange, Prefix, WildcardMask};
 
@@ -65,7 +65,7 @@ pub const NUM_VARS: u32 = 104;
 #[derive(Clone)]
 pub struct PacketSpace {
     /// The BDD manager (exposed so callers can run set operations).
-    pub manager: AnyManager,
+    pub manager: Manager,
     /// Memoized rule-condition BDDs keyed by canonical match content.
     /// Entries are GC-rooted at insert: the cache is consulted for the
     /// space's whole lifetime, so they must survive any collection between
@@ -82,27 +82,13 @@ impl Default for PacketSpace {
 }
 
 impl PacketSpace {
-    /// Create the space on a private single-threaded manager.
+    /// Create the space on a fresh manager.
     pub fn new() -> Self {
         PacketSpace {
-            manager: AnyManager::new_private(NUM_VARS),
+            manager: Manager::new(NUM_VARS),
             rule_cache: HashMap::new(),
             rule_cache_lookups: 0,
             rule_cache_hits: 0,
-        }
-    }
-
-    /// Create the space on a worker of `pool`'s shared arena when given,
-    /// else privately (same as [`PacketSpace::new`]).
-    pub fn new_in(pool: Option<&SharedPool>) -> Self {
-        match pool {
-            Some(p) => PacketSpace {
-                manager: AnyManager::from(p.worker(NUM_VARS)),
-                rule_cache: HashMap::new(),
-                rule_cache_lookups: 0,
-                rule_cache_hits: 0,
-            },
-            None => Self::new(),
         }
     }
 
@@ -116,13 +102,6 @@ impl PacketSpace {
     /// report's [`campion_bdd::ManagerStats`].
     pub fn rule_cache_stats(&self) -> (u64, u64) {
         (self.rule_cache_lookups, self.rule_cache_hits)
-    }
-
-    /// Fold rule-cache counter deltas from forked clones back into this
-    /// space, keeping `--stats` invariant under intra-pair fan-out.
-    pub fn add_rule_cache_counts(&mut self, lookups: u64, hits: u64) {
-        self.rule_cache_lookups += lookups;
-        self.rule_cache_hits += hits;
     }
 
     /// Encode one ACL rule's match condition. Memoized on the rule's

@@ -4,7 +4,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
-use campion_bdd::{AnyManager, Assignment, Bdd, SharedPool};
+use campion_bdd::{Assignment, Bdd, Manager};
 use campion_ir::{
     CommAtom, CommunityDialect, Match, PrefixMatcher, RoutePolicy, RouteProtocol, SetAction,
 };
@@ -73,7 +73,7 @@ pub enum FieldState {
 #[derive(Clone)]
 pub struct RouteSpace {
     /// The BDD manager (exposed so callers can run set operations).
-    pub manager: AnyManager,
+    pub manager: Manager,
     atoms: Vec<AtomKey>,
     tag_values: Vec<u32>,
     metric_values: Vec<u32>,
@@ -126,12 +126,6 @@ impl RouteSpace {
     /// Build the space for a set of policies: the atom/tag/metric universes
     /// are the union over everything any policy matches or sets.
     pub fn for_policies(policies: &[&RoutePolicy]) -> RouteSpace {
-        Self::for_policies_in(policies, None)
-    }
-
-    /// Like [`RouteSpace::for_policies`], but on a worker of `pool`'s shared
-    /// arena when given.
-    pub fn for_policies_in(policies: &[&RoutePolicy], pool: Option<&SharedPool>) -> RouteSpace {
         let mut literals: BTreeSet<Community> = BTreeSet::new();
         let mut regexes: BTreeSet<String> = BTreeSet::new();
         let mut tags: BTreeSet<u32> = BTreeSet::new();
@@ -180,12 +174,8 @@ impl RouteSpace {
         let tag_base = comm_base + atoms.len() as u32;
         let metric_base = tag_base + tag_values.len() as u32;
         let num_vars = metric_base + metric_values.len() as u32;
-        let manager = match pool {
-            Some(p) => AnyManager::from(p.worker(num_vars)),
-            None => AnyManager::new_private(num_vars),
-        };
         RouteSpace {
-            manager,
+            manager: Manager::new(num_vars),
             atoms,
             tag_values,
             metric_values,

@@ -167,11 +167,15 @@ fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or escape. Both
+                // delimiters are ASCII, so the run holds whole UTF-8
+                // scalars, and only the run itself needs validating (not
+                // the rest of the input, which made decoding quadratic).
+                let start = *pos;
+                while !matches!(b.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }

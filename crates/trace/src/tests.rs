@@ -373,4 +373,15 @@ fn json_parser_round_trips_edge_cases() {
     assert!(json::parse("{}{}").is_err(), "trailing garbage");
     assert!(json::parse(r#"{"k": 01x}"#).is_err());
     assert_eq!(json::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    // Multi-byte scalars around escapes, and strings cut off mid-run.
+    let v = json::parse(r#"["α→β\"γ", "ü\u00e9x", ""]"#).expect("parses");
+    let strs: Vec<&str> = v
+        .as_arr()
+        .unwrap()
+        .iter()
+        .filter_map(Json::as_str)
+        .collect();
+    assert_eq!(strs, ["α→β\"γ", "üéx", ""]);
+    assert!(json::parse(r#"["abc"#).is_err());
+    assert!(json::parse(r#"["ab\"#).is_err());
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! campion compare <config1> <config2> [--no-acls] [--no-route-maps]
 //!                 [--no-structural] [--exhaustive-communities] [--jobs N]
-//!                 [--shared-manager] [--gc off|auto|aggressive]
+//!                 [--gc off|auto|aggressive]
 //!                 [--stats] [--stats-json] [--metrics] [--trace <file>]
 //!                 [--log <file|->] [--format text|json]
 //! campion translate <config>            # emit the JunOS rewrite
@@ -34,7 +34,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  campion compare <config1> <config2> [--no-acls] [--no-route-maps]\n\
          \x20                 [--no-structural] [--exhaustive-communities] [--jobs N]\n\
-         \x20                 [--shared-manager] [--gc off|auto|aggressive]\n\
+         \x20                 [--gc off|auto|aggressive]\n\
          \x20                 [--stats] [--stats-json] [--metrics] [--trace <file>]\n\
          \x20                 [--log <file|->] [--format text|json]\n\
          \x20 campion translate <config>\n\
@@ -70,7 +70,6 @@ fn cmd_compare(args: &[String]) -> ExitCode {
                 opts.check_ospf = false;
             }
             "--exhaustive-communities" => opts.exhaustive_communities = true,
-            "--shared-manager" => opts.shared_manager = true,
             "--stats" => show_stats = true,
             "--stats-json" => stats_json = true,
             "--metrics" => show_metrics = true,

@@ -51,6 +51,16 @@ fn flags_disable_checks() {
     assert_eq!(out.status.code(), Some(0), "only route maps differ here");
     let out = campion(&["compare", "--bogus", "a", "b"]);
     assert_eq!(out.status.code(), Some(2));
+    // The shared concurrent BDD engine and its flag are gone.
+    let out = campion(&[
+        "compare",
+        "--shared-manager",
+        "testdata/figure1_cisco.cfg",
+        "testdata/figure1_juniper.cfg",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --shared-manager"), "{stderr}");
 }
 
 #[test]

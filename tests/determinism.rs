@@ -20,18 +20,12 @@ fn opts_with_jobs(jobs: usize) -> CampionOptions {
     }
 }
 
-/// Render every scenario pair under the given engine, worker count and GC
-/// mode, concatenated.
-fn render_all_engine(
-    pairs: &[campion::gen::ScenarioPair],
-    shared: bool,
-    jobs: usize,
-    gc: GcMode,
-) -> String {
+/// Render every scenario pair under the given worker count and GC mode,
+/// concatenated.
+fn render_all_gc(pairs: &[campion::gen::ScenarioPair], jobs: usize, gc: GcMode) -> String {
     let opts = CampionOptions {
         jobs,
         gc,
-        shared_manager: shared,
         ..CampionOptions::default()
     };
     let mut out = String::new();
@@ -40,12 +34,6 @@ fn render_all_engine(
         out.push_str(&format!("### {}\n{report}\n", p.name));
     }
     out
-}
-
-/// Render every scenario pair under the given worker count and GC mode,
-/// concatenated.
-fn render_all_gc(pairs: &[campion::gen::ScenarioPair], jobs: usize, gc: GcMode) -> String {
-    render_all_engine(pairs, false, jobs, gc)
 }
 
 /// Render every scenario pair under the given worker count, concatenated.
@@ -104,58 +92,49 @@ fn reports_identical_across_gc_modes_and_worker_counts() {
 }
 
 #[test]
-fn reports_identical_across_engines_jobs_and_gc_modes() {
-    // The full determinism matrix for the shared concurrent engine:
-    // {private, shared} × jobs {1, 8} × every GC mode must render the same
-    // bytes. This covers both parallelism layers — pair fan-out plus the
-    // intra-pair two-side enumeration and diff-row fans the shared engine
-    // enables — and the stop-the-world collector's index-stable sweeps.
-    let pairs = scenario2(4, 17);
-    let baseline = render_all_engine(&pairs, false, 1, GcMode::Off);
-    for shared in [false, true] {
-        for jobs in [1, 8] {
+fn single_pair_intra_parallelism_is_deterministic() {
+    // One semantic work item only (the other component kind and the
+    // structural checks off): with items scarcer than workers the spare
+    // parallelism moves into the pair, fanning its per-difference
+    // localizations over snapshot clones. The multi-pair matrices above
+    // cannot reach that shape on few hardware threads, because their items
+    // outnumber their workers. Covered for an ACL pair and a route-map pair.
+    let (c, j) = campion::gen::capirca_acl_pair(300, 10, 7);
+    let acl = (load(&c), load(&j));
+    let rmap = (
+        load(include_str!("../testdata/figure1_cisco.cfg")),
+        load(include_str!("../testdata/figure1_juniper.cfg")),
+    );
+    for (kind, (r1, r2), acls) in [("ACL", &acl, true), ("route-map", &rmap, false)] {
+        let run = |jobs: usize, gc: GcMode| {
+            let opts = CampionOptions {
+                jobs,
+                gc,
+                check_acls: acls,
+                check_route_maps: !acls,
+                check_static_routes: false,
+                check_connected_routes: false,
+                check_bgp_properties: false,
+                check_ospf: false,
+                ..CampionOptions::default()
+            };
+            compare_routers(r1, r2, &opts).to_string()
+        };
+        let baseline = run(1, GcMode::Off);
+        assert!(
+            baseline.matches("Difference ").count() >= 2,
+            "{kind} pair must carry several differences to fan out:\n{baseline}"
+        );
+        for jobs in [1, 4] {
             for gc in [GcMode::Off, GcMode::Auto, GcMode::Aggressive] {
                 assert_eq!(
                     baseline,
-                    render_all_engine(&pairs, shared, jobs, gc),
-                    "report diverged under shared={shared} jobs={jobs} gc={gc:?}"
+                    run(jobs, gc),
+                    "single {kind} pair diverged under jobs={jobs} gc={gc:?}"
                 );
             }
         }
     }
-    assert!(!baseline.is_empty());
-}
-
-#[test]
-fn shared_engine_handles_single_pair_intra_parallelism() {
-    // One ACL work item only (structural checks off): all parallelism is
-    // intra-pair — the two-side enumeration and diff-row fans on forked
-    // workers — the shape the multi-pair matrix above cannot reach because
-    // its items outnumber its workers.
-    let (c, j) = campion::gen::capirca_acl_pair(300, 10, 7);
-    let (rc, rj) = (load(&c), load(&j));
-    let run = |shared: bool, jobs: usize, gc: GcMode| {
-        let opts = CampionOptions {
-            jobs,
-            gc,
-            shared_manager: shared,
-            check_static_routes: false,
-            check_connected_routes: false,
-            check_bgp_properties: false,
-            check_ospf: false,
-            ..CampionOptions::default()
-        };
-        compare_routers(&rc, &rj, &opts).to_string()
-    };
-    let baseline = run(false, 1, GcMode::Off);
-    for gc in [GcMode::Off, GcMode::Auto, GcMode::Aggressive] {
-        assert_eq!(
-            baseline,
-            run(true, 4, gc),
-            "single-pair shared run diverged under gc={gc:?}"
-        );
-    }
-    assert!(!baseline.is_empty());
 }
 
 #[test]
@@ -166,13 +145,16 @@ fn bdd_stats_aggregate_deterministically() {
     let (c, j) = (&pairs[0].cisco, &pairs[0].juniper);
     let seq = compare_routers(&load(c), &load(j), &opts_with_jobs(1));
     let par = compare_routers(&load(c), &load(j), &opts_with_jobs(8));
-    // gc_pause_us is wall-clock time, not a counter — the only field that
-    // legitimately varies between two runs of the same workload (visible
-    // under CAMPION_GC_AGGRESSIVE, where the pauses are numerous enough
-    // to time differently). Mask it; everything else must match exactly.
+    // gc_pause_us and gc_pause_max_us are wall-clock times, not counters
+    // — the only fields that legitimately vary between two runs of the
+    // same workload (visible under CAMPION_GC_AGGRESSIVE, where the pauses
+    // are numerous enough to time differently). Mask them; everything else
+    // must match exactly.
     let (mut seq_stats, mut par_stats) = (seq.bdd_stats, par.bdd_stats);
-    seq_stats.gc_pause_us = 0;
-    par_stats.gc_pause_us = 0;
+    for s in [&mut seq_stats, &mut par_stats] {
+        s.gc_pause_us = 0;
+        s.gc_pause_max_us = 0;
+    }
     assert_eq!(seq_stats, par_stats);
     assert!(
         seq.bdd_stats.apply_lookups > 0,

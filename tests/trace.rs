@@ -58,16 +58,12 @@ fn render_scenarios(
     pairs: &[campion::gen::ScenarioPair],
     jobs: usize,
     gc: GcMode,
-    shared: bool,
     traced: bool,
 ) -> String {
     if traced {
         trace::enable();
     }
-    let o = CampionOptions {
-        shared_manager: shared,
-        ..opts(jobs, gc)
-    };
+    let o = opts(jobs, gc);
     let mut out = String::new();
     for p in pairs {
         let report = compare_routers(&load(&p.cisco), &load(&p.juniper), &o);
@@ -84,36 +80,29 @@ fn render_scenarios(
 #[test]
 fn reports_byte_identical_with_tracing_on_or_off() {
     let _g = collector();
-    // The full matrix the issue asks for: tracing {off,on} × jobs {1,4} ×
-    // gc {Off,Auto,Aggressive} × manager {private,shared} — every cell
-    // renders the same bytes.
+    // The full matrix: tracing {off,on} × jobs {1,4} × gc
+    // {Off,Auto,Aggressive} — every cell renders the same bytes.
     let pairs = scenario2(4, 17);
-    let baseline = render_scenarios(&pairs, 1, GcMode::Off, false, false);
+    let baseline = render_scenarios(&pairs, 1, GcMode::Off, false);
     assert!(!baseline.is_empty());
     for traced in [false, true] {
         for jobs in [1, 4] {
             for gc in [GcMode::Off, GcMode::Auto, GcMode::Aggressive] {
-                for shared in [false, true] {
-                    assert_eq!(
-                        baseline,
-                        render_scenarios(&pairs, jobs, gc, shared, traced),
-                        "report diverged under traced={traced} jobs={jobs} \
-                         gc={gc:?} shared={shared}"
-                    );
-                }
+                assert_eq!(
+                    baseline,
+                    render_scenarios(&pairs, jobs, gc, traced),
+                    "report diverged under traced={traced} jobs={jobs} gc={gc:?}"
+                );
             }
         }
     }
 }
 
 #[test]
-fn shared_manager_tracing_keeps_tracks_and_utilization_sane() {
+fn tracing_keeps_tracks_and_utilization_sane() {
     let _g = collector();
     let (r1, r2) = multi_acl_pair(6, 50, 0xC0DE);
-    let o = CampionOptions {
-        shared_manager: true,
-        ..opts(4, GcMode::Auto)
-    };
+    let o = opts(4, GcMode::Auto);
     let untraced = compare_routers(&r1, &r2, &o).to_string();
     trace::enable();
     let report = compare_routers(&r1, &r2, &o);
