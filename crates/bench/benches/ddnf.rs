@@ -1,20 +1,26 @@
-//! Microbench for the ddNF builder (§3.2): `RangeDag::build` over 10²–10⁴
-//! input ranges, isolated from parsing and the diff engine.
+//! Microbench for header localization (§3.2), isolated from parsing and
+//! the diff engine:
 //!
-//! The builder closes the input set under intersection, deduplicates by
-//! denoted set, and wires cover edges — since PR 6 all of that is decided
-//! structurally on `(bits, len, lo-hi)` through a first-octet-bucketed
-//! prefix trie, with the BDD encoded once per distinct node. This bench
-//! watches exactly that path, so a regression here is a builder regression
-//! and not a parser or SemanticDiff one.
+//! * `ddnf_build`: `RangeDag::build` over 10²–10⁴ input ranges. The
+//!   builder closes the input set under intersection, deduplicates by
+//!   denoted set, and wires cover edges, all decided structurally on
+//!   `(bits, len, lo-hi)` through a first-octet-bucketed prefix trie. It
+//!   encodes no BDD: node sets are materialized later, by the queries that
+//!   read them. A regression here is a builder regression and not a parser
+//!   or SemanticDiff one.
+//! * `ddnf_getmatch`: fixed targets localized against the 10⁴-range DAG,
+//!   reported as GetMatch calls/s. Every sample starts from a fresh
+//!   snapshot of the unmaterialized DAG, so it pays the lazy encodes a
+//!   pair's queries pay, not just memo hits.
 //!
 //! Inputs are generated with a fixed-seed LCG and squeezed into four first
 //! octets so the closure produces real intersections instead of a forest
 //! of disjoint blocks.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 
-use campion_core::{DstAddrSpace, RangeDag};
+use campion_bdd::Bdd;
+use campion_core::{header_localize_with, DstAddrSpace, RangeDag};
 use campion_net::{Prefix, PrefixRange};
 use campion_symbolic::PacketSpace;
 
@@ -56,5 +62,42 @@ fn ddnf_build(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, ddnf_build);
+/// Targets: every 500th input range's address block, and their union.
+fn ddnf_getmatch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ddnf_getmatch");
+    group.sample_size(10);
+    let size = 10_000;
+    let ranges = gen_ranges(size);
+    let mut packets = PacketSpace::new();
+    let dag = RangeDag::build(&mut DstAddrSpace(&mut packets), &ranges);
+    let mut targets: Vec<Bdd> = ranges
+        .iter()
+        .step_by(500)
+        .map(|r| packets.dst_prefix_bdd(&r.prefix))
+        .collect();
+    let union = targets
+        .iter()
+        .fold(Bdd::FALSE, |acc, &t| packets.manager.or(acc, t));
+    targets.push(union);
+    group.throughput(Throughput::Elements(targets.len() as u64));
+    group.bench_function(BenchmarkId::from_parameter(size), |b| {
+        b.iter_batched(
+            || (packets.clone(), dag.clone()),
+            |(mut space, dag)| {
+                for &s in &targets {
+                    std::hint::black_box(header_localize_with(
+                        &mut DstAddrSpace(&mut space),
+                        s,
+                        &dag,
+                    ));
+                }
+                (space, dag)
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    group.finish();
+}
+
+criterion_group!(benches, ddnf_build, ddnf_getmatch);
 criterion_main!(benches);

@@ -464,21 +464,26 @@ fn diff_policy_pair(
     space.manager.gc_checkpoint();
 
     // The range universe R: every range in either configuration (§3.2).
-    // The ddNF over R is built once and reused for every difference (its
-    // node sets are rooted by `build`).
-    let mut ranges: Vec<PrefixRange> = p1.prefix_ranges();
-    ranges.extend(p2.prefix_ranges());
-    let dag = headerloc::RangeDag::build(&mut space, &ranges);
-    space.manager.gc_checkpoint();
-
-    let out = present_on_snapshots(
-        diffs.len(),
-        opts.effective_jobs(),
-        || (space.clone(), dag.clone()),
-        |(sp, dg), i| present_policy_diff(r1, r2, sp, dg, &p1, &p2, pair, &diffs[i], opts),
-    );
-    release_inputs(&mut space.manager, &diffs);
-    dag.release(&mut space.manager);
+    // The ddNF over R is built once and reused for every difference; an
+    // equivalent pair has nothing to localize and builds none. The build
+    // is structural: node sets are encoded in the snapshot clones that
+    // localize, so the pair's own manager is untouched.
+    let out = if diffs.is_empty() {
+        Vec::new()
+    } else {
+        let mut ranges: Vec<PrefixRange> = p1.prefix_ranges();
+        ranges.extend(p2.prefix_ranges());
+        let dag = headerloc::RangeDag::build(&mut space, &ranges);
+        let out = present_on_snapshots(
+            diffs.len(),
+            opts.effective_jobs(),
+            || (space.clone(), dag.clone()),
+            |(sp, dg), i| present_policy_diff(r1, r2, sp, dg, &p1, &p2, pair, &diffs[i], opts),
+        );
+        release_inputs(&mut space.manager, &diffs);
+        dag.release(&mut space.manager);
+        out
+    };
     space.manager.unprotect(universe);
     let mut stats = space.manager.stats();
     let (lookups, hits) = space.rule_cache_stats();
@@ -491,15 +496,17 @@ fn diff_policy_pair(
     (out, stats)
 }
 
-/// Present `n` differences against snapshot clones of a pair's state (its
+/// Present `n ≥ 1` differences against snapshot clones of a pair's state (its
 /// space and ddNF DAGs; clones keep node indices, so results are bit for
 /// bit the ones the original would give). Localizations against fixed DAGs
 /// are independent, so with `jobs > 1` they are claimed work-stealing style
 /// by up to `jobs` sub-workers, each on its own clone and trace sub-track.
 /// A sequential run still presents on one clone: the localization
-/// intermediates then live and die in a clone's arena exactly as in a
-/// parallel worker's, so the pair's own manager sees the same operation
-/// sequence — and reports the same `ManagerStats` — at every worker count.
+/// intermediates, and the DAG node sets each clone materializes, then live
+/// and die in a clone's arena exactly as in a parallel worker's, so the
+/// pair's own manager sees the same operation sequence — and reports the
+/// same `ManagerStats` — at every worker count. Each clone is taken inside
+/// a `present.snapshot` span.
 fn present_on_snapshots<S: Send, T: Send>(
     n: usize,
     jobs: usize,
@@ -507,15 +514,17 @@ fn present_on_snapshots<S: Send, T: Send>(
     present: impl Fn(&mut S, usize) -> T + Sync,
 ) -> Vec<T> {
     let jobs = jobs.min(n);
-    if n == 0 {
-        Vec::new()
-    } else if jobs <= 1 {
-        let mut state = snapshot();
+    let take_snapshot = || {
+        campion_trace::span!("present.snapshot");
+        snapshot()
+    };
+    if jobs <= 1 {
+        let mut state = take_snapshot();
         (0..n).map(|i| present(&mut state, i)).collect()
     } else {
         let parent = campion_trace::track().unwrap_or(0);
         steal_indexed(
-            (0..jobs).map(|_| snapshot()).collect(),
+            (0..jobs).map(|_| take_snapshot()).collect(),
             n,
             |w| campion_trace::set_track(campion_trace::sub_track(parent, w as u32)),
             present,
@@ -526,9 +535,6 @@ fn present_on_snapshots<S: Send, T: Send>(
 /// Drop the roots `semantic_diff` put on the presented differences' inputs
 /// and reach the safe point a pair passes once its differences are done.
 fn release_inputs(manager: &mut Manager, diffs: &[SemanticDifference]) {
-    if diffs.is_empty() {
-        return;
-    }
     for d in diffs {
         manager.unprotect(d.input);
     }
@@ -748,11 +754,42 @@ fn diff_acl_pair(
     release_paths(&mut space.manager, &paths2);
     space.manager.gc_checkpoint();
 
-    // Address universes from both ACLs' matchers. Non-contiguous wildcard
-    // masks decompose into their covering prefixes (capped — past the cap a
-    // matcher contributes only its single enclosing prefix and localization
-    // may go inexact), so differences confined to a non-contiguous region
-    // still land on ddNF cells instead of vanishing from the included set.
+    // Equivalent pair: nothing to localize, so no ddNF to build.
+    let out = if diffs.is_empty() {
+        Vec::new()
+    } else {
+        let (dst_ranges, src_ranges) = acl_address_ranges(a1, a2);
+        let dst_dag = headerloc::RangeDag::build(&mut DstAddrSpace(&mut space), &dst_ranges);
+        let src_dag = headerloc::RangeDag::build(&mut SrcAddrSpace(&mut space), &src_ranges);
+        let out = present_on_snapshots(
+            diffs.len(),
+            opts.effective_jobs(),
+            || (space.clone(), dst_dag.clone(), src_dag.clone()),
+            |(sp, ddag, sdag), i| present_acl_diff(r1, r2, sp, ddag, sdag, a1, a2, &diffs[i]),
+        );
+        release_inputs(&mut space.manager, &diffs);
+        dst_dag.release(&mut space.manager);
+        src_dag.release(&mut space.manager);
+        out
+    };
+    let mut stats = space.manager.stats();
+    let (lookups, hits) = space.rule_cache_stats();
+    stats.rule_cache_lookups = lookups;
+    stats.rule_cache_hits = hits;
+    stats.pairs_examined = prune.pairs_examined;
+    stats.pairs_pruned = prune.pairs_pruned;
+    stats.early_exits = prune.early_exits;
+    attach_stats_delta(&mut item_span, &stats_at_entry, &stats);
+    (out, stats)
+}
+
+/// Address universes from both ACLs' matchers, `(destination, source)`.
+/// Non-contiguous wildcard masks decompose into their covering prefixes
+/// (capped — past the cap a matcher contributes only its single enclosing
+/// prefix and localization may go inexact), so differences confined to a
+/// non-contiguous region still land on ddNF cells instead of vanishing
+/// from the included set.
+fn acl_address_ranges(a1: &AclIr, a2: &AclIr) -> (Vec<PrefixRange>, Vec<PrefixRange>) {
     const WILDCARD_COVER_CAP: usize = 256;
     let mut src_ranges = Vec::new();
     let mut dst_ranges = Vec::new();
@@ -774,26 +811,5 @@ fn diff_acl_pair(
             }
         }
     }
-
-    let dst_dag = headerloc::RangeDag::build(&mut DstAddrSpace(&mut space), &dst_ranges);
-    let src_dag = headerloc::RangeDag::build(&mut SrcAddrSpace(&mut space), &src_ranges);
-    space.manager.gc_checkpoint();
-    let out = present_on_snapshots(
-        diffs.len(),
-        opts.effective_jobs(),
-        || (space.clone(), dst_dag.clone(), src_dag.clone()),
-        |(sp, ddag, sdag), i| present_acl_diff(r1, r2, sp, ddag, sdag, a1, a2, &diffs[i]),
-    );
-    release_inputs(&mut space.manager, &diffs);
-    dst_dag.release(&mut space.manager);
-    src_dag.release(&mut space.manager);
-    let mut stats = space.manager.stats();
-    let (lookups, hits) = space.rule_cache_stats();
-    stats.rule_cache_lookups = lookups;
-    stats.rule_cache_hits = hits;
-    stats.pairs_examined = prune.pairs_examined;
-    stats.pairs_pruned = prune.pairs_pruned;
-    stats.early_exits = prune.early_exits;
-    attach_stats_delta(&mut item_span, &stats_at_entry, &stats);
-    (out, stats)
+    (dst_ranges, src_ranges)
 }

@@ -29,22 +29,39 @@
 //!   covering prefix, so the key is the prefix and containment is
 //!   [`Prefix::contains`].
 //!
-//! [`RangeEncoder::semantics`] says which reading applies. BDDs are still
-//! *encoded* — once per distinct node, since `GetMatch` consumes them — but
-//! the closure/containment passes never call `diff`, and a [`PrefixTrie`]
-//! over the node prefixes supplies each node's possible partners (only
-//! prefix-nested ranges can be related) instead of a per-call BTreeMap scan
-//! with sort/dedup. The pre-trie, BDD-deciding builder is kept under
-//! `#[cfg(test)]` as `oracle::build_ddnf_oracle`; a property suite asserts
-//! both produce identical DAGs, node order included.
+//! [`RangeEncoder::semantics`] says which reading applies. The build is
+//! therefore purely structural: it encodes no BDD at all, and a
+//! [`PrefixTrie`] over the node prefixes supplies each node's possible
+//! partners (only prefix-nested ranges can be related) instead of a
+//! per-call BTreeMap scan with sort/dedup. The pre-trie, BDD-deciding
+//! builder is kept under `#[cfg(test)]` as `oracle::build_ddnf_oracle`; a
+//! property suite asserts both produce identical DAGs, node order included.
 //!
 //! ## How localization queries are kept cheap
 //!
-//! A pair's DAG serves ~10 difference queries, which overlap heavily. Three
-//! caches exploit that: per-node remainders (`λ(n) − children`) are computed
-//! once at build time; `GetMatch` results are memoized per `(node, S)` on
-//! the DAG (`¬S` recursions hit the same table); and `¬S` itself is computed
-//! once per localize call, not once per included node.
+//! A pair's DAG has thousands of nodes, but a difference usually meets
+//! only a few of them. Localization work is kept in proportion to that:
+//!
+//! * **Overlap pruning.** `GetMatch` first tests `λ(n) ∩ S`. A node that
+//!   misses `S` contributes no terms and is not recursed into: its
+//!   descendants are subsets of it, so they miss `S` as well and cannot
+//!   split a cell either. A query visits the root and the children of
+//!   the nodes that actually meet `S`.
+//! * **Lazy materialization.** Node sets and remainders (`λ(n) −
+//!   children`) are encoded the first time a query needs them, in the
+//!   space that is localizing, and rooted there until
+//!   [`RangeDag::release`]. A node's set is needed for its overlap test;
+//!   its remainder only once the node is known to meet `S`.
+//! * **Reuse across queries.** A pair's DAG serves ~10 difference queries,
+//!   which overlap heavily: materialized sets stay for the next query,
+//!   `GetMatch` results are memoized per `(node, S)` on the DAG (`¬S`
+//!   recursions hit the same table), and `¬S` itself is computed once per
+//!   localize call, not once per included node.
+//!
+//! The eager, unpruned `GetMatch` (every set and remainder encoded up
+//! front, every node visited) is kept under `#[cfg(test)]` as
+//! `oracle::header_localize_eager`; a property suite asserts both return
+//! the same terms and `exact` flag.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -214,20 +231,23 @@ type GetMatchMemo = HashMap<(usize, Bdd), (Vec<NestedTerm>, bool)>;
 /// The ddNF DAG over prefix ranges. Build it once per compared pair with
 /// [`RangeDag::build`] and localize many difference sets against it.
 ///
-/// Cloning a DAG alongside a clone of its manager-owning space yields an
-/// independent snapshot whose node handles (and memo entries) remain valid
-/// in the cloned arena — the basis of the driver's per-difference fan-out.
+/// The build is structural; node sets and remainders are encoded on first
+/// use, in the space passed to [`header_localize_with`], and rooted there,
+/// so every query against one DAG value must pass that same space. Cloning
+/// a DAG alongside a clone of that space yields an independent snapshot
+/// whose materialized handles (and memo entries) remain valid in the
+/// cloned arena — the basis of the driver's per-difference fan-out. Each
+/// snapshot materializes what its own queries read.
 #[derive(Clone)]
 pub struct RangeDag {
     /// Node ranges (label function λ).
     ranges: Vec<PrefixRange>,
-    /// Node BDDs (the denoted prefix sets).
-    bdds: Vec<Bdd>,
     /// Cover-edge children per node.
     children: Vec<Vec<usize>>,
-    /// Per-node remainder (`λ(n) − children`), precomputed at build time so
-    /// localize queries stop re-deriving them node by node.
-    remainders: Vec<Bdd>,
+    /// Node BDDs (the denoted prefix sets), once materialized.
+    bdds: Vec<Cell<Option<Bdd>>>,
+    /// Per-node remainders (`λ(n) − children`), once materialized.
+    remainders: Vec<Cell<Option<Bdd>>>,
     /// Index of the universe node.
     root: usize,
     /// Poison flag: [`RangeDag::release`] drops the GC roots, after which
@@ -242,10 +262,31 @@ pub struct RangeDag {
 
 impl RangeDag {
     /// Build the ddNF over the given configuration ranges (plus the
-    /// universe, closed under intersection).
+    /// universe, closed under intersection). Only `space`'s
+    /// [`RangeEncoder::semantics`] is consulted: no BDD is encoded here.
     pub fn build<E: RangeEncoder>(space: &mut E, ranges: &[PrefixRange]) -> RangeDag {
         campion_trace::span!("headerloc.ddnf");
-        build_ddnf(space, ranges)
+        build_ddnf(space.semantics(), ranges)
+    }
+
+    /// A DAG over closed, deduplicated `ranges` with the given cover edges;
+    /// nothing materialized yet.
+    fn from_parts(ranges: Vec<PrefixRange>, children: Vec<Vec<usize>>) -> RangeDag {
+        let n = ranges.len();
+        let root = ranges
+            .iter()
+            .position(|r| *r == PrefixRange::universe())
+            .expect("universe inserted first");
+        RangeDag {
+            ranges,
+            children,
+            bdds: vec![Cell::new(None); n],
+            remainders: vec![Cell::new(None); n],
+            root,
+            released: Cell::new(false),
+            memo: RefCell::new(HashMap::new()),
+            memo_gen: Cell::new(u64::MAX),
+        }
     }
 
     /// Number of nodes (for diagnostics).
@@ -253,15 +294,19 @@ impl RangeDag {
         self.ranges.len()
     }
 
-    /// Drop the GC roots this DAG holds on its node sets ([`RangeDag::build`]
-    /// protects every node BDD and remainder so the DAG survives the
-    /// collections the driver runs between differences). The DAG must not
-    /// be used for localization afterwards (debug-asserted).
+    /// Drop the GC roots this DAG holds: every node set and remainder that
+    /// localization materialized and rooted, so the DAG survives the
+    /// collections the driver runs between differences. Pass the manager
+    /// those queries ran in (a DAG that never localized holds no roots).
+    /// The DAG must not be used for localization afterwards
+    /// (debug-asserted).
     pub fn release(&self, manager: &mut Manager) {
         debug_assert!(!self.released.get(), "RangeDag released twice");
         self.released.set(true);
-        for &b in self.bdds.iter().chain(self.remainders.iter()) {
-            manager.unprotect(b);
+        for b in self.bdds.iter().chain(&self.remainders) {
+            if let Some(b) = b.get() {
+                manager.unprotect(b);
+            }
         }
     }
 
@@ -269,26 +314,49 @@ impl RangeDag {
     pub fn is_empty(&self) -> bool {
         self.ranges.len() <= 1
     }
+
+    /// `λ(n)`, encoded in `space` and rooted on first use.
+    fn node_bdd<E: RangeEncoder>(&self, space: &mut E, n: usize) -> Bdd {
+        if let Some(b) = self.bdds[n].get() {
+            return b;
+        }
+        let b = space.encode(&self.ranges[n]);
+        debug_assert!(!space.manager().is_false(b), "nonempty key, empty set");
+        space.manager().protect(b);
+        self.bdds[n].set(Some(b));
+        b
+    }
+
+    /// `λ(n) − ⋃ children(n)` (the node's cell; `λ(n)` itself at leaves),
+    /// computed in `space` and rooted on first use.
+    fn remainder<E: RangeEncoder>(&self, space: &mut E, n: usize) -> Bdd {
+        if let Some(r) = self.remainders[n].get() {
+            return r;
+        }
+        let mut rem = self.node_bdd(space, n);
+        for &k in &self.children[n] {
+            let kb = self.node_bdd(space, k);
+            rem = space.manager().diff(rem, kb);
+        }
+        space.manager().protect(rem);
+        self.remainders[n].set(Some(rem));
+        rem
+    }
 }
 
 type Ddnf = RangeDag;
 
 /// Close a range set under intersection, deduplicating by denoted set via
-/// structural keys. BDDs are encoded (and rooted) once per distinct node;
-/// the trie answers partner queries for the fixpoint loop.
-fn closed_ranges<E: RangeEncoder>(
-    space: &mut E,
+/// structural keys; the trie answers partner queries for the fixpoint loop.
+fn closed_ranges(
+    sem: RangeSemantics,
     ranges: &[PrefixRange],
-) -> (Vec<PrefixRange>, Vec<Bdd>, Vec<SetKey>, PrefixTrie) {
-    let sem = space.semantics();
+) -> (Vec<PrefixRange>, Vec<SetKey>, PrefixTrie) {
     let mut out: Vec<PrefixRange> = Vec::new();
-    let mut bdds: Vec<Bdd> = Vec::new();
     let mut keys: Vec<SetKey> = Vec::new();
     let mut trie = PrefixTrie::new();
     let mut seen: std::collections::HashSet<SetKey> = std::collections::HashSet::new();
-    let mut push = |space: &mut E,
-                    out: &mut Vec<PrefixRange>,
-                    bdds: &mut Vec<Bdd>,
+    let mut push = |out: &mut Vec<PrefixRange>,
                     keys: &mut Vec<SetKey>,
                     trie: &mut PrefixTrie,
                     r: PrefixRange| {
@@ -296,27 +364,14 @@ fn closed_ranges<E: RangeEncoder>(
             return; // denotes ∅ — e.g. length bounds under the prefix's bits
         };
         if seen.insert(key) {
-            let b = space.encode(&r);
-            debug_assert!(!space.manager().is_false(b), "nonempty key, empty set");
-            // Root every distinct node set: the DAG outlives the safe
-            // points between localizations (released by `RangeDag::release`).
-            space.manager().protect(b);
             trie.insert(out.len(), &r.prefix);
             out.push(r);
-            bdds.push(b);
             keys.push(key);
         }
     };
-    push(
-        space,
-        &mut out,
-        &mut bdds,
-        &mut keys,
-        &mut trie,
-        PrefixRange::universe(),
-    );
+    push(&mut out, &mut keys, &mut trie, PrefixRange::universe());
     for r in ranges {
-        push(space, &mut out, &mut bdds, &mut keys, &mut trie, *r);
+        push(&mut out, &mut keys, &mut trie, *r);
     }
     // Fixpoint closure under pairwise intersection, with the trie supplying
     // each node's possible partners (only prefix-nested ranges intersect)
@@ -330,20 +385,20 @@ fn closed_ranges<E: RangeEncoder>(
                 break;
             }
             if let Some(x) = out[i].intersect(&out[j]) {
-                push(space, &mut out, &mut bdds, &mut keys, &mut trie, x);
+                push(&mut out, &mut keys, &mut trie, x);
             }
         }
         i += 1;
     }
-    (out, bdds, keys, trie)
+    (out, keys, trie)
 }
 
 /// Build the ddNF DAG from the closed range set, deciding containment on
 /// the structural set keys.
-fn build_ddnf<E: RangeEncoder>(space: &mut E, ranges: &[PrefixRange]) -> Ddnf {
-    let (ranges, bdds, keys, trie) = {
+fn build_ddnf(sem: RangeSemantics, ranges: &[PrefixRange]) -> Ddnf {
+    let (ranges, keys, trie) = {
         campion_trace::span!("headerloc.ddnf.close");
-        closed_ranges(space, ranges)
+        closed_ranges(sem, ranges)
     };
     campion_trace::span!("headerloc.ddnf.edges");
     let n = ranges.len();
@@ -375,41 +430,7 @@ fn build_ddnf<E: RangeEncoder>(space: &mut E, ranges: &[PrefixRange]) -> Ddnf {
             }
         }
     }
-    finish_dag(space, ranges, bdds, children)
-}
-
-/// Shared tail of both builders: locate the root and precompute (and root)
-/// every node's remainder.
-fn finish_dag<E: RangeEncoder>(
-    space: &mut E,
-    ranges: Vec<PrefixRange>,
-    bdds: Vec<Bdd>,
-    children: Vec<Vec<usize>>,
-) -> Ddnf {
-    campion_trace::span!("headerloc.ddnf.remainders");
-    let root = ranges
-        .iter()
-        .position(|r| *r == PrefixRange::universe())
-        .expect("universe inserted first");
-    let mut remainders = Vec::with_capacity(bdds.len());
-    for (i, &b) in bdds.iter().enumerate() {
-        let mut rem = b;
-        for &k in &children[i] {
-            rem = space.manager().diff(rem, bdds[k]);
-        }
-        space.manager().protect(rem);
-        remainders.push(rem);
-    }
-    Ddnf {
-        ranges,
-        bdds,
-        children,
-        remainders,
-        root,
-        released: Cell::new(false),
-        memo: RefCell::new(HashMap::new()),
-        memo_gen: Cell::new(u64::MAX),
-    }
+    RangeDag::from_parts(ranges, children)
 }
 
 /// `GetMatch` (paper §3.2): returns terms representing `S ∩ set(node)`,
@@ -439,21 +460,21 @@ fn get_match<E: RangeEncoder>(
         }
         return terms;
     }
-    let range_bdd = ddnf.bdds[node];
+    let range_bdd = ddnf.node_bdd(space, node);
+    let overlap = space.manager().and(range_bdd, s);
+    if space.manager().is_false(overlap) {
+        // λ(n) misses S, and every descendant is a subset of λ(n): the
+        // whole subtree contributes no term and splits no cell.
+        ddnf.memo.borrow_mut().insert((node, s), (Vec::new(), true));
+        return Vec::new();
+    }
     let kids = &ddnf.children[node];
-    // Remainder = range minus all children (precomputed; equals the range
-    // itself at leaves).
-    let remainder = ddnf.remainders[node];
+    let remainder = ddnf.remainder(space, node);
     let mut sub_exact = true;
     let rem_outside = space.manager().diff(remainder, s);
-    let overlaps_s = {
-        let x = space.manager().and(range_bdd, s);
-        space.manager().is_sat(x)
-    };
     // Include-branch: the remainder is inside S (an empty remainder counts,
-    // provided the range overlaps S at all — otherwise the node contributes
-    // nothing and we just recurse).
-    let terms = if space.manager().is_false(rem_outside) && overlaps_s {
+    // since the range overlaps S).
+    let terms = if space.manager().is_false(rem_outside) {
         // Remainder ⊆ S: include the range minus the children not in S.
         let mut minus = Vec::new();
         for &k in kids {
@@ -505,6 +526,20 @@ fn flatten(terms: Vec<NestedTerm>) -> Vec<RangeTerm> {
     out
 }
 
+/// Flatten `GetMatch`'s nested terms into a [`HeaderLocalization`] in
+/// deterministic order, deduplicated: a shared DAG node can be reached
+/// through several parents and must be reported once.
+fn localization(nested: Vec<NestedTerm>, exact: bool) -> HeaderLocalization {
+    let mut terms = flatten(nested);
+    for t in &mut terms {
+        t.minus.sort();
+        t.minus.dedup();
+    }
+    terms.sort_by(|a, b| (a.base, &a.minus).cmp(&(b.base, &b.minus)));
+    terms.dedup();
+    HeaderLocalization { terms, exact }
+}
+
 /// Header localization entry point: decompose a predicate `s` (already
 /// projected onto this encoder's range dimensions) over the prefix ranges
 /// mentioned by the two compared components (the paper's `R`).
@@ -543,16 +578,7 @@ pub fn header_localize_with<E: RangeEncoder>(
     let mut exact = true;
     let not_s = space.manager().not(s);
     let nested = get_match(space, ddnf, s, not_s, ddnf.root, &mut exact);
-    let mut terms = flatten(nested);
-    // Deterministic output order, and deduplication: a shared DAG node can
-    // be reached through several parents and must be reported once.
-    for t in &mut terms {
-        t.minus.sort();
-        t.minus.dedup();
-    }
-    terms.sort_by(|a, b| (a.base, &a.minus).cmp(&(b.base, &b.minus)));
-    terms.dedup();
-    let loc = HeaderLocalization { terms, exact };
+    let loc = localization(nested, exact);
     debug_assert!(
         !loc.exact
             || reencode(space, &loc) == {
@@ -582,15 +608,19 @@ pub fn reencode<E: RangeEncoder>(space: &mut E, loc: &HeaderLocalization) -> Bdd
     space.manager().and(acc, valid)
 }
 
-/// Test-only oracles for the structural ddNF builder: the pre-trie,
-/// BDD-deciding builder and its prefix index, plus a skeleton accessor for
-/// node-order-included DAG equality.
+/// Test-only oracles for the structural ddNF builder and the lazy, pruned
+/// `GetMatch`: the pre-trie, BDD-deciding builder and its prefix index, the
+/// eager, unpruned `GetMatch`, plus accessors for node-order-included DAG
+/// equality and for what a query materialized.
 #[cfg(test)]
 pub(crate) mod oracle {
+    use std::cell::Cell;
+    use std::collections::HashMap;
+
     use campion_bdd::Bdd;
     use campion_net::PrefixRange;
 
-    use super::{finish_dag, RangeDag, RangeEncoder};
+    use super::{localization, HeaderLocalization, NestedTerm, RangeDag, RangeEncoder};
 
     /// The pre-trie `closed_ranges`: BDD-keyed dedup plus a BTreeMap prefix
     /// index. Retained verbatim as the differential oracle for the structural
@@ -672,23 +702,143 @@ pub(crate) mod oracle {
                 }
             }
         }
-        finish_dag(space, ranges, bdds, children)
+        // Its node sets are already encoded and rooted: hand them over as
+        // materialized, so `release` drops those roots.
+        let dag = RangeDag::from_parts(ranges, children);
+        for (cell, b) in dag.bdds.iter().zip(bdds) {
+            cell.set(Some(b));
+        }
+        dag
+    }
+
+    /// Materialize (and root) every node set and remainder of `dag` in
+    /// `space`, returning them in node order — the state the pre-lazy
+    /// builder produced eagerly.
+    fn materialize_all<E: RangeEncoder>(space: &mut E, dag: &RangeDag) -> (Vec<Bdd>, Vec<Bdd>) {
+        let bdds = (0..dag.len()).map(|n| dag.node_bdd(space, n)).collect();
+        let remainders = (0..dag.len()).map(|n| dag.remainder(space, n)).collect();
+        (bdds, remainders)
     }
 
     /// The DAG's full skeleton `(ranges, bdds, children, remainders, root)`,
-    /// for the differential suite's node-order-included equality assertions
-    /// (two builds in one manager must agree on every node handle too).
+    /// every node set and remainder materialized in `space`, for the
+    /// differential suite's node-order-included equality assertions (two
+    /// builds in one manager must agree on every node handle too).
     #[allow(clippy::type_complexity)]
-    pub(crate) fn dag_structure(
+    pub(crate) fn dag_structure<E: RangeEncoder>(
+        space: &mut E,
         dag: &RangeDag,
-    ) -> (&[PrefixRange], &[Bdd], &[Vec<usize>], &[Bdd], usize) {
+    ) -> (Vec<PrefixRange>, Vec<Bdd>, Vec<Vec<usize>>, Vec<Bdd>, usize) {
+        let (bdds, remainders) = materialize_all(space, dag);
         (
-            &dag.ranges,
-            &dag.bdds,
-            &dag.children,
-            &dag.remainders,
+            dag.ranges.clone(),
+            bdds,
+            dag.children.clone(),
+            remainders,
             dag.root,
         )
+    }
+
+    /// The cover edges and root, without materializing anything.
+    pub(crate) fn skeleton(dag: &RangeDag) -> (&[PrefixRange], &[Vec<usize>], usize) {
+        (&dag.ranges, &dag.children, dag.root)
+    }
+
+    /// The nodes whose set, and the nodes whose remainder, have been
+    /// materialized so far, ascending.
+    pub(crate) fn materialized(dag: &RangeDag) -> (Vec<usize>, Vec<usize>) {
+        let set = |cells: &[Cell<Option<Bdd>>]| {
+            (0..cells.len())
+                .filter(|&n| cells[n].get().is_some())
+                .collect()
+        };
+        (set(&dag.bdds), set(&dag.remainders))
+    }
+
+    /// The pre-pruning `header_localize_with`: every node set and remainder
+    /// materialized up front, and `GetMatch` visiting every node (no overlap
+    /// test). Retained as the differential oracle for the pruned, lazy
+    /// query (`tests::ddnf` asserts equal terms and `exact` flags).
+    pub(crate) fn header_localize_eager<E: RangeEncoder>(
+        space: &mut E,
+        s: Bdd,
+        dag: &RangeDag,
+    ) -> HeaderLocalization {
+        let (bdds, remainders) = materialize_all(space, dag);
+        let mut eager = EagerDag {
+            dag,
+            bdds,
+            remainders,
+            memo: HashMap::new(),
+        };
+        let mut exact = true;
+        let not_s = space.manager().not(s);
+        let nested = eager.get_match(space, s, not_s, dag.root, &mut exact);
+        localization(nested, exact)
+    }
+
+    /// A DAG with every set and remainder at hand, and a per-query memo.
+    struct EagerDag<'a> {
+        dag: &'a RangeDag,
+        bdds: Vec<Bdd>,
+        remainders: Vec<Bdd>,
+        memo: HashMap<(usize, Bdd), (Vec<NestedTerm>, bool)>,
+    }
+
+    impl EagerDag<'_> {
+        /// `GetMatch` as it was before overlap pruning.
+        fn get_match<E: RangeEncoder>(
+            &mut self,
+            space: &mut E,
+            s: Bdd,
+            not_s: Bdd,
+            node: usize,
+            exact: &mut bool,
+        ) -> Vec<NestedTerm> {
+            if let Some((terms, sub_exact)) = self.memo.get(&(node, s)).cloned() {
+                if !sub_exact {
+                    *exact = false;
+                }
+                return terms;
+            }
+            let dag = self.dag;
+            let range_bdd = self.bdds[node];
+            let kids = &dag.children[node];
+            let remainder = self.remainders[node];
+            let mut sub_exact = true;
+            let rem_outside = space.manager().diff(remainder, s);
+            let overlaps_s = {
+                let x = space.manager().and(range_bdd, s);
+                space.manager().is_sat(x)
+            };
+            let terms = if space.manager().is_false(rem_outside) && overlaps_s {
+                let mut minus = Vec::new();
+                for &k in kids {
+                    minus.extend(self.get_match(space, not_s, s, k, &mut sub_exact));
+                }
+                vec![NestedTerm {
+                    base: dag.ranges[node],
+                    minus,
+                }]
+            } else {
+                if space.manager().is_sat(remainder) {
+                    let rem_inside = space.manager().and(remainder, s);
+                    if space.manager().is_sat(rem_inside) {
+                        sub_exact = false;
+                    }
+                }
+                let mut out = Vec::new();
+                for &k in kids {
+                    out.extend(self.get_match(space, s, not_s, k, &mut sub_exact));
+                }
+                out
+            };
+            if !sub_exact {
+                *exact = false;
+            }
+            self.memo.insert((node, s), (terms.clone(), sub_exact));
+            terms
+        }
     }
 
     /// Candidate-pair index for the oracle's closure and containment scans.

@@ -1036,30 +1036,40 @@ mod alignment {
 
 // --------------------------------------------------------------- ddNF/trie
 
-/// Differential suite for the structural ddNF builder: the trie-based
-/// [`RangeDag::build`] must produce byte-identical DAGs — node order, cover
-/// edges, BDD handles and remainders included — versus the retained
-/// BDD-deciding oracle, and localizations against either must agree.
+/// Differential suite for the structural ddNF builder and the lazy, pruned
+/// `GetMatch`: the trie-based [`RangeDag::build`] must produce
+/// byte-identical DAGs — node order, cover edges, BDD handles and
+/// remainders included — versus the retained BDD-deciding oracle,
+/// localizations against either must agree, and the pruned query must
+/// return what the eager, unpruned one does while materializing only the
+/// nodes it visits.
 mod ddnf {
     use std::net::Ipv4Addr;
 
+    use campion_bdd::Bdd;
     use campion_net::Prefix;
     use campion_symbolic::PacketSpace;
     use proptest::prelude::*;
 
     use super::*;
-    use crate::headerloc::oracle::{build_ddnf_oracle, dag_structure};
-    use crate::headerloc::{header_localize_with, DstAddrSpace, RangeDag, RangeEncoder};
+    use crate::headerloc::oracle::{
+        build_ddnf_oracle, dag_structure, header_localize_eager, materialized, skeleton,
+    };
+    use crate::headerloc::{
+        header_localize_with, DstAddrSpace, HeaderLocalization, RangeDag, RangeEncoder,
+        RangeSemantics, RangeTerm, SrcAddrSpace,
+    };
 
     /// Build with both builders in the same space (so deterministic
-    /// hash-consing makes node handles comparable), assert full equality,
-    /// then cross-check localization of every input range and their union.
+    /// hash-consing makes node handles comparable), materialize every node
+    /// set and remainder of both, assert full equality, then cross-check
+    /// localization of every input range and their union.
     fn assert_same_dag<E: RangeEncoder>(space: &mut E, ranges: &[PrefixRange]) {
         let oracle = build_ddnf_oracle(space, ranges);
         let fast = RangeDag::build(space, ranges);
         assert_eq!(
-            dag_structure(&oracle),
-            dag_structure(&fast),
+            dag_structure(space, &oracle),
+            dag_structure(space, &fast),
             "trie builder diverged from the oracle"
         );
         let mut targets = Vec::new();
@@ -1087,39 +1097,281 @@ mod ddnf {
         RouteSpace::for_policies(&[&dummy])
     }
 
+    /// A leaf of the DAG (node order) together with a range denoting a
+    /// nonempty strict subset of it, when one exists: a target holding
+    /// that sub-range splits the leaf's cell.
+    fn splitting_subrange(
+        sem: RangeSemantics,
+        nodes: &[PrefixRange],
+        children: &[Vec<usize>],
+    ) -> Option<(usize, PrefixRange)> {
+        let half = |p: &Prefix| (p.len() < 32).then(|| Prefix::new(p.addr(), p.len() + 1));
+        (0..nodes.len())
+            .filter(|&n| children[n].is_empty())
+            .find_map(|n| {
+                let sub = match sem {
+                    RangeSemantics::Addresses => half(&nodes[n].prefix).map(PrefixRange::or_longer),
+                    RangeSemantics::Members => {
+                        let c = nodes[n].canonical_members()?;
+                        let lowest = PrefixRange::new(c.prefix, c.min_len, c.min_len);
+                        let fanned =
+                            half(&c.prefix).map(|h| PrefixRange::new(h, c.max_len, c.max_len));
+                        [Some(lowest), fanned].into_iter().flatten().find(|x| {
+                            x.canonical_members().is_some()
+                                && c.member_superset(x)
+                                && !x.member_superset(&c)
+                        })
+                    }
+                };
+                sub.map(|sub| (n, sub))
+            })
+    }
+
+    /// Localize a battery of targets with the pruned, lazy query and with
+    /// the eager, unpruned oracle — each against its own DAG over
+    /// `ranges` — and require equal terms and `exact` flags. Targets: ∅,
+    /// the universe, every single cell, the union of the input ranges
+    /// (all exact), and, when a leaf cell can be split by a range, that
+    /// sub-range alone and united with the input ranges disjoint from the
+    /// leaf (both inexact).
+    fn assert_pruned_matches_eager<E: RangeEncoder>(
+        space: &mut E,
+        ranges: &[PrefixRange],
+    ) -> Result<(), TestCaseError> {
+        let cells = RangeDag::build(space, ranges);
+        let (nodes, bdds, children, remainders, _) = dag_structure(space, &cells);
+        let valid = space.encode(&PrefixRange::universe());
+        let mut targets: Vec<(Bdd, bool)> = vec![(Bdd::FALSE, true), (valid, true)];
+        targets.extend(remainders.iter().map(|&r| (r, true)));
+        let mut union = Bdd::FALSE;
+        for r in ranges {
+            let b = space.encode(r);
+            union = space.manager().or(union, b);
+        }
+        targets.push((space.manager().and(union, valid), true));
+        if let Some((leaf, sub)) = splitting_subrange(space.semantics(), &nodes, &children) {
+            let b = space.encode(&sub);
+            let sub = space.manager().and(b, valid);
+            let mut apart = sub;
+            for r in ranges {
+                let b = space.encode(r);
+                let meet = space.manager().and(b, bdds[leaf]);
+                if space.manager().is_false(meet) {
+                    apart = space.manager().or(apart, b);
+                }
+            }
+            targets.push((sub, false));
+            targets.push((space.manager().and(apart, valid), false));
+        }
+        let pruned = RangeDag::build(space, ranges);
+        let eager = RangeDag::build(space, ranges);
+        for (s, exact) in targets {
+            let want = header_localize_eager(space, s, &eager);
+            let got = header_localize_with(space, s, &pruned);
+            prop_assert_eq!(
+                &got,
+                &want,
+                "pruned GetMatch diverged from the eager oracle"
+            );
+            prop_assert_eq!(got.exact, exact);
+        }
+        for dag in [cells, pruned, eager] {
+            dag.release(space.manager());
+        }
+        Ok(())
+    }
+
+    /// Route-space ranges from proptest seeds: arbitrary length intervals,
+    /// including empty member sets and truncation chains.
+    fn member_ranges(seeds: &[(u32, u8, u8, u8)]) -> Vec<PrefixRange> {
+        seeds
+            .iter()
+            .map(|&(bits, len, a, b)| {
+                let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+                PrefixRange::new(Prefix::new(Ipv4Addr::from(bits), len), lo, hi)
+            })
+            .collect()
+    }
+
+    /// Address-space ranges from proptest seeds, as the ACL driver builds
+    /// them: `or_longer` ranges from rule prefixes.
+    fn addr_ranges(seeds: &[(u32, u8)]) -> Vec<PrefixRange> {
+        seeds
+            .iter()
+            .map(|&(bits, len)| PrefixRange::or_longer(Prefix::new(Ipv4Addr::from(bits), len)))
+            .collect()
+    }
+
+    /// Prefix bits for the `GetMatch` differential: half the draws keep
+    /// only a few high bits, so ranges nest and the DAG grows deep.
+    fn crowded_bits() -> impl Strategy<Value = u32> {
+        prop_oneof![any::<u32>(), any::<u32>().prop_map(|b| b & 0xF0F0_0000)]
+    }
+
     proptest! {
-        /// Route-space (member semantics): arbitrary length intervals,
-        /// including empty member sets and truncation chains.
+        /// Route-space (member semantics).
         #[test]
         fn trie_matches_oracle_in_route_spaces(
             seeds in proptest::collection::vec(
                 (any::<u32>(), 0u8..=32, 0u8..=32, 0u8..=32), 1..8)
         ) {
-            let ranges: Vec<PrefixRange> = seeds
-                .iter()
-                .map(|&(bits, len, a, b)| {
-                    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                    PrefixRange::new(Prefix::new(Ipv4Addr::from(bits), len), lo, hi)
-                })
-                .collect();
-            assert_same_dag(&mut route_space(), &ranges);
+            assert_same_dag(&mut route_space(), &member_ranges(&seeds));
         }
 
-        /// Address-space (prefix-only semantics), as the ACL driver builds
-        /// them: `or_longer` ranges from rule prefixes.
+        /// Address-space (prefix-only semantics).
         #[test]
         fn trie_matches_oracle_in_addr_spaces(
             seeds in proptest::collection::vec((any::<u32>(), 0u8..=32), 1..8)
         ) {
-            let ranges: Vec<PrefixRange> = seeds
-                .iter()
-                .map(|&(bits, len)| {
-                    PrefixRange::or_longer(Prefix::new(Ipv4Addr::from(bits), len))
-                })
-                .collect();
             let mut space = PacketSpace::new();
-            assert_same_dag(&mut DstAddrSpace(&mut space), &ranges);
+            assert_same_dag(&mut DstAddrSpace(&mut space), &addr_ranges(&seeds));
         }
+    }
+
+    proptest! {
+        // At least 256 cases per semantics; honor a larger PROPTEST_CASES
+        // from the environment.
+        #![proptest_config(ProptestConfig::with_cases(
+            ProptestConfig::default().cases.max(256)
+        ))]
+
+        /// Pruned, lazy `GetMatch` == eager oracle, member semantics.
+        #[test]
+        fn pruned_getmatch_matches_eager_in_route_spaces(
+            seeds in proptest::collection::vec(
+                (crowded_bits(), 0u8..=32, 0u8..=32, 0u8..=32), 1..10)
+        ) {
+            assert_pruned_matches_eager(&mut route_space(), &member_ranges(&seeds))?;
+        }
+
+        /// Pruned, lazy `GetMatch` == eager oracle, address semantics.
+        #[test]
+        fn pruned_getmatch_matches_eager_in_addr_spaces(
+            seeds in proptest::collection::vec((crowded_bits(), 0u8..=32), 1..10)
+        ) {
+            let mut space = PacketSpace::new();
+            assert_pruned_matches_eager(&mut DstAddrSpace(&mut space), &addr_ranges(&seeds))?;
+        }
+    }
+
+    /// `n` `or_longer` ranges (/10–/26) from a fixed-seed LCG, crowded
+    /// into sixteen first octets so the DAG is deep rather than a flat
+    /// forest.
+    fn lcg_ranges(n: usize) -> Vec<PrefixRange> {
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        (0..n)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let len = 10 + ((x >> 59) % 17) as u8;
+                let bits = ((10 + ((x >> 32) & 0xF) as u32) << 24) | (x as u32 & 0x00FF_FFFF);
+                PrefixRange::or_longer(Prefix::new(bits.into(), len))
+            })
+            .collect()
+    }
+
+    /// Localize a target confined to one leaf and check what was
+    /// materialized: node sets for the root and for the children of every
+    /// node on the root-to-leaf path (their overlap tests), remainders for
+    /// the path nodes only. The build roots nothing; `release` drops
+    /// exactly what the query rooted.
+    fn assert_localizes_one_leaf_lazily<E: RangeEncoder>(space: &mut E) {
+        // Encoding once roots the space's own lifetime caches (a route
+        // space's canonical-form constraint), which are not the DAG's.
+        let valid = space.encode(&PrefixRange::universe());
+        let roots_before = space.manager().root_count();
+        let dag = RangeDag::build(space, &lcg_ranges(1000));
+        assert_eq!(
+            space.manager().root_count(),
+            roots_before,
+            "build rooted BDDs"
+        );
+        let snapshot = dag.clone();
+        let (nodes, children, root) = skeleton(&dag);
+        let (nodes, children) = (nodes.to_vec(), children.to_vec());
+        // Or-longer ranges nest or are disjoint, so the DAG is a tree.
+        let mut parent = vec![None; nodes.len()];
+        for (m, kids) in children.iter().enumerate() {
+            for &k in kids {
+                assert!(parent[k].replace(m).is_none(), "node {k} has two parents");
+            }
+        }
+        let path_to = |leaf: usize| {
+            let mut path = vec![leaf];
+            while let Some(p) = parent[*path.last().unwrap()] {
+                path.push(p);
+            }
+            path.reverse();
+            path
+        };
+        // A node whose children's blocks tile its own has an empty cell,
+        // and GetMatch would include it and descend into the complement;
+        // take the deepest leaf below none of those.
+        let tiled = |n: usize| {
+            let block = |r: &PrefixRange| 1u64 << (32 - u32::from(r.prefix.len()));
+            children[n].iter().map(|&k| block(&nodes[k])).sum::<u64>() == block(&nodes[n])
+        };
+        let path = (0..nodes.len())
+            .filter(|&n| children[n].is_empty())
+            .map(path_to)
+            .filter(|path| !path.iter().any(|&n| tiled(n)))
+            .max_by_key(|path| path.len())
+            .expect("a leaf below no tiled node");
+        assert!(path.len() >= 3, "the test DAG should be deep: {path:?}");
+        let leaf = *path.last().unwrap();
+        assert_eq!(path[0], root);
+
+        let b = space.encode(&nodes[leaf]);
+        let s = space.manager().and(b, valid);
+        let loc = header_localize_with(space, s, &dag);
+        assert_eq!(
+            loc,
+            HeaderLocalization {
+                terms: vec![RangeTerm {
+                    base: nodes[leaf],
+                    minus: Vec::new(),
+                }],
+                exact: true,
+            }
+        );
+        let mut want_sets: Vec<usize> = path.iter().flat_map(|&p| children[p].clone()).collect();
+        want_sets.push(root);
+        want_sets.sort_unstable();
+        let mut want_rems = path.clone();
+        want_rems.sort_unstable();
+        let (sets, rems) = materialized(&dag);
+        assert_eq!(
+            sets, want_sets,
+            "node sets materialized off the path's fan-out"
+        );
+        assert_eq!(rems, want_rems, "remainders materialized off the path");
+        assert!(
+            3 * sets.len() < nodes.len(),
+            "{} of {} sets",
+            sets.len(),
+            nodes.len()
+        );
+        assert_eq!(materialized(&snapshot), (Vec::new(), Vec::new()));
+        dag.release(space.manager());
+        snapshot.release(space.manager());
+        assert_eq!(
+            space.manager().root_count(),
+            roots_before,
+            "release leaked roots"
+        );
+    }
+
+    #[test]
+    fn getmatch_materializes_only_the_visited_path_in_route_spaces() {
+        assert_localizes_one_leaf_lazily(&mut route_space());
+    }
+
+    #[test]
+    fn getmatch_materializes_only_the_visited_path_in_packet_spaces() {
+        let mut space = PacketSpace::new();
+        assert_localizes_one_leaf_lazily(&mut DstAddrSpace(&mut space));
+        assert_localizes_one_leaf_lazily(&mut SrcAddrSpace(&mut space));
     }
 
     /// The IPv4 corners: /0, /32, adjacent blocks, duplicates, and
