@@ -7,6 +7,9 @@
 //! shape to match is superlinear growth with the 1 000→10 000 ratio ≫ 10×
 //! and parse time in the same order as the diff.
 //!
+//! Each size also records the front end per layer: Cisco and JunOS parse
+//! throughput (MB/s, 10⁶ bytes) and the time to lower both configs.
+//!
 //! A second section measures the parallel driver: one router pair holding
 //! many independent ACLs, compared at `jobs=1` and `jobs=4`. Pass `--json`
 //! to additionally write machine-readable results (timings plus BDD
@@ -16,14 +19,21 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use campion_bench::{load, print_rows};
+use campion_cfg::parse_config;
 use campion_core::{compare_routers, CampionOptions, CampionReport};
 use campion_fleet::{gen as fleet_gen, Daemon};
 use campion_gen::capirca_acl_pair;
+use campion_ir::lower;
 
 /// Per-size measurement for the JSON report.
 struct SizeResult {
     rules: usize,
+    /// Parse plus lower of both configs.
     parse_s: f64,
+    parse_cisco_mb_s: f64,
+    parse_juniper_mb_s: f64,
+    /// Lowering both parsed configs.
+    lower_s: f64,
     semdiff_s: f64,
     diffs_found: usize,
     nodes: u64,
@@ -106,9 +116,19 @@ fn main() {
         }
 
         let t0 = Instant::now();
-        let rc = load(&cisco);
-        let rj = load(&juniper);
+        let cc = parse_config(&cisco).expect("generated Cisco parses");
+        let parse_cisco_s = t0.elapsed().as_secs_f64();
+        let t = Instant::now();
+        let jc = parse_config(&juniper).expect("generated JunOS parses");
+        let parse_juniper_s = t.elapsed().as_secs_f64();
+        let t = Instant::now();
+        let rc = lower(&cc).expect("lowerable");
+        let rj = lower(&jc).expect("lowerable");
+        let lower_s = t.elapsed().as_secs_f64();
         let parse_time = t0.elapsed();
+        let mb_s = |bytes: usize, secs: f64| bytes as f64 / 1e6 / secs.max(1e-9);
+        let parse_cisco_mb_s = mb_s(cisco.len(), parse_cisco_s);
+        let parse_juniper_mb_s = mb_s(juniper.len(), parse_juniper_s);
 
         // Single pair ⇒ a single semantic work item: this section times the
         // BDD engine itself, so run it on one worker.
@@ -152,6 +172,9 @@ fn main() {
         rows.push(vec![
             n.to_string(),
             format!("{:.3}", parse_time.as_secs_f64()),
+            format!("{parse_cisco_mb_s:.1}"),
+            format!("{parse_juniper_mb_s:.1}"),
+            format!("{lower_s:.4}"),
             format!("{:.3}", diff_time.as_secs_f64()),
             report.acl_diffs.len().to_string(),
             s.peak_nodes.to_string(),
@@ -162,6 +185,9 @@ fn main() {
         size_results.push(SizeResult {
             rules: n,
             parse_s: parse_time.as_secs_f64(),
+            parse_cisco_mb_s,
+            parse_juniper_mb_s,
+            lower_s,
             semdiff_s: diff_time.as_secs_f64(),
             diffs_found: report.acl_diffs.len(),
             nodes: s.nodes,
@@ -185,6 +211,9 @@ fn main() {
         &[
             "rules",
             "parse+lower (s)",
+            "Cisco parse MB/s",
+            "JunOS parse MB/s",
+            "lower (s)",
             "SemanticDiff (s)",
             "differences found",
             "peak nodes",
@@ -312,7 +341,8 @@ fn main() {
         for (i, r) in size_results.iter().enumerate() {
             let _ = write!(
                 out,
-                "    {{\"rules\": {}, \"parse_s\": {:.6}, \"semdiff_s\": {:.6}, \
+                "    {{\"rules\": {}, \"parse_s\": {:.6}, \"parse_cisco_mb_s\": {:.3}, \
+                 \"parse_juniper_mb_s\": {:.3}, \"lower_s\": {:.6}, \"semdiff_s\": {:.6}, \
                  \"diffs_found\": {}, \"bdd_nodes\": {}, \"peak_nodes\": {}, \
                  \"post_gc_nodes\": {}, \"gc_runs\": {}, \"gc_pauses\": {}, \
                  \"gc_pause_us\": {}, \"apply_hit_rate\": {:.4}, \
@@ -320,6 +350,9 @@ fn main() {
                  \"pairs_pruned\": {}, \"rule_cache_hit_rate\": {:.4}}}",
                 r.rules,
                 r.parse_s,
+                r.parse_cisco_mb_s,
+                r.parse_juniper_mb_s,
+                r.lower_s,
                 r.semdiff_s,
                 r.diffs_found,
                 r.nodes,

@@ -2,6 +2,7 @@
 
 use crate::cisco::{parse_cisco, CiscoConfig};
 use crate::error::ParseError;
+use crate::juniper::setstyle::looks_like_set_style;
 use crate::juniper::{parse_juniper, JuniperConfig};
 use crate::span::Vendor;
 
@@ -36,8 +37,12 @@ impl VendorConfig {
 ///
 /// JunOS configs are brace-structured; IOS configs are flat command lines.
 /// The heuristic counts unambiguous markers of each style and is reliable
-/// for any non-trivial config.
+/// for any non-trivial config. Text in which every command is a `set`
+/// line is JunOS `| display set` output, whatever the markers say.
 pub fn detect_vendor(text: &str) -> Vendor {
+    if looks_like_set_style(text) {
+        return Vendor::JuniperJunos;
+    }
     let mut juniper_score = 0i32;
     let mut cisco_score = 0i32;
     for line in text.lines() {
@@ -89,6 +94,22 @@ mod tests {
         let cfg = parse_config(text).unwrap();
         assert_eq!(cfg.vendor(), Vendor::JuniperJunos);
         assert_eq!(cfg.hostname(), "r2");
+    }
+
+    #[test]
+    fn detects_set_style_juniper() {
+        let text = "\
+# | display set output
+set firewall family inet filter F term t1 from source-address 10.0.0.0/8
+set firewall family inet filter F term t1 then accept
+set firewall family inet filter F term t2 then discard
+";
+        assert_eq!(detect_vendor(text), Vendor::JuniperJunos);
+        let cfg = parse_config(text).unwrap();
+        let VendorConfig::Juniper(j) = cfg else {
+            panic!("set-style text parsed as Cisco");
+        };
+        assert_eq!(j.filters["F"].terms.len(), 2);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub fn parse_juniper(text: &str) -> Result<JuniperConfig, ParseError> {
         match stmt.keyword() {
             Some("system") => {
                 if let Some(hn) = stmt.find("host-name") {
-                    cfg.hostname = hn.args().first().cloned().unwrap_or_default();
+                    cfg.hostname = hn.args().first().copied().unwrap_or_default().to_string();
                 }
             }
             Some("policy-options") => extract_policy_options(stmt, &mut cfg)?,
@@ -77,7 +77,7 @@ fn extract_policy_options(po: &Stmt, cfg: &mut JuniperConfig) -> Result<(), Pars
                     .args()
                     .first()
                     .ok_or_else(|| err(child, "prefix-list missing name"))?
-                    .clone();
+                    .to_string();
                 let mut pl = JuniperPrefixList {
                     prefixes: Vec::new(),
                     span: child.span,
@@ -101,15 +101,15 @@ fn extract_policy_options(po: &Stmt, cfg: &mut JuniperConfig) -> Result<(), Pars
                 let name = args
                     .first()
                     .ok_or_else(|| err(child, "community missing name"))?
-                    .clone();
+                    .to_string();
                 let mut members = Vec::new();
                 let mut regexes = Vec::new();
-                let mut member_toks: Vec<String> = Vec::new();
-                if args.get(1).map(String::as_str) == Some("members") {
-                    member_toks.extend(args[2..].iter().cloned());
+                let mut member_toks: Vec<&str> = Vec::new();
+                if args.get(1).copied() == Some("members") {
+                    member_toks.extend(&args[2..]);
                 }
                 for m in child.find_all("members") {
-                    member_toks.extend(m.args().iter().cloned());
+                    member_toks.extend(m.args());
                 }
                 if member_toks.is_empty() {
                     return Err(err(child, "community missing members"));
@@ -117,7 +117,7 @@ fn extract_policy_options(po: &Stmt, cfg: &mut JuniperConfig) -> Result<(), Pars
                 for tok in member_toks {
                     match tok.parse::<Community>() {
                         Ok(c) => members.push(c),
-                        Err(_) => regexes.push(tok),
+                        Err(_) => regexes.push(tok.to_string()),
                     }
                 }
                 cfg.communities.insert(
@@ -134,7 +134,7 @@ fn extract_policy_options(po: &Stmt, cfg: &mut JuniperConfig) -> Result<(), Pars
                     .args()
                     .first()
                     .ok_or_else(|| err(child, "policy-statement missing name"))?
-                    .clone();
+                    .to_string();
                 let ps = extract_policy_statement(child)?;
                 cfg.policies.insert(name, ps);
             }
@@ -156,8 +156,9 @@ fn extract_policy_statement(ps: &Stmt) -> Result<PolicyStatement, ParseError> {
                 let name = child
                     .args()
                     .first()
-                    .cloned()
-                    .unwrap_or_else(|| "__anonymous".to_string());
+                    .copied()
+                    .unwrap_or("__anonymous")
+                    .to_string();
                 out.terms.push(extract_policy_term(child, name)?);
             }
             // A policy-statement may have top-level from/then (an unnamed
@@ -173,7 +174,7 @@ fn extract_policy_statement(ps: &Stmt) -> Result<PolicyStatement, ParseError> {
             .reduce(Span::merge)
             .expect("nonempty");
         let wrapper = Stmt {
-            words: vec!["term".into(), "__unnamed".into()],
+            words: vec!["term", "__unnamed"],
             children: anonymous,
             span,
         };
@@ -217,8 +218,8 @@ fn extract_policy_term(term: &Stmt, name: String) -> Result<PolicyTerm, ParseErr
     Ok(t)
 }
 
-fn route_filter_modifier(words: &[String], stmt: &Stmt) -> Result<RouteFilterModifier, ParseError> {
-    match words.first().map(String::as_str) {
+fn route_filter_modifier(words: &[&str], stmt: &Stmt) -> Result<RouteFilterModifier, ParseError> {
+    match words.first().copied() {
         Some("exact") | None => Ok(RouteFilterModifier::Exact),
         Some("orlonger") => Ok(RouteFilterModifier::OrLonger),
         Some("longer") => Ok(RouteFilterModifier::Longer),
@@ -254,20 +255,20 @@ fn route_filter_modifier(words: &[String], stmt: &Stmt) -> Result<RouteFilterMod
     }
 }
 
-fn from_clause_words(stmt: &Stmt, words: &[String]) -> Result<FromClause, ParseError> {
-    match words.first().map(String::as_str) {
+fn from_clause_words(stmt: &Stmt, words: &[&str]) -> Result<FromClause, ParseError> {
+    match words.first().copied() {
         Some("prefix-list") => {
             let name = words
                 .get(1)
                 .ok_or_else(|| err(stmt, "from prefix-list missing name"))?;
-            Ok(FromClause::PrefixList(name.clone()))
+            Ok(FromClause::PrefixList(name.to_string()))
         }
         Some("prefix-list-filter") => {
             let name = words
                 .get(1)
                 .ok_or_else(|| err(stmt, "prefix-list-filter missing name"))?;
             let m = route_filter_modifier(&words[2..], stmt)?;
-            Ok(FromClause::PrefixListFilter(name.clone(), m))
+            Ok(FromClause::PrefixListFilter(name.to_string(), m))
         }
         Some("route-filter") => {
             let p = words
@@ -278,13 +279,13 @@ fn from_clause_words(stmt: &Stmt, words: &[String]) -> Result<FromClause, ParseE
             Ok(FromClause::RouteFilter(prefix, m))
         }
         Some("community") => {
-            let names: Vec<String> = words[1..].to_vec();
+            let names = owned(&words[1..]);
             if names.is_empty() {
                 return Err(err(stmt, "from community missing name"));
             }
             Ok(FromClause::Community(names))
         }
-        Some("protocol") => Ok(FromClause::Protocol(words[1..].to_vec())),
+        Some("protocol") => Ok(FromClause::Protocol(owned(&words[1..]))),
         Some("tag") => Ok(FromClause::Tag(parse_u32(
             words.get(1).ok_or_else(|| err(stmt, "tag missing value"))?,
             stmt,
@@ -302,11 +303,11 @@ fn from_clause_words(stmt: &Stmt, words: &[String]) -> Result<FromClause, ParseE
     }
 }
 
-fn then_clause_words(stmt: &Stmt, words: &[String]) -> Result<ThenClause, ParseError> {
-    match words.first().map(String::as_str) {
+fn then_clause_words(stmt: &Stmt, words: &[&str]) -> Result<ThenClause, ParseError> {
+    match words.first().copied() {
         Some("accept") => Ok(ThenClause::Accept),
         Some("reject") => Ok(ThenClause::Reject),
-        Some("next") => match words.get(1).map(String::as_str) {
+        Some("next") => match words.get(1).copied() {
             Some("term") => Ok(ThenClause::NextTerm),
             Some("policy") => Ok(ThenClause::NextPolicy),
             _ => Err(err(stmt, "expected 'next term' or 'next policy'")),
@@ -337,8 +338,8 @@ fn then_clause_words(stmt: &Stmt, words: &[String]) -> Result<ThenClause, ParseE
             let name = words
                 .get(2)
                 .ok_or_else(|| err(stmt, "then community missing name"))?
-                .clone();
-            match op.as_str() {
+                .to_string();
+            match *op {
                 "add" => Ok(ThenClause::CommunityAdd(name)),
                 "set" => Ok(ThenClause::CommunitySet(name)),
                 "delete" => Ok(ThenClause::CommunityDelete(name)),
@@ -349,7 +350,7 @@ fn then_clause_words(stmt: &Stmt, words: &[String]) -> Result<ThenClause, ParseE
             let v = words
                 .get(1)
                 .ok_or_else(|| err(stmt, "next-hop missing value"))?;
-            if v == "self" {
+            if *v == "self" {
                 Ok(ThenClause::NextHop(None))
             } else {
                 Ok(ThenClause::NextHop(Some(parse_ip(v, stmt)?)))
@@ -366,7 +367,7 @@ fn extract_firewall(fw: &Stmt, cfg: &mut JuniperConfig) -> Result<(), ParseError
     let mut filters: Vec<&Stmt> = Vec::new();
     for child in &fw.children {
         match child.keyword() {
-            Some("family") if child.args().first().map(String::as_str) == Some("inet") => {
+            Some("family") if child.args().first().copied() == Some("inet") => {
                 filters.extend(child.find_all("filter"));
             }
             Some("filter") => filters.push(child),
@@ -378,7 +379,7 @@ fn extract_firewall(fw: &Stmt, cfg: &mut JuniperConfig) -> Result<(), ParseError
             .args()
             .first()
             .ok_or_else(|| err(f, "filter missing name"))?
-            .clone();
+            .to_string();
         let mut filter = FirewallFilter {
             terms: Vec::new(),
             span: f.span,
@@ -387,8 +388,9 @@ fn extract_firewall(fw: &Stmt, cfg: &mut JuniperConfig) -> Result<(), ParseError
             let tname = term
                 .args()
                 .first()
-                .cloned()
-                .unwrap_or_else(|| "__anonymous".to_string());
+                .copied()
+                .unwrap_or("__anonymous")
+                .to_string();
             filter.terms.push(extract_filter_term(term, tname)?);
         }
         cfg.filters.insert(name, filter);
@@ -418,7 +420,7 @@ fn extract_filter_term(term: &Stmt, name: String) -> Result<FilterTerm, ParseErr
             }
             Some("then") => {
                 let words: Vec<&str> = if child.is_leaf() {
-                    child.args().iter().map(String::as_str).collect()
+                    child.args().to_vec()
                 } else {
                     child.children.iter().filter_map(|c| c.keyword()).collect()
                 };
@@ -570,7 +572,7 @@ fn extract_static_route(route: &Stmt) -> Result<JuniperStaticRoute, ParseError> 
     // Inline form: route P next-hop X; or route P discard;
     let mut i = 1;
     while i < args.len() {
-        match args[i].as_str() {
+        match args[i] {
             "next-hop" => {
                 r.next_hop = Some(parse_ip(
                     args.get(i + 1)
@@ -653,7 +655,7 @@ fn extract_protocols(protos: &Stmt, cfg: &mut JuniperConfig) -> Result<(), Parse
                         .args()
                         .first()
                         .ok_or_else(|| err(g, "group missing name"))?
-                        .clone();
+                        .to_string();
                     bgp.groups.insert(name, extract_bgp_group(g)?);
                 }
                 cfg.bgp = Some(bgp);
@@ -667,8 +669,9 @@ fn extract_protocols(protos: &Stmt, cfg: &mut JuniperConfig) -> Result<(), Parse
     Ok(())
 }
 
-fn policy_chain(stmt: &Stmt) -> Vec<String> {
-    stmt.args().to_vec()
+/// Copy words the typed AST keeps out of the borrowed tree.
+fn owned(words: &[&str]) -> Vec<String> {
+    words.iter().map(|w| w.to_string()).collect()
 }
 
 fn extract_bgp_group(g: &Stmt) -> Result<JuniperBgpGroup, ParseError> {
@@ -684,7 +687,7 @@ fn extract_bgp_group(g: &Stmt) -> Result<JuniperBgpGroup, ParseError> {
     for c in &g.children {
         match c.keyword() {
             Some("type") => {
-                group.internal = c.args().first().map(String::as_str) == Some("internal");
+                group.internal = c.args().first().copied() == Some("internal");
             }
             Some("cluster") => {
                 group.cluster = Some(parse_ip(
@@ -694,8 +697,8 @@ fn extract_bgp_group(g: &Stmt) -> Result<JuniperBgpGroup, ParseError> {
                     c,
                 )?);
             }
-            Some("import") => group.import = policy_chain(c),
-            Some("export") => group.export = policy_chain(c),
+            Some("import") => group.import = owned(c.args()),
+            Some("export") => group.export = owned(c.args()),
             Some("peer-as") => {
                 group.peer_as = Some(parse_u32(
                     c.args().first().ok_or_else(|| err(c, "peer-as missing"))?,
@@ -719,8 +722,8 @@ fn extract_bgp_group(g: &Stmt) -> Result<JuniperBgpGroup, ParseError> {
                 };
                 for nc in &c.children {
                     match nc.keyword() {
-                        Some("import") => nb.import = policy_chain(nc),
-                        Some("export") => nb.export = policy_chain(nc),
+                        Some("import") => nb.import = owned(nc.args()),
+                        Some("export") => nb.export = owned(nc.args()),
                         Some("peer-as") => {
                             nb.peer_as = Some(parse_u32(
                                 nc.args()
@@ -757,7 +760,7 @@ fn extract_ospf(o: &Stmt) -> Result<JuniperOspf, ParseError> {
                     .ok_or_else(|| err(c, "reference-bandwidth missing value"))?;
                 ospf.reference_bandwidth = Some(parse_bandwidth(v, c)?);
             }
-            Some("export") => ospf.export = policy_chain(c),
+            Some("export") => ospf.export = owned(c.args()),
             Some("area") => {
                 let area_tok = c.args().first().ok_or_else(|| err(c, "area missing id"))?;
                 let area = parse_area(area_tok, c)?;
@@ -767,14 +770,14 @@ fn extract_ospf(o: &Stmt) -> Result<JuniperOspf, ParseError> {
                         .args()
                         .first()
                         .ok_or_else(|| err(i, "interface missing name"))?
-                        .clone();
+                        .to_string();
                     let mut oi = JuniperOspfInterface {
                         name,
                         metric: None,
                         passive: false,
                         span: i.span,
                     };
-                    if i.args().get(1).map(String::as_str) == Some("passive") {
+                    if i.args().get(1).copied() == Some("passive") {
                         oi.passive = true;
                     }
                     for ic in &i.children {
@@ -841,7 +844,7 @@ fn extract_interfaces(ifs: &Stmt, cfg: &mut JuniperConfig) -> Result<(), ParseEr
             match c.keyword() {
                 Some("disable") => iface.disabled = true,
                 Some("description") => {
-                    iface.description = c.args().first().cloned();
+                    iface.description = c.args().first().map(|d| d.to_string());
                 }
                 Some("unit") => {
                     let unit_no = c
@@ -857,7 +860,7 @@ fn extract_interfaces(ifs: &Stmt, cfg: &mut JuniperConfig) -> Result<(), ParseEr
                         span: c.span,
                     };
                     if let Some(fam) = c.find("family") {
-                        if fam.args().first().map(String::as_str) == Some("inet") {
+                        if fam.args().first().copied() == Some("inet") {
                             for fc in &fam.children {
                                 match fc.keyword() {
                                     Some("address") => {
@@ -878,10 +881,12 @@ fn extract_interfaces(ifs: &Stmt, cfg: &mut JuniperConfig) -> Result<(), ParseEr
                                         for f in &fc.children {
                                             match f.keyword() {
                                                 Some("input") => {
-                                                    unit.filter_in = f.args().first().cloned()
+                                                    unit.filter_in =
+                                                        f.args().first().map(|n| n.to_string())
                                                 }
                                                 Some("output") => {
-                                                    unit.filter_out = f.args().first().cloned()
+                                                    unit.filter_out =
+                                                        f.args().first().map(|n| n.to_string())
                                                 }
                                                 _ => {}
                                             }

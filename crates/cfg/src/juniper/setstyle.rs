@@ -12,12 +12,15 @@
 //! unknown keywords terminate nesting and keep the remaining tokens as one
 //! leaf statement, which matches how the extractor treats unmodeled leaves.
 
+use std::collections::HashMap;
+
 use crate::error::ParseError;
 use crate::span::Span;
 
 use super::tree::Stmt;
 
-/// Containers that take `n` name arguments and then nest further.
+/// Containers that take `n` name arguments (at most one) and then nest
+/// further.
 fn container_arity(keyword: &str) -> Option<usize> {
     Some(match keyword {
         "system" | "policy-options" | "routing-options" | "protocols" | "firewall"
@@ -69,8 +72,8 @@ fn is_leaf_keyword(keyword: &str) -> bool {
     )
 }
 
-/// Is this text in `set`-style form? (Every non-empty line starts with
-/// `set` or `delete`.)
+/// Is this text in `set`-style form? (There is at least one command, and
+/// every line that is neither blank nor a `#` comment starts with `set `.)
 pub fn looks_like_set_style(text: &str) -> bool {
     let mut any = false;
     for line in text.lines() {
@@ -86,9 +89,11 @@ pub fn looks_like_set_style(text: &str) -> bool {
     any
 }
 
-/// Convert `set`-style lines into a statement tree.
-pub fn parse_set_style(text: &str) -> Result<Vec<Stmt>, ParseError> {
-    let mut roots: Vec<Stmt> = Vec::new();
+/// Convert `set`-style lines into a statement tree whose words borrow
+/// from `text`.
+pub fn parse_set_style(text: &str) -> Result<Vec<Stmt<'_>>, ParseError> {
+    let mut tree = SetTree::default();
+    let mut tokens = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let line_no = i as u32 + 1;
         let t = raw.trim();
@@ -98,110 +103,304 @@ pub fn parse_set_style(text: &str) -> Result<Vec<Stmt>, ParseError> {
         let Some(rest) = t.strip_prefix("set ") else {
             return Err(ParseError::at(line_no, "expected a `set` command"));
         };
-        let tokens = tokenize(rest, line_no)?;
-        insert_path(&mut roots, &tokens, line_no)?;
+        tokenize(rest, line_no, &mut tokens)?;
+        tree.insert_path(&tokens, line_no);
     }
-    Ok(roots)
+    Ok(tree.roots)
 }
 
-/// Split on whitespace, honoring quoted strings and `[ ... ]` groups
-/// (bracket contents flatten, like the brace parser does).
-fn tokenize(rest: &str, line: u32) -> Result<Vec<String>, ParseError> {
-    let mut out = Vec::new();
-    let mut chars = rest.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            ' ' | '\t' | '[' | ']' => {}
-            '"' => {
-                let mut s = String::new();
-                loop {
-                    match chars.next() {
-                        Some('"') => break,
-                        Some(ch) => s.push(ch),
-                        None => return Err(ParseError::at(line, "unterminated string")),
-                    }
-                }
-                out.push(s);
-            }
-            _ => {
-                let mut s = String::new();
-                s.push(c);
-                while let Some(&ch) = chars.peek() {
-                    if ch.is_whitespace() || ch == '[' || ch == ']' || ch == '"' {
-                        break;
-                    }
-                    s.push(ch);
-                    chars.next();
-                }
-                out.push(s);
-            }
-        }
+/// Split on whitespace into `out`, honoring quoted strings and `[ ... ]`
+/// groups (bracket contents flatten, like the brace parser does).
+fn tokenize<'a>(rest: &'a str, line: u32, out: &mut Vec<&'a str>) -> Result<(), ParseError> {
+    out.clear();
+    // Blanks and brackets only separate words.
+    const SEPARATORS: [char; 4] = [' ', '\t', '[', ']'];
+    let mut rest = rest.trim_start_matches(SEPARATORS);
+    while let Some(c) = rest.chars().next() {
+        let end = if let Some(quoted) = rest.strip_prefix('"') {
+            let close = quoted
+                .find('"')
+                .ok_or_else(|| ParseError::at(line, "unterminated string"))?;
+            out.push(&quoted[..close]);
+            close + 2
+        } else {
+            // A bare word keeps its first character whatever it is, then
+            // runs to whitespace, a bracket or a quote.
+            let first = c.len_utf8();
+            let end = rest[first..]
+                .find(|ch: char| ch.is_whitespace() || matches!(ch, '[' | ']' | '"'))
+                .map_or(rest.len(), |e| first + e);
+            out.push(&rest[..end]);
+            end
+        };
+        rest = rest[end..].trim_start_matches(SEPARATORS);
     }
     if out.is_empty() {
         return Err(ParseError::at(line, "empty set command"));
     }
-    Ok(out)
+    Ok(())
 }
 
-/// Walk the token path, descending through known containers and attaching
-/// the remainder as one leaf statement.
-fn insert_path(roots: &mut Vec<Stmt>, tokens: &[String], line: u32) -> Result<(), ParseError> {
-    let mut idx = 0;
-    fn descend<'a>(level: &'a mut Vec<Stmt>, head: &[String], line: u32) -> &'a mut Vec<Stmt> {
-        // Find or create a container whose words == head.
-        let pos = level.iter().position(|s| s.words == head);
-        let pos = match pos {
-            Some(p) => p,
-            None => {
-                level.push(Stmt {
-                    words: head.to_vec(),
-                    children: Vec::new(),
-                    span: Span::line(line),
-                });
-                level.len() - 1
+/// A container's identity among its siblings: its parent's id, then its
+/// head words (a keyword and at most one name, see [`container_arity`]).
+type ContainerKey<'a> = (usize, &'a str, Option<&'a str>);
+
+/// The tree under construction, with an index of its containers.
+///
+/// Finding the container a `set` line continues is a hash lookup rather
+/// than a scan of its siblings, so folding a flattened config stays
+/// linear in its size. The index exists only while folding: the finished
+/// statements are the same plain [`Stmt`]s, in the same order.
+#[derive(Default)]
+struct SetTree<'a> {
+    roots: Vec<Stmt<'a>>,
+    /// Each container's position among its siblings, and its own id (the
+    /// roots' parent id is 0).
+    containers: HashMap<ContainerKey<'a>, (usize, usize)>,
+}
+
+impl<'a> SetTree<'a> {
+    /// Walk the token path, descending through known containers and
+    /// attaching the remainder as one leaf statement.
+    fn insert_path(&mut self, tokens: &[&'a str], line: u32) {
+        let containers = &mut self.containers;
+        let mut current = (&mut self.roots, 0);
+        let mut idx = 0;
+        while idx < tokens.len() {
+            let kw = tokens[idx];
+            if is_leaf_keyword(kw) {
+                break;
             }
-        };
-        // Containers created by earlier lines keep their original span
-        // start; extend the end to cover this line.
-        level[pos].span = level[pos].span.merge(Span::line(line));
-        &mut level[pos].children
-    }
-    let mut current: &mut Vec<Stmt> = roots;
-    while idx < tokens.len() {
-        let kw = tokens[idx].as_str();
-        if is_leaf_keyword(kw) {
-            break;
+            match container_arity(kw) {
+                Some(arity) if idx + arity < tokens.len() => {
+                    let head = &tokens[idx..=idx + arity];
+                    current = descend(containers, current, head, line);
+                    idx += arity + 1;
+                    // Inside `interfaces`, the next token is the interface
+                    // name (a container with no keyword of its own).
+                    if kw == "interfaces" && idx < tokens.len() {
+                        current = descend(containers, current, &tokens[idx..=idx], line);
+                        idx += 1;
+                    }
+                }
+                _ => break,
+            }
         }
-        match container_arity(kw) {
-            Some(arity) if idx + arity < tokens.len() => {
-                let head = &tokens[idx..=idx + arity];
-                current = descend(current, head, line);
-                idx += arity + 1;
-                // Inside `interfaces`, the next token is the interface name
-                // (a container with no keyword of its own).
-                if kw == "interfaces" && idx < tokens.len() {
-                    let name = &tokens[idx..=idx];
-                    current = descend(current, name, line);
-                    idx += 1;
+        if idx < tokens.len() {
+            current.0.push(Stmt {
+                words: tokens[idx..].to_vec(),
+                children: Vec::new(),
+                span: Span::line(line),
+            });
+        }
+    }
+}
+
+/// Find or create the child container of `(level, parent)` whose words are
+/// `head`, stretch its span over `line`, and return its children and id.
+fn descend<'t, 'a>(
+    containers: &mut HashMap<ContainerKey<'a>, (usize, usize)>,
+    (level, parent): (&'t mut Vec<Stmt<'a>>, usize),
+    head: &[&'a str],
+    line: u32,
+) -> (&'t mut Vec<Stmt<'a>>, usize) {
+    debug_assert!(
+        head.len() <= 2,
+        "container heads are a keyword and at most one name"
+    );
+    let next_id = containers.len() + 1;
+    let &mut (pos, id) = containers
+        .entry((parent, head[0], head.get(1).copied()))
+        .or_insert_with(|| {
+            level.push(Stmt {
+                words: head.to_vec(),
+                children: Vec::new(),
+                span: Span::line(line),
+            });
+            (level.len() - 1, next_id)
+        });
+    // Containers created by earlier lines keep their original span start;
+    // extend the end to cover this line.
+    let container = &mut level[pos];
+    container.span = container.span.merge(Span::line(line));
+    (&mut container.children, id)
+}
+
+/// The owned-token, sibling-scanning fold this module replaced, kept as a
+/// differential oracle.
+#[cfg(test)]
+mod oracle {
+    use super::{container_arity, is_leaf_keyword};
+    use crate::error::ParseError;
+    use crate::juniper::tree::oracle::OwnedStmt;
+    use crate::span::Span;
+
+    pub fn parse_set_style(text: &str) -> Result<Vec<OwnedStmt>, ParseError> {
+        let mut roots: Vec<OwnedStmt> = Vec::new();
+        for (i, raw) in text.lines().enumerate() {
+            let line_no = i as u32 + 1;
+            let t = raw.trim();
+            if t.is_empty() || t.starts_with('#') {
+                continue;
+            }
+            let Some(rest) = t.strip_prefix("set ") else {
+                return Err(ParseError::at(line_no, "expected a `set` command"));
+            };
+            let tokens = tokenize(rest, line_no)?;
+            insert_path(&mut roots, &tokens, line_no);
+        }
+        Ok(roots)
+    }
+
+    fn tokenize(rest: &str, line: u32) -> Result<Vec<String>, ParseError> {
+        let mut out = Vec::new();
+        let mut chars = rest.chars().peekable();
+        while let Some(c) = chars.next() {
+            match c {
+                ' ' | '\t' | '[' | ']' => {}
+                '"' => {
+                    let mut s = String::new();
+                    loop {
+                        match chars.next() {
+                            Some('"') => break,
+                            Some(ch) => s.push(ch),
+                            None => return Err(ParseError::at(line, "unterminated string")),
+                        }
+                    }
+                    out.push(s);
+                }
+                _ => {
+                    let mut s = String::new();
+                    s.push(c);
+                    while let Some(&ch) = chars.peek() {
+                        if ch.is_whitespace() || ch == '[' || ch == ']' || ch == '"' {
+                            break;
+                        }
+                        s.push(ch);
+                        chars.next();
+                    }
+                    out.push(s);
                 }
             }
-            _ => break,
+        }
+        if out.is_empty() {
+            return Err(ParseError::at(line, "empty set command"));
+        }
+        Ok(out)
+    }
+
+    fn insert_path(roots: &mut Vec<OwnedStmt>, tokens: &[String], line: u32) {
+        let mut idx = 0;
+        fn descend<'a>(
+            level: &'a mut Vec<OwnedStmt>,
+            head: &[String],
+            line: u32,
+        ) -> &'a mut Vec<OwnedStmt> {
+            let pos = match level.iter().position(|s| s.words == head) {
+                Some(p) => p,
+                None => {
+                    level.push(OwnedStmt {
+                        words: head.to_vec(),
+                        children: Vec::new(),
+                        span: Span::line(line),
+                    });
+                    level.len() - 1
+                }
+            };
+            level[pos].span = level[pos].span.merge(Span::line(line));
+            &mut level[pos].children
+        }
+        let mut current: &mut Vec<OwnedStmt> = roots;
+        while idx < tokens.len() {
+            let kw = tokens[idx].as_str();
+            if is_leaf_keyword(kw) {
+                break;
+            }
+            match container_arity(kw) {
+                Some(arity) if idx + arity < tokens.len() => {
+                    let head = &tokens[idx..=idx + arity];
+                    current = descend(current, head, line);
+                    idx += arity + 1;
+                    if kw == "interfaces" && idx < tokens.len() {
+                        let name = &tokens[idx..=idx];
+                        current = descend(current, name, line);
+                        idx += 1;
+                    }
+                }
+                _ => break,
+            }
+        }
+        if idx < tokens.len() {
+            current.push(OwnedStmt {
+                words: tokens[idx..].to_vec(),
+                children: Vec::new(),
+                span: Span::line(line),
+            });
         }
     }
-    if idx < tokens.len() {
-        current.push(Stmt {
-            words: tokens[idx..].to_vec(),
-            children: Vec::new(),
-            span: Span::line(line),
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::juniper::parse_juniper;
+    use crate::juniper::tree::oracle::owned;
+    use proptest::prelude::*;
+
+    /// Words for random `set` commands: containers, leaves, names that
+    /// repeat (so lines share containers), quotes and brackets.
+    const SET_WORDS: &[&str] = &[
+        "policy-options",
+        "policy-statement",
+        "term",
+        "from",
+        "then",
+        "firewall",
+        "family",
+        "inet",
+        "filter",
+        "interfaces",
+        "unit",
+        "protocols",
+        "bgp",
+        "group",
+        "neighbor",
+        "community",
+        "members",
+        "accept",
+        "route-filter",
+        "address",
+        "P",
+        "t1",
+        "t2",
+        "0",
+        "ge-0/0/0",
+        "10.0.0.0/8",
+        "\"",
+        "\"a b\"",
+        "[",
+        "]",
+        "\t",
+        "\u{b}",
+    ];
+
+    fn set_lines() -> impl Strategy<Value = String> {
+        let line = proptest::collection::vec(proptest::sample::select(SET_WORDS), 0..9)
+            .prop_map(|ws| format!("set {}", ws.join(" ")));
+        proptest::collection::vec(line, 0..40).prop_map(|ls| ls.join("\n"))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The indexed fold builds the sibling-scanning fold's tree, or
+        /// fails with its error.
+        #[test]
+        fn indexed_fold_matches_oracle(text in set_lines()) {
+            let got = parse_set_style(&text).map(|t| owned(&t));
+            prop_assert_eq!(got, oracle::parse_set_style(&text), "input {:?}", text);
+        }
+    }
 
     const SET_STYLE: &str = "\
 set system host-name core-set

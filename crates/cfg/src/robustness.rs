@@ -48,7 +48,7 @@ const CISCO_WORDS: &[&str] = &[
     "network",
 ];
 
-const JUNIPER_WORDS: &[&str] = &[
+pub(crate) const JUNIPER_WORDS: &[&str] = &[
     "policy-options",
     "policy-statement",
     "term",
@@ -93,12 +93,12 @@ const JUNIPER_WORDS: &[&str] = &[
     "address",
 ];
 
-fn soup(words: &'static [&'static str]) -> impl Strategy<Value = String> {
+pub(crate) fn soup(words: &'static [&'static str]) -> impl Strategy<Value = String> {
     proptest::collection::vec(proptest::sample::select(words), 0..120).prop_map(|ws| ws.concat())
 }
 
 /// Mutate a valid config by deleting a random byte range.
-fn mutated(base: &'static str) -> impl Strategy<Value = String> {
+pub(crate) fn mutated(base: &'static str) -> impl Strategy<Value = String> {
     (0..base.len(), 0..base.len()).prop_map(move |(a, b)| {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         let mut s = String::new();

@@ -1,6 +1,7 @@
 //! Source locations: the foundation of text localization.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Which configuration language a piece of text was written in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -85,29 +86,53 @@ impl fmt::Display for Span {
 /// Campion "unparses" IR elements back to configuration text by simply
 /// slicing the original source with the element's span — guaranteed to match
 /// what the operator wrote, whitespace and all.
+///
+/// The text is held once, behind an `Arc`, with an index of where each line
+/// starts. Lines follow [`str::lines`] exactly: a trailing `\n` or `\r\n` is
+/// not part of the line, and a final line ending does not start an empty
+/// last line. Cloning shares the buffer, so every lowered model of a config
+/// points at the same text.
 #[derive(Debug, Clone)]
 pub struct SourceText {
-    lines: Vec<String>,
+    text: Arc<str>,
+    /// Byte offset of each line's first character.
+    line_starts: Arc<[usize]>,
 }
 
 impl SourceText {
     /// Capture the configuration text.
     pub fn new(text: &str) -> Self {
+        // A line starts at 0 and after every `\n`, except at the very end.
+        let line_starts = std::iter::once(0)
+            .chain(text.match_indices('\n').map(|(i, _)| i + 1))
+            .filter(|&start| start < text.len())
+            .collect();
         SourceText {
-            lines: text.lines().map(str::to_owned).collect(),
+            text: text.into(),
+            line_starts,
         }
     }
 
     /// Number of lines.
     pub fn line_count(&self) -> usize {
-        self.lines.len()
+        self.line_starts.len()
     }
 
     /// A single line by 1-based number (`None` when out of range).
     pub fn line(&self, n: u32) -> Option<&str> {
-        self.lines
-            .get((n as usize).checked_sub(1)?)
-            .map(String::as_str)
+        let i = (n as usize).checked_sub(1)?;
+        let start = *self.line_starts.get(i)?;
+        let end = self
+            .line_starts
+            .get(i + 1)
+            .copied()
+            .unwrap_or(self.text.len());
+        let line = &self.text[start..end];
+        // The same terminator stripping as `str::lines`.
+        Some(match line.strip_suffix('\n') {
+            Some(l) => l.strip_suffix('\r').unwrap_or(l),
+            None => line,
+        })
     }
 
     /// The text covered by `span`, joined with newlines. Lines outside the
@@ -139,5 +164,90 @@ impl SourceText {
             })
             .collect::<Vec<_>>()
             .join("\n")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Fragments dense in line terminators (`\PC` never yields them).
+    const LINE_SOUP: &[&str] = &["a", " b", "\n", "\r", "\r\n", "é"];
+
+    /// `SourceText` must number and slice lines exactly as `str::lines`.
+    fn assert_lines_match(text: &str) {
+        let src = SourceText::new(text);
+        let want: Vec<&str> = text.lines().collect();
+        assert_eq!(src.line_count(), want.len(), "line count of {text:?}");
+        for (i, line) in want.iter().enumerate() {
+            assert_eq!(
+                src.line(i as u32 + 1),
+                Some(*line),
+                "line {} of {text:?}",
+                i + 1
+            );
+        }
+        assert_eq!(src.line(0), None, "line 0 of {text:?}");
+        assert_eq!(
+            src.line(want.len() as u32 + 1),
+            None,
+            "line n+1 of {text:?}"
+        );
+        assert_eq!(src.line(u32::MAX), None);
+    }
+
+    #[test]
+    fn lines_follow_str_lines() {
+        for text in [
+            "",
+            "\n",
+            "\r\n",
+            "one",
+            "one\n",
+            "one\ntwo",
+            "one\r\ntwo\r\n",
+            "crlf\r\nmixed\nends\r",
+            "trailing blanks\n\n\n",
+            "trailing crlf blanks\r\n\r\n",
+            "\n\nleading blanks",
+            "lone \r inside\n",
+            "multi-byte é\n→ line two",
+        ] {
+            assert_lines_match(text);
+        }
+    }
+
+    #[test]
+    fn snippets_join_the_spanned_lines() {
+        let src = SourceText::new("a {\r\n    b;\r\n}\r\n");
+        assert_eq!(src.snippet(Span::lines(1, 3)), "a {\n    b;\n}");
+        assert_eq!(src.snippet(Span::lines(2, 9)), "    b;\n}");
+        assert_eq!(src.snippet_dedented(Span::line(2)), "b;");
+        assert_eq!(src.snippet(Span::line(4)), "");
+    }
+
+    #[test]
+    fn clones_share_the_buffer() {
+        let src = SourceText::new("x\ny\n");
+        let copy = src.clone();
+        assert!(Arc::ptr_eq(&src.text, &copy.text));
+        assert!(Arc::ptr_eq(&src.line_starts, &copy.line_starts));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn lines_follow_str_lines_on_arbitrary_text(text in "\\PC*") {
+            assert_lines_match(&text);
+        }
+
+        #[test]
+        fn lines_follow_str_lines_on_line_ending_soup(
+            parts in proptest::collection::vec(proptest::sample::select(LINE_SOUP), 0..40)
+        ) {
+            assert_lines_match(&parts.concat());
+        }
     }
 }

@@ -1,0 +1,88 @@
+//! Allocation budget of the configuration front end.
+//!
+//! The JunOS parser borrows every token from the input text and copies out
+//! only the names the typed AST keeps, and a lowered model shares its
+//! config's source buffer instead of copying it line by line. These
+//! assertions pin that: an owned-token parser allocates several times per
+//! statement, and a line-by-line copy allocates once per line.
+//!
+//! The counting allocator sees every thread of the process, so this file
+//! holds a single test and runs alone in its own binary.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use campion_cfg::juniper::tree::{parse_tree, Stmt};
+use campion_cfg::parse_config;
+use campion_gen::capirca_acl_pair;
+use campion_ir::lower;
+
+/// Counts every allocation and reallocation, then defers to the system
+/// allocator.
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method passes its arguments unchanged to the system
+// allocator, so each upholds the `GlobalAlloc` contract exactly as `System`
+// does. The counter is a statistic that publishes no other data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Run `f` and return its result with the allocations it made.
+fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = f();
+    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+fn count_statements(stmts: &[Stmt<'_>]) -> usize {
+    stmts
+        .iter()
+        .map(|s| 1 + count_statements(&s.children))
+        .sum()
+}
+
+#[test]
+fn front_end_allocates_per_statement_and_line_within_budget() {
+    let (_, juniper) = capirca_acl_pair(2000, 10, 0x5EED_2000);
+    let statements = count_statements(&parse_tree(&juniper).expect("generated JunOS parses"));
+    let lines = juniper.lines().count();
+
+    let (cfg, parse_allocs) =
+        allocations_during(|| parse_config(&juniper).expect("generated JunOS parses"));
+    let (router, lower_allocs) = allocations_during(|| lower(&cfg).expect("lowerable"));
+    assert_eq!(router.acls["ACL-GEN"].rules.len(), 2001);
+
+    let per_statement = parse_allocs as f64 / statements as f64;
+    assert!(
+        per_statement < 3.0,
+        "parse made {parse_allocs} allocations for {statements} statements \
+         ({per_statement:.2} each, budget < 3)"
+    );
+    assert!(
+        lower_allocs < lines,
+        "lower made {lower_allocs} allocations for a {lines}-line config (budget < 1 per line)"
+    );
+}

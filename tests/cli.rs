@@ -142,6 +142,53 @@ fn translate_then_compare_is_clean() {
 }
 
 #[test]
+fn set_style_juniper_compares_equal_to_its_brace_form() {
+    let brace = "\
+firewall {
+    family inet {
+        filter F {
+            term ssh {
+                from {
+                    source-address 10.0.0.0/8;
+                    protocol tcp;
+                    destination-port 22;
+                }
+                then accept;
+            }
+            term rest {
+                then discard;
+            }
+        }
+    }
+}
+";
+    // The same filter as `show configuration | display set` prints it.
+    let set = "\
+set firewall family inet filter F term ssh from source-address 10.0.0.0/8
+set firewall family inet filter F term ssh from protocol tcp
+set firewall family inet filter F term ssh from destination-port 22
+set firewall family inet filter F term ssh then accept
+set firewall family inet filter F term rest then discard
+";
+    let dir = std::env::temp_dir();
+    let brace_path = dir.join("campion_cli_filter_brace.cfg");
+    let set_path = dir.join("campion_cli_filter_set.cfg");
+    std::fs::write(&brace_path, brace).expect("write temp");
+    std::fs::write(&set_path, set).expect("write temp");
+    let out = campion(&[
+        "compare",
+        brace_path.to_str().expect("utf8 path"),
+        set_path.to_str().expect("utf8 path"),
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "set-style JunOS must be read as JunOS:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+#[test]
 fn baseline_reports_single_counterexamples() {
     let out = campion(&[
         "baseline",

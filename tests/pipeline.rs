@@ -1,9 +1,11 @@
 //! End-to-end integration tests: raw configuration text → parse → lower →
 //! diff → present, across crates.
 
+use campion::cfg::juniper::tree::{parse_tree, Stmt};
 use campion::cfg::parse_config;
 use campion::cfg::samples::{FIGURE1_CISCO, FIGURE1_JUNIPER};
 use campion::core::{compare_routers, CampionOptions};
+use campion::gen::capirca_acl_pair;
 use campion::ir::lower;
 
 fn load(text: &str) -> campion::ir::RouterIr {
@@ -170,4 +172,54 @@ fn options_gate_each_check_independently() {
     };
     let report = compare_routers(&c, &j, &all_off);
     assert_eq!(report.total_differences(), 0);
+}
+
+/// Render brace-form JunOS as the `set` commands `| display set` prints:
+/// one line per leaf, prefixed by the words of its enclosing stanzas.
+fn display_set(text: &str) -> String {
+    fn walk(stmts: &[Stmt<'_>], path: &mut Vec<String>, out: &mut String) {
+        for s in stmts {
+            let depth = path.len();
+            path.extend(s.words.iter().map(|w| {
+                if w.contains(char::is_whitespace) {
+                    format!("\"{w}\"")
+                } else {
+                    w.to_string()
+                }
+            }));
+            if s.is_leaf() {
+                out.push_str("set ");
+                out.push_str(&path.join(" "));
+                out.push('\n');
+            } else {
+                walk(&s.children, path, out);
+            }
+            path.truncate(depth);
+        }
+    }
+    let mut out = String::new();
+    walk(
+        &parse_tree(text).expect("brace form parses"),
+        &mut Vec::new(),
+        &mut out,
+    );
+    out
+}
+
+/// A large filter reads the same in brace and `set` form. The set form
+/// repeats every container path on every line, so this is also the input
+/// that made a sibling scan per container lookup quadratic.
+#[test]
+fn set_style_rendering_of_a_large_filter_is_equivalent() {
+    let (_, brace) = capirca_acl_pair(2500, 10, 0x5E7_2500);
+    let set = display_set(&brace);
+    assert!(
+        set.lines().count() > 2 * 2500,
+        "{} set lines",
+        set.lines().count()
+    );
+    let (b, s) = (load(&brace), load(&set));
+    assert_eq!(s.acls["ACL-GEN"].rules.len(), 2501);
+    let report = compare_routers(&b, &s, &CampionOptions::default());
+    assert!(report.is_equivalent(), "{report}");
 }
