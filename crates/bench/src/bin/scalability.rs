@@ -53,13 +53,8 @@ struct SizeResult {
     /// Localization share of the whole comparison: (`headerloc.ddnf` +
     /// `present.localize`) ÷ `core.compare` wall seconds — the nested
     /// `headerloc.localize` spans ride inside `present.localize`. CI gates
-    /// the 10 000-rule value at ≤ 0.45.
+    /// the 10 000-rule value at ≤ 0.9.
     headerloc_share: Option<f64>,
-    /// Per-difference localization sub-items: how many `headerloc.localize`
-    /// and `present.localize` spans the comparison ran — the work items
-    /// the driver fans out across its pool when differences outnumber
-    /// pairs.
-    localize_subitems: Option<u64>,
 }
 
 /// The sizes whose per-phase breakdown lands in `BENCH_campion.json` —
@@ -136,7 +131,7 @@ fn main() {
         let report = compare_routers(&rc, &rj, &opts_with_jobs(1));
         let diff_time = t1.elapsed();
 
-        let (phases, headerloc_share, localize_subitems) = if traced {
+        let (phases, headerloc_share) = if traced {
             campion_trace::disable();
             let trace = campion_trace::drain();
             println!("--- per-phase breakdown at {n} rules ---");
@@ -156,15 +151,10 @@ fn main() {
             } else {
                 0.0
             };
-            let subitems = phase("headerloc.localize").map_or(0, |s| s.count)
-                + phase("present.localize").map_or(0, |s| s.count);
-            println!(
-                "localization share of core.compare: {share:.3} \
-                 ({subitems} localize sub-items)\n"
-            );
-            (Some(trace.phases_json()), Some(share), Some(subitems))
+            println!("localization share of core.compare: {share:.3}\n");
+            (Some(trace.phases_json()), Some(share))
         } else {
-            (None, None, None)
+            (None, None)
         };
 
         times.push(diff_time.as_secs_f64());
@@ -203,7 +193,6 @@ fn main() {
             rule_cache_hit_rate: s.rule_cache_hit_rate(),
             phases,
             headerloc_share,
-            localize_subitems,
         });
     }
     print_rows(
@@ -405,16 +394,6 @@ fn main() {
             .collect();
         out.push_str("  \"headerloc_share\": {\n");
         out.push_str(&share_entries.join(",\n"));
-        out.push_str("\n  },\n");
-        let sub_entries: Vec<String> = size_results
-            .iter()
-            .filter_map(|r| {
-                r.localize_subitems
-                    .map(|c| format!("    \"{}\": {c}", r.rules))
-            })
-            .collect();
-        out.push_str("  \"localize_subitems\": {\n");
-        out.push_str(&sub_entries.join(",\n"));
         out.push_str("\n  },\n");
         let _ = write!(
             out,

@@ -9,7 +9,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use campion_bdd::{GcPolicy, Manager, ManagerStats};
+use campion_bdd::{GcPolicy, ManagerStats};
 use campion_cfg::Span;
 use campion_ir::{AclIr, RoutePolicy, RouterIr};
 use campion_net::PrefixRange;
@@ -217,8 +217,8 @@ fn attach_stats_delta(
     span.counter("early_exits", d(after.early_exits, before.early_exits));
 }
 
-/// Work-stealing fan-out shared by the pair pool, the per-difference
-/// localization pool, and external batch drivers such as `campion-fuzz`:
+/// Work-stealing fan-out shared by the pair pool, the fleet daemon's pair
+/// scheduler, and external batch drivers such as `campion-fuzz`:
 /// one scoped worker thread per element of `states` (each worker owns its
 /// state), claiming indices `0..n` from a shared cursor so a slow item
 /// never serializes the rest. Outputs come back in index order, making the
@@ -335,22 +335,8 @@ pub fn compare_routers(r1: &RouterIr, r2: &RouterIr, opts: &CampionOptions) -> C
     }
 
     let jobs = opts.effective_jobs().min(items.len()).max(1);
-    // When pairs are scarcer than workers, the spare parallelism moves down
-    // a level: each pair's per-difference localizations fan out over
-    // `inner` sub-workers instead (see `diff_policy_pair`).
-    let inner = if items.len() >= opts.effective_jobs() {
-        1
-    } else {
-        opts.effective_jobs() / items.len().max(1)
-    };
-    let mut diff_opts = opts.clone();
-    diff_opts.jobs = inner.max(1);
-    let diff_opts = &diff_opts;
     let outputs: Vec<WorkOutput> = if jobs <= 1 {
-        items
-            .iter()
-            .map(|it| run_item(r1, r2, it, diff_opts))
-            .collect()
+        items.iter().map(|it| run_item(r1, r2, it, opts)).collect()
     } else {
         steal_indexed(
             vec![(); jobs],
@@ -358,7 +344,7 @@ pub fn compare_routers(r1: &RouterIr, r2: &RouterIr, opts: &CampionOptions) -> C
             // Each worker gets its own trace track (lane in the Chrome
             // trace); track 0 is the coordinating thread.
             |w| campion_trace::set_track(w as u32 + 1),
-            |(), i| run_item(r1, r2, &items[i], diff_opts),
+            |(), i| run_item(r1, r2, &items[i], opts),
         )
     };
 
@@ -464,27 +450,22 @@ fn diff_policy_pair(
     space.manager.gc_checkpoint();
 
     // The range universe R: every range in either configuration (§3.2).
-    // The ddNF over R is built once and reused for every difference; an
-    // equivalent pair has nothing to localize and builds none. The build
-    // is structural: node sets are encoded in the snapshot clones that
-    // localize, so the pair's own manager is untouched.
+    // The ddNF over R is built once and every difference is localized
+    // against it, in order, in the pair's own space; an equivalent pair
+    // has nothing to localize and builds none. Presentation reaches no
+    // safe point and the arena is dropped on return, so nothing is
+    // unrooted afterwards.
     let out = if diffs.is_empty() {
         Vec::new()
     } else {
         let mut ranges: Vec<PrefixRange> = p1.prefix_ranges();
         ranges.extend(p2.prefix_ranges());
         let dag = headerloc::RangeDag::build(&mut space, &ranges);
-        let out = present_on_snapshots(
-            diffs.len(),
-            opts.effective_jobs(),
-            || (space.clone(), dag.clone()),
-            |(sp, dg), i| present_policy_diff(r1, r2, sp, dg, &p1, &p2, pair, &diffs[i], opts),
-        );
-        release_inputs(&mut space.manager, &diffs);
-        dag.release(&mut space.manager);
-        out
+        diffs
+            .iter()
+            .map(|d| present_policy_diff(r1, r2, &mut space, &dag, &p1, &p2, pair, d, opts))
+            .collect()
     };
-    space.manager.unprotect(universe);
     let mut stats = space.manager.stats();
     let (lookups, hits) = space.rule_cache_stats();
     stats.rule_cache_lookups = lookups;
@@ -496,55 +477,8 @@ fn diff_policy_pair(
     (out, stats)
 }
 
-/// Present `n ≥ 1` differences against snapshot clones of a pair's state (its
-/// space and ddNF DAGs; clones keep node indices, so results are bit for
-/// bit the ones the original would give). Localizations against fixed DAGs
-/// are independent, so with `jobs > 1` they are claimed work-stealing style
-/// by up to `jobs` sub-workers, each on its own clone and trace sub-track.
-/// A sequential run still presents on one clone: the localization
-/// intermediates, and the DAG node sets each clone materializes, then live
-/// and die in a clone's arena exactly as in a parallel worker's, so the
-/// pair's own manager sees the same operation sequence — and reports the
-/// same `ManagerStats` — at every worker count. Each clone is taken inside
-/// a `present.snapshot` span.
-fn present_on_snapshots<S: Send, T: Send>(
-    n: usize,
-    jobs: usize,
-    snapshot: impl Fn() -> S,
-    present: impl Fn(&mut S, usize) -> T + Sync,
-) -> Vec<T> {
-    let jobs = jobs.min(n);
-    let take_snapshot = || {
-        campion_trace::span!("present.snapshot");
-        snapshot()
-    };
-    if jobs <= 1 {
-        let mut state = take_snapshot();
-        (0..n).map(|i| present(&mut state, i)).collect()
-    } else {
-        let parent = campion_trace::track().unwrap_or(0);
-        steal_indexed(
-            (0..jobs).map(|_| take_snapshot()).collect(),
-            n,
-            |w| campion_trace::set_track(campion_trace::sub_track(parent, w as u32)),
-            present,
-        )
-    }
-}
-
-/// Drop the roots `semantic_diff` put on the presented differences' inputs
-/// and reach the safe point a pair passes once its differences are done.
-fn release_inputs(manager: &mut Manager, diffs: &[SemanticDifference]) {
-    for d in diffs {
-        manager.unprotect(d.input);
-    }
-    manager.gc_checkpoint();
-}
-
 /// Present one route-map difference: localize its input over the pair's
-/// ddNF and render the report row. Pure with respect to the report — only
-/// the space's caches/arena mutate — so the driver can run it on snapshot
-/// clones in parallel.
+/// ddNF and render the report row.
 #[allow(clippy::too_many_arguments)]
 fn present_policy_diff(
     r1: &RouterIr,
@@ -650,8 +584,7 @@ fn non_prefix_example(space: &mut RouteSpace, d: &SemanticDifference) -> Option<
 }
 
 /// Present one ACL difference: destination/source address localization,
-/// port localization, and an example packet. As `present_policy_diff`,
-/// safe to run on snapshot clones.
+/// port localization, and an example packet.
 #[allow(clippy::too_many_arguments)]
 fn present_acl_diff(
     r1: &RouterIr,
@@ -754,23 +687,18 @@ fn diff_acl_pair(
     release_paths(&mut space.manager, &paths2);
     space.manager.gc_checkpoint();
 
-    // Equivalent pair: nothing to localize, so no ddNF to build.
+    // Equivalent pair: nothing to localize, so no ddNF to build. As for
+    // route maps, every difference is presented in the pair's own space.
     let out = if diffs.is_empty() {
         Vec::new()
     } else {
         let (dst_ranges, src_ranges) = acl_address_ranges(a1, a2);
         let dst_dag = headerloc::RangeDag::build(&mut DstAddrSpace(&mut space), &dst_ranges);
         let src_dag = headerloc::RangeDag::build(&mut SrcAddrSpace(&mut space), &src_ranges);
-        let out = present_on_snapshots(
-            diffs.len(),
-            opts.effective_jobs(),
-            || (space.clone(), dst_dag.clone(), src_dag.clone()),
-            |(sp, ddag, sdag), i| present_acl_diff(r1, r2, sp, ddag, sdag, a1, a2, &diffs[i]),
-        );
-        release_inputs(&mut space.manager, &diffs);
-        dst_dag.release(&mut space.manager);
-        src_dag.release(&mut space.manager);
-        out
+        diffs
+            .iter()
+            .map(|d| present_acl_diff(r1, r2, &mut space, &dst_dag, &src_dag, a1, a2, d))
+            .collect()
     };
     let mut stats = space.manager.stats();
     let (lookups, hits) = space.rule_cache_stats();

@@ -233,11 +233,12 @@ type GetMatchMemo = HashMap<(usize, Bdd), (Vec<NestedTerm>, bool)>;
 ///
 /// The build is structural; node sets and remainders are encoded on first
 /// use, in the space passed to [`header_localize_with`], and rooted there,
-/// so every query against one DAG value must pass that same space. Cloning
-/// a DAG alongside a clone of that space yields an independent snapshot
-/// whose materialized handles (and memo entries) remain valid in the
-/// cloned arena — the basis of the driver's per-difference fan-out. Each
-/// snapshot materializes what its own queries read.
+/// so every query against one DAG value must pass that same space. The
+/// driver localizes all of a pair's differences in the pair's own space.
+/// Cloning a DAG alongside a clone of that space yields an independent
+/// snapshot whose materialized handles (and memo entries) remain valid in
+/// the cloned arena; the benchmark's traced replay localizes on such
+/// clones. Each snapshot materializes what its own queries read.
 #[derive(Clone)]
 pub struct RangeDag {
     /// Node ranges (label function λ).
@@ -295,11 +296,11 @@ impl RangeDag {
     }
 
     /// Drop the GC roots this DAG holds: every node set and remainder that
-    /// localization materialized and rooted, so the DAG survives the
-    /// collections the driver runs between differences. Pass the manager
-    /// those queries ran in (a DAG that never localized holds no roots).
-    /// The DAG must not be used for localization afterwards
-    /// (debug-asserted).
+    /// localization materialized and rooted, so the DAG survives any
+    /// collection run between queries. Pass the manager those queries ran
+    /// in (a DAG that never localized holds no roots). A caller that drops
+    /// the whole space with the DAG need not release it. The DAG must not
+    /// be used for localization afterwards (debug-asserted).
     pub fn release(&self, manager: &mut Manager) {
         debug_assert!(!self.released.get(), "RangeDag released twice");
         self.released.set(true);

@@ -1438,8 +1438,9 @@ mod ddnf {
         dag.release(&mut space.manager);
     }
 
-    /// The fan-out invariant: a cloned (space, DAG) snapshot localizes
-    /// byte-identically to the original, even after the arenas diverge.
+    /// The clone invariant the benchmark's traced replay relies on: a
+    /// cloned (space, DAG) snapshot localizes byte-identically to the
+    /// original, even after the arenas diverge.
     #[test]
     fn snapshot_clones_localize_identically() {
         let r = |s: &str| s.parse::<PrefixRange>().unwrap();

@@ -60,8 +60,8 @@ pub const NUM_VARS: u32 = 104;
 /// Variable layout and encoding operations for data-plane packets.
 ///
 /// `Clone` snapshots the space (manager arena included, with node indices
-/// preserved) so independent localization queries can run on per-thread
-/// copies and be dropped afterwards.
+/// preserved), so localization queries can run on a copy that is dropped
+/// afterwards; the benchmark's traced replay does this.
 #[derive(Clone)]
 pub struct PacketSpace {
     /// The BDD manager (exposed so callers can run set operations).

@@ -68,8 +68,8 @@ pub enum FieldState {
 /// | then             | one var per distinct metric constant |
 ///
 /// `Clone` snapshots the space (manager arena included, with node indices
-/// preserved) so independent localization queries can run on per-thread
-/// copies and be dropped afterwards.
+/// preserved), so localization queries can run on a copy that is dropped
+/// afterwards; the benchmark's traced replay does this.
 #[derive(Clone)]
 pub struct RouteSpace {
     /// The BDD manager (exposed so callers can run set operations).

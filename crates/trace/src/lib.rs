@@ -67,8 +67,9 @@ pub enum Phase {
 #[derive(Debug, Clone)]
 pub struct Event {
     /// Track (thread lane) the event was recorded on: `0` is the thread
-    /// that called [`enable`], `1..` are driver workers ([`set_track`]),
-    /// and unlabeled threads get ids from [`ANON_TRACK_BASE`] up.
+    /// that called [`enable`], `1..ANON_TRACK_BASE` are driver workers
+    /// ([`set_track`]), and unlabeled threads get ids from
+    /// [`ANON_TRACK_BASE`] up.
     pub track: u32,
     /// Span name (a static string so recording never allocates for it).
     pub name: &'static str,
@@ -186,7 +187,7 @@ pub fn set_track(track: u32) {
 }
 
 /// The calling thread's track label, if [`set_track`] assigned one (the
-/// driver consults this to derive sub-worker lanes from the parent lane).
+/// structured logger ([`log`]) stamps it onto every record).
 pub fn track() -> Option<u32> {
     LOCAL.with(|l| l.borrow().track)
 }
@@ -200,22 +201,6 @@ pub fn current_span() -> Option<&'static str> {
         return None;
     }
     LOCAL.with(|l| l.borrow().stack.last().copied())
-}
-
-/// First track id of the per-difference localization sub-worker lanes.
-/// Lanes `0..ANON_TRACK_BASE` split three ways: `0` is the coordinating
-/// thread, `1..SUB_TRACK_BASE` are driver workers, and from here up each
-/// parent lane owns a [`SUB_TRACK_STRIDE`]-wide block of sub-lanes.
-pub const SUB_TRACK_BASE: u32 = 100;
-
-/// Sub-lanes reserved per parent lane.
-pub const SUB_TRACK_STRIDE: u32 = 32;
-
-/// Track id for localization sub-worker `worker` forked from the lane
-/// `parent` (clamped so ids stay below [`ANON_TRACK_BASE`]).
-pub fn sub_track(parent: u32, worker: u32) -> u32 {
-    let parent = parent.min((ANON_TRACK_BASE - SUB_TRACK_BASE) / SUB_TRACK_STRIDE - 1);
-    SUB_TRACK_BASE + parent * SUB_TRACK_STRIDE + worker.min(SUB_TRACK_STRIDE - 1)
 }
 
 /// RAII span guard returned by [`span`]: records the end event (with any
@@ -742,11 +727,6 @@ fn track_label(track: u32) -> String {
     match track {
         0 => "main".to_string(),
         t if t >= ANON_TRACK_BASE => format!("thread-{}", t - ANON_TRACK_BASE),
-        t if t >= SUB_TRACK_BASE => format!(
-            "localize-{}.{}",
-            (t - SUB_TRACK_BASE) / SUB_TRACK_STRIDE,
-            (t - SUB_TRACK_BASE) % SUB_TRACK_STRIDE
-        ),
         t => format!("worker-{t}"),
     }
 }

@@ -14,6 +14,12 @@
 //! equivalent, 1 when differences were found, 2 on usage or parse errors —
 //! so it drops straight into a change-management pipeline.
 //!
+//! Every command writes its output through one locked stdout. A reader
+//! that goes away early (`campion compare a b | head -1`) is not an error:
+//! the command stops writing and still exits with its verdict (0 or 1).
+//! Any other stdout write error (a full disk, say) prints
+//! `error: stdout: …` on stderr and exits 2.
+//!
 //! Observability: `--stats` appends the aggregate BDD-engine counters to
 //! stdout (`--stats-json` the machine-readable twin, bench-JSON field
 //! names); `--metrics` prints the per-phase timing table (count / total /
@@ -24,6 +30,7 @@
 //! the report: the rendered comparison is byte-identical with or without
 //! them.
 
+use std::io::{self, StdoutLock, Write};
 use std::process::ExitCode;
 
 use campion::cfg::parse_config;
@@ -41,6 +48,20 @@ fn usage() -> ExitCode {
          \x20 campion baseline <config1> <config2>"
     );
     ExitCode::from(2)
+}
+
+/// Run `write` against one locked stdout, flush it, and exit with
+/// `verdict`. A closed pipe (`BrokenPipe`) keeps the verdict; any other
+/// write error is reported and exits 2.
+fn emit(verdict: ExitCode, write: impl FnOnce(&mut StdoutLock) -> io::Result<()>) -> ExitCode {
+    let mut out = io::stdout().lock();
+    match write(&mut out).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+            eprintln!("error: stdout: {e}");
+            ExitCode::from(2)
+        }
+        _ => verdict,
+    }
 }
 
 fn load_file(path: &str) -> Result<RouterIr, String> {
@@ -169,19 +190,28 @@ fn cmd_compare(args: &[String]) -> ExitCode {
         );
         log::shutdown();
     }
-    if json_format {
-        // The same serializer the fleet daemon's store and API use, so a
-        // cached fleet report and a fresh CLI run emit identical documents.
-        print!("{}", campion::core::report_json(&report));
+    let verdict = if report.is_equivalent() {
+        ExitCode::SUCCESS
     } else {
-        println!("{report}");
-    }
-    if show_stats {
-        println!("{}", report.render_stats());
-    }
-    if stats_json {
-        print!("{}", campion::core::stats_json(&report.bdd_stats));
-    }
+        ExitCode::FAILURE
+    };
+    let code = emit(verdict, |out| {
+        if json_format {
+            // The same serializer the fleet daemon's store and API use, so
+            // a cached fleet report and a fresh CLI run emit identical
+            // documents.
+            write!(out, "{}", campion::core::report_json(&report))?;
+        } else {
+            writeln!(out, "{report}")?;
+        }
+        if show_stats {
+            writeln!(out, "{}", report.render_stats())?;
+        }
+        if stats_json {
+            write!(out, "{}", campion::core::stats_json(&report.bdd_stats))?;
+        }
+        Ok(())
+    });
     if tracing {
         campion::trace::disable();
         let trace = campion::trace::drain();
@@ -195,20 +225,13 @@ fn cmd_compare(args: &[String]) -> ExitCode {
             eprint!("{}", trace.render_table());
         }
     }
-    if report.is_equivalent() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    code
 }
 
 fn cmd_translate(args: &[String]) -> ExitCode {
     let [path] = args else { return usage() };
     match load_file(path).and_then(|r| to_junos(&r).map_err(|e| e.to_string())) {
-        Ok(text) => {
-            print!("{text}");
-            ExitCode::SUCCESS
-        }
+        Ok(text) => emit(ExitCode::SUCCESS, |out| out.write_all(text.as_bytes())),
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::from(2)
@@ -225,33 +248,33 @@ fn cmd_baseline(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut found = false;
+    let mut found = Vec::new();
     // Compare same-named policies the way the §2 experiment does.
     for (name, pol1) in &r1.policies {
         if let Some(pol2) = r2.policies.get(name) {
             if let Some(cex) = campion::minesweeper::check_route_maps(pol1, pol2) {
-                println!("policy {name}:\n{cex}\n");
-                found = true;
+                found.push(format!("policy {name}:\n{cex}\n"));
             }
         }
     }
     if let Some(cex) = campion::minesweeper::check_static_routes(&r1, &r2) {
-        println!("static routes:\n{cex}\n");
-        found = true;
+        found.push(format!("static routes:\n{cex}\n"));
     }
     for (name, a1) in &r1.acls {
         if let Some(a2) = r2.acls.get(name) {
             if let Some(cex) = campion::minesweeper::check_acls(a1, a2) {
-                println!("ACL {name}:\n{cex}\n");
-                found = true;
+                found.push(format!("ACL {name}:\n{cex}\n"));
             }
         }
     }
-    if found {
-        ExitCode::FAILURE
+    if found.is_empty() {
+        emit(ExitCode::SUCCESS, |out| {
+            writeln!(out, "no differences found")
+        })
     } else {
-        println!("no differences found");
-        ExitCode::SUCCESS
+        emit(ExitCode::FAILURE, |out| {
+            found.iter().try_for_each(|cex| writeln!(out, "{cex}"))
+        })
     }
 }
 

@@ -1,7 +1,7 @@
 //! CLI integration tests: run the compiled `campion` binary against the
 //! checked-in testdata, covering exit codes and the translate pipeline.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn campion(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_campion"))
@@ -32,6 +32,47 @@ fn compare_equal_exits_zero() {
     ]);
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("No behavioral differences"));
+}
+
+/// `campion compare` on Figure 1 (exit 1: the configs differ) with its
+/// stdout sent to `stdout`; returns the exit code and stderr.
+fn compare_figure1_into(stdout: impl Into<Stdio>) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_campion"))
+        .args([
+            "compare",
+            "testdata/figure1_cisco.cfg",
+            "testdata/figure1_juniper.cfg",
+        ])
+        .stdout(stdout)
+        .output()
+        .expect("binary runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn compare_into_a_closed_pipe_exits_with_the_verdict() {
+    // The reader is gone before the child starts, so the first write
+    // fails with EPIPE every time: the verdict must survive, silently.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let (code, stderr) = compare_figure1_into(writer);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn compare_into_a_full_device_exits_two() {
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("open /dev/full");
+    let (code, stderr) = compare_figure1_into(full);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("error: stdout:"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

@@ -5,9 +5,11 @@
 //! enough distinct work items that the jobs=8 run genuinely interleaves.
 
 use campion::cfg::parse_config;
+use campion::core::semantic::{acl_diff_paths, release_paths, semantic_diff_jobs, DiffPruneStats};
 use campion::core::{compare_routers, CampionOptions, GcMode};
 use campion::gen::{scenario1, scenario2, scenario3};
 use campion::ir::{lower, RouterIr};
+use campion::symbolic::PacketSpace;
 
 fn load(text: &str) -> RouterIr {
     lower(&parse_config(text).expect("generated config parses")).expect("generated config lowers")
@@ -94,11 +96,13 @@ fn reports_identical_across_gc_modes_and_worker_counts() {
 #[test]
 fn single_pair_intra_parallelism_is_deterministic() {
     // One semantic work item only (the other component kind and the
-    // structural checks off): with items scarcer than workers the spare
-    // parallelism moves into the pair, fanning its per-difference
-    // localizations over snapshot clones. The multi-pair matrices above
-    // cannot reach that shape on few hardware threads, because their items
-    // outnumber their workers. Covered for an ACL pair and a route-map pair.
+    // structural checks off), so the pool has more workers than items and
+    // nothing to spread: the pair runs whole on one worker, presenting its
+    // differences in order in its own space. Several differences share
+    // that space and its ddNF, so each localization runs against the
+    // node sets and memo entries the ones before it left behind — which
+    // must not change any report, at any worker count or GC mode. Covered
+    // for an ACL pair and a route-map pair.
     let (c, j) = campion::gen::capirca_acl_pair(300, 10, 7);
     let acl = (load(&c), load(&j));
     let rmap = (
@@ -123,7 +127,7 @@ fn single_pair_intra_parallelism_is_deterministic() {
         let baseline = run(1, GcMode::Off);
         assert!(
             baseline.matches("Difference ").count() >= 2,
-            "{kind} pair must carry several differences to fan out:\n{baseline}"
+            "{kind} pair must carry several differences to share its ddNF:\n{baseline}"
         );
         for jobs in [1, 4] {
             for gc in [GcMode::Off, GcMode::Auto, GcMode::Aggressive] {
@@ -135,6 +139,54 @@ fn single_pair_intra_parallelism_is_deterministic() {
             }
         }
     }
+}
+
+#[test]
+fn pair_stats_count_presentation() {
+    // A pair's counters cover the whole pair: SemanticDiff, then the ddNF
+    // node sets and GetMatch work of presenting every difference in the
+    // same arena. Replay the pair's SemanticDiff alone on a fresh space,
+    // exactly as the driver runs it (same GC policy and safe point), and
+    // the report must show more nodes and more apply traffic than that.
+    let (c, j) = campion::gen::capirca_acl_pair(300, 10, 7);
+    let (r1, r2) = (load(&c), load(&j));
+    let opts = CampionOptions {
+        gc: GcMode::Off,
+        check_route_maps: false,
+        check_static_routes: false,
+        check_connected_routes: false,
+        check_bgp_properties: false,
+        check_ospf: false,
+        ..CampionOptions::default()
+    };
+    let report = compare_routers(&r1, &r2, &opts);
+    assert!(!report.acl_diffs.is_empty(), "the pair must differ");
+
+    let (name, a1) = r1.acls.iter().next().expect("one ACL");
+    let a2 = &r2.acls[name];
+    let mut space = PacketSpace::new();
+    space.manager.set_gc_policy(opts.effective_gc().policy());
+    let (paths1, paths2) = acl_diff_paths(&mut space, a1, a2, 1);
+    let mut prune = DiffPruneStats::default();
+    let diffs = semantic_diff_jobs(&mut space.manager, &paths1, &paths2, &mut prune, 1);
+    release_paths(&mut space.manager, &paths1);
+    release_paths(&mut space.manager, &paths2);
+    space.manager.gc_checkpoint();
+    assert_eq!(diffs.len(), report.acl_diffs.len());
+
+    let (pair, diff_only) = (&report.bdd_stats, space.manager.stats());
+    assert!(
+        pair.nodes > diff_only.nodes,
+        "nodes: pair {} vs SemanticDiff alone {}",
+        pair.nodes,
+        diff_only.nodes
+    );
+    assert!(
+        pair.apply_lookups > diff_only.apply_lookups,
+        "apply lookups: pair {} vs SemanticDiff alone {}",
+        pair.apply_lookups,
+        diff_only.apply_lookups
+    );
 }
 
 #[test]

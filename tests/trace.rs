@@ -122,7 +122,11 @@ fn tracing_keeps_tracks_and_utilization_sane() {
             w.wall_ns
         );
         assert!(w.utilization() <= 1.0);
-        assert!((1..trace::SUB_TRACK_BASE).contains(&w.track), "{}", w.track);
+        assert!(
+            (1..trace::ANON_TRACK_BASE).contains(&w.track),
+            "{}",
+            w.track
+        );
         if w.claimed > 0 {
             assert!(w.busy_ns > 0, "{}: claimed items but no busy time", w.label);
         }
