@@ -158,60 +158,3 @@ impl Iterator for CubeIter<'_> {
         None
     }
 }
-
-/// Lazy best-first iterator over satisfying cubes, ordered by *generality*:
-/// cubes constraining fewer variables come first (ties broken by cube value
-/// order, deterministically). Used by the Minesweeper baseline to emulate
-/// solver-style "most general model first" enumeration without
-/// materializing the full cube set.
-/// A best-first frontier entry: (fixed-count, partial path, node).
-type Frontier = std::collections::BinaryHeap<std::cmp::Reverse<(usize, Vec<Option<bool>>, Bdd)>>;
-
-/// Lazy best-first iterator over satisfying cubes (see the module note
-/// above): most general first, deterministic tie-breaking.
-pub struct GeneralCubeIter<'m> {
-    manager: &'m Manager,
-    /// Min-heap keyed by (fixed-count, path, node).
-    heap: Frontier,
-}
-
-impl<'m> GeneralCubeIter<'m> {
-    pub(crate) fn new(manager: &'m Manager, f: Bdd) -> Self {
-        let mut heap = std::collections::BinaryHeap::new();
-        if !f.is_const_false() {
-            heap.push(std::cmp::Reverse((
-                0,
-                vec![None; manager.num_vars() as usize],
-                f,
-            )));
-        }
-        GeneralCubeIter { manager, heap }
-    }
-}
-
-impl Iterator for GeneralCubeIter<'_> {
-    type Item = Cube;
-
-    fn next(&mut self) -> Option<Cube> {
-        while let Some(std::cmp::Reverse((fixed, path, node))) = self.heap.pop() {
-            if node.is_const_true() {
-                return Some(Cube::new(path));
-            }
-            if node.is_const_false() {
-                continue;
-            }
-            let (var, low, high) = self.manager.node(node);
-            if !low.is_const_false() {
-                let mut p = path.clone();
-                p[var as usize] = Some(false);
-                self.heap.push(std::cmp::Reverse((fixed + 1, p, low)));
-            }
-            if !high.is_const_false() {
-                let mut p = path;
-                p[var as usize] = Some(true);
-                self.heap.push(std::cmp::Reverse((fixed + 1, p, high)));
-            }
-        }
-        None
-    }
-}

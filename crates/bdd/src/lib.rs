@@ -39,7 +39,7 @@
 mod cube;
 mod manager;
 
-pub use cube::{Assignment, Cube, CubeIter, GeneralCubeIter};
+pub use cube::{Assignment, Cube, CubeIter};
 pub use manager::{Bdd, GcPolicy, Manager, ManagerStats};
 
 #[cfg(test)]

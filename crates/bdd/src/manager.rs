@@ -44,11 +44,6 @@
 //! Operations never collect on their own, so intermediate handles held
 //! across plain operation calls are always safe.
 //!
-//! On top of GC the computed caches are **adaptive**: after each sweep
-//! they are re-sized as a function of the live node count (instead of the
-//! former fixed 2^14/2^12/2^12), so a manager hosting millions of live
-//! nodes gets a working-set-sized cache while small managers stay lean.
-//!
 //! Every table keeps hit/probe counters, surfaced through
 //! [`Manager::stats`] so benchmarks (the `scalability` bin) can report
 //! cache behavior, GC activity and peak/post-GC node counts alongside
@@ -295,13 +290,12 @@ impl UniqueTable {
     }
 }
 
-/// A direct-mapped computed table (lossy overwrite on collision). The slot
-/// count is fixed between collections; the collector may resize it.
+/// A direct-mapped computed table (lossy overwrite on collision) with a
+/// slot count fixed for the manager's lifetime.
 #[derive(Clone)]
 struct DirectCache<K: Copy + PartialEq> {
     entries: Vec<Option<(K, Bdd)>>,
     mask: usize,
-    bits: u32,
     lookups: u64,
     hits: u64,
 }
@@ -312,7 +306,6 @@ impl<K: Copy + PartialEq> DirectCache<K> {
         DirectCache {
             entries: vec![None; capacity],
             mask: capacity - 1,
-            bits,
             lookups: 0,
             hits: 0,
         }
@@ -329,21 +322,6 @@ impl<K: Copy + PartialEq> DirectCache<K> {
                 }
             }
         }
-    }
-
-    /// Change the slot count, dropping every entry. Returns true when the
-    /// size actually changed; on false the cache is left untouched (the
-    /// caller scrubs it instead).
-    fn reshape(&mut self, bits: u32) -> bool {
-        if bits == self.bits {
-            return false;
-        }
-        let capacity = 1usize << bits;
-        self.entries.clear();
-        self.entries.resize(capacity, None);
-        self.mask = capacity - 1;
-        self.bits = bits;
-        true
     }
 
     #[inline]
@@ -364,29 +342,14 @@ impl<K: Copy + PartialEq> DirectCache<K> {
     }
 }
 
-/// Initial slot-count exponents for the computed tables. Sized so that a
-/// fresh manager costs well under a megabyte; the collector re-sizes them
-/// adaptively (see [`adaptive_cache_bits`]) once the live set is known.
+/// Slot-count exponents of the computed tables, fixed per manager. A fresh
+/// manager's caches cost well under a megabyte. Larger direct-mapped tables
+/// measured slower: they are touched on every operation, and past the
+/// last-level cache each lookup becomes a DRAM miss. Collections scrub the
+/// tables but never resize them.
 const APPLY_CACHE_BITS: u32 = 14;
 const NOT_CACHE_BITS: u32 = 12;
 const ITE_CACHE_BITS: u32 = 12;
-
-/// Adaptive slot-count exponents `(apply, not, ite)` for a given live node
-/// count, applied after each sweep: the apply cache tracks `live` rounded
-/// up to a power of two, clamped to `[2^12, 2^14]`; the not/ite caches stay
-/// two exponents smaller (their key spaces are far sparser), clamped to
-/// `[2^10, 2^12]`. The upper clamp matches the measured optimum on the
-/// reference container (see ROADMAP): these tables are direct-mapped and
-/// touched on every operation, so growing them past the last-level cache
-/// turns each lookup into a DRAM miss — measurably slower than the extra
-/// evictions it avoids. Adaptivity therefore *shrinks* the caches for
-/// small live sets rather than growing them for large ones.
-pub(crate) fn adaptive_cache_bits(live: usize) -> (u32, u32, u32) {
-    let lg = usize::BITS - live.max(2).saturating_sub(1).leading_zeros();
-    let apply = lg.clamp(12, 14);
-    let small = apply.saturating_sub(2).clamp(10, 12);
-    (apply, small, small)
-}
 
 /// When (if ever) [`Manager::gc_checkpoint`] actually collects.
 ///
@@ -445,8 +408,6 @@ pub struct ManagerStats {
     pub gc_runs: u64,
     /// Nodes freed across all collections.
     pub gc_nodes_freed: u64,
-    /// Times a computed cache changed size after a collection.
-    pub cache_resizes: u64,
     /// GC pauses: entries into the collector, including mark-only passes
     /// that skipped the sweep (a superset of `gc_runs`).
     pub gc_pauses: u64,
@@ -525,7 +486,6 @@ impl ManagerStats {
         self.post_gc_nodes += other.post_gc_nodes;
         self.gc_runs += other.gc_runs;
         self.gc_nodes_freed += other.gc_nodes_freed;
-        self.cache_resizes += other.cache_resizes;
         self.gc_pauses += other.gc_pauses;
         self.gc_pause_us += other.gc_pause_us;
         self.gc_pause_max_us = self.gc_pause_max_us.max(other.gc_pause_max_us);
@@ -587,7 +547,6 @@ pub struct Manager {
     peak_live: usize,
     gc_runs: u64,
     gc_nodes_freed: u64,
-    cache_resizes: u64,
     gc_pauses: u64,
     gc_pause_us: u64,
     gc_pause_max_us: u64,
@@ -641,7 +600,6 @@ impl Manager {
             peak_live: 2,
             gc_runs: 0,
             gc_nodes_freed: 0,
-            cache_resizes: 0,
             gc_pauses: 0,
             gc_pause_us: 0,
             gc_pause_max_us: 0,
@@ -668,7 +626,6 @@ impl Manager {
             post_gc_nodes: self.live_after_gc as u64,
             gc_runs: self.gc_runs,
             gc_nodes_freed: self.gc_nodes_freed,
-            cache_resizes: self.cache_resizes,
             gc_pauses: self.gc_pauses,
             gc_pause_us: self.gc_pause_us,
             gc_pause_max_us: self.gc_pause_max_us,
@@ -1165,12 +1122,6 @@ impl Manager {
         CubeIter::new(self, f)
     }
 
-    /// Iterate over satisfying cubes ordered most-general-first (fewest
-    /// constrained variables), lazily — no full cube materialization.
-    pub fn sat_cubes_general(&self, f: Bdd) -> crate::cube::GeneralCubeIter<'_> {
-        crate::cube::GeneralCubeIter::new(self, f)
-    }
-
     /// The set of variables on which `f` actually depends, ascending.
     pub fn support(&self, f: Bdd) -> Vec<u32> {
         let mut seen = std::collections::HashSet::new();
@@ -1378,32 +1329,19 @@ impl Manager {
             .max(1 << 6);
         self.unique.rehash(&self.nodes, target);
 
-        // Resize the computed caches to fit the live set. When the size is
-        // unchanged, scrub instead of dropping wholesale: an entry whose
-        // operands and result all survived is still exact (indices never
-        // move), and keeping it warm avoids recomputing shared subresults
-        // after every collection. Entries naming a freed slot must go —
-        // they would alias whatever `mk` later recycles into that slot.
+        // Scrub the computed caches instead of dropping them wholesale: an
+        // entry whose operands and result all survived is still exact
+        // (indices never move), and keeping it warm avoids recomputing
+        // shared subresults after every collection. Entries naming a freed
+        // slot must go — they would alias whatever `mk` later recycles into
+        // that slot.
         let alive =
             |b: Bdd| b.is_const() || marks[b.0 as usize / 64] & (1 << (b.0 as usize % 64)) != 0;
-        let (apply_bits, not_bits, ite_bits) = adaptive_cache_bits(live);
-        if self.apply_cache.reshape(apply_bits) {
-            self.cache_resizes += 1;
-        } else {
-            self.apply_cache
-                .retain(|&(_, f, g), r| alive(f) && alive(g) && alive(r));
-        }
-        if self.not_cache.reshape(not_bits) {
-            self.cache_resizes += 1;
-        } else {
-            self.not_cache.retain(|&f, r| alive(f) && alive(r));
-        }
-        if self.ite_cache.reshape(ite_bits) {
-            self.cache_resizes += 1;
-        } else {
-            self.ite_cache
-                .retain(|&(f, g, h), r| alive(f) && alive(g) && alive(h) && alive(r));
-        }
+        self.apply_cache
+            .retain(|&(_, f, g), r| alive(f) && alive(g) && alive(r));
+        self.not_cache.retain(|&f, r| alive(f) && alive(r));
+        self.ite_cache
+            .retain(|&(f, g, h), r| alive(f) && alive(g) && alive(h) && alive(r));
 
         self.gc_runs += 1;
         self.gc_nodes_freed += garbage as u64;

@@ -556,7 +556,7 @@ mod wide_properties {
 }
 
 mod gc {
-    use crate::manager::{adaptive_cache_bits, GcPolicy};
+    use crate::manager::GcPolicy;
     use crate::{Assignment, Manager};
 
     /// A small ACL-rule-shaped conjunction over a window of variables.
@@ -689,24 +689,6 @@ mod gc {
         assert_eq!(s.post_gc_nodes, s.nodes);
         assert_eq!(s.peak_nodes, peak_before);
         assert_eq!(s.nodes as usize, m.node_count());
-    }
-
-    #[test]
-    fn adaptive_bits_are_clamped_and_monotone() {
-        let (a_min, s_min, _) = adaptive_cache_bits(0);
-        assert_eq!((a_min, s_min), (12, 10));
-        let (a_mid, s_mid, i_mid) = adaptive_cache_bits(1 << 13);
-        assert_eq!((a_mid, s_mid, i_mid), (13, 11, 11));
-        // Large live sets saturate at the measured LLC-friendly optimum
-        // rather than growing without bound.
-        let (a_max, s_max, _) = adaptive_cache_bits(usize::MAX);
-        assert_eq!((a_max, s_max), (14, 12));
-        let mut prev = 0;
-        for lg in 0..30 {
-            let (a, _, _) = adaptive_cache_bits(1usize << lg);
-            assert!(a >= prev, "apply bits must be monotone in live count");
-            prev = a;
-        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The ConfigDiff driver (§3): MatchPolicies → Diff → Present.
 //!
-//! Matched component pairs are independent — each policy or ACL pair gets
-//! its own BDD manager and variable space — so the driver fans the diff
-//! work out over a small work-stealing pool (`std::thread::scope`, no
-//! external dependencies). Results are merged back in the original pair
-//! order, so the rendered report is byte-identical to a sequential run
-//! regardless of the worker count.
+//! Matched policy and ACL pairs are independent — each gets its own BDD
+//! manager and variable space — so the driver fans them out over a small
+//! work-stealing pool (`std::thread::scope`, no external dependencies).
+//! Results are merged back in the original pair order, so the rendered
+//! report is byte-identical to a sequential run regardless of the worker
+//! count. A compare with at most one such pair never leaves the calling
+//! thread. StructuralDiff (§3.3) is an exact walk over the IR, microseconds
+//! per family, and runs inline after the pool joins.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -69,8 +71,8 @@ pub struct CampionOptions {
     /// difference instead of a single example (the §3.2 extension; off by
     /// default to match the paper's output format).
     pub exhaustive_communities: bool,
-    /// Worker threads for the diff phase; `0` means one per available
-    /// hardware thread. The report is identical for every value.
+    /// Worker threads for the policy and ACL pairs; `0` means one per
+    /// available hardware thread. The report is identical for every value.
     pub jobs: usize,
     /// Garbage-collection mode for the per-pair BDD managers.
     pub gc: GcMode,
@@ -118,131 +120,96 @@ impl CampionOptions {
     }
 }
 
-/// One independent unit of diff work. Policy and ACL items each build a
-/// private BDD manager; structural items are pure IR walks.
+/// One policy or ACL pair: the pool's unit of work. Each builds a private
+/// BDD manager and variable space.
 enum WorkItem<'a> {
     Policy(&'a PolicyPair),
     Acl(&'a str),
-    StaticRoutes,
-    ConnectedRoutes,
-    BgpProperties,
-    Ospf,
 }
 
-/// The output of one work item, tagged so the merge step can append it to
-/// the right report section.
-enum WorkOutput {
-    RouteMaps(Vec<PolicyDiffReport>, ManagerStats),
-    Acls(Vec<PolicyDiffReport>, ManagerStats),
-    Structural(Vec<StructuralFinding>),
-}
+/// One StructuralDiff family (§3.3): an exact walk over both routers' IR.
+type StructuralFamily = fn(&RouterIr, &RouterIr) -> Vec<StructuralFinding>;
 
+/// Diff, localize and present one pair; returns its report rows and the
+/// pair's BDD-engine counters.
 fn run_item(
     r1: &RouterIr,
     r2: &RouterIr,
     item: &WorkItem<'_>,
     opts: &CampionOptions,
-) -> WorkOutput {
+) -> (Vec<PolicyDiffReport>, ManagerStats) {
     match item {
-        WorkItem::Policy(pair) => {
-            let (diffs, stats) = diff_policy_pair(r1, r2, pair, opts);
-            WorkOutput::RouteMaps(diffs, stats)
-        }
-        WorkItem::Acl(name) => {
-            let (diffs, stats) = diff_acl_pair(r1, r2, &r1.acls[*name], &r2.acls[*name], opts);
-            WorkOutput::Acls(diffs, stats)
-        }
-        WorkItem::StaticRoutes => {
-            campion_trace::span!("item.structural");
-            WorkOutput::Structural(structural::diff_static_routes(r1, r2))
-        }
-        WorkItem::ConnectedRoutes => {
-            campion_trace::span!("item.structural");
-            WorkOutput::Structural(structural::diff_connected_routes(r1, r2))
-        }
-        WorkItem::BgpProperties => {
-            campion_trace::span!("item.structural");
-            WorkOutput::Structural(structural::diff_bgp_properties(r1, r2))
-        }
-        WorkItem::Ospf => {
-            campion_trace::span!("item.structural");
-            WorkOutput::Structural(structural::diff_ospf(r1, r2))
-        }
+        WorkItem::Policy(pair) => diff_policy_pair(r1, r2, pair, opts),
+        WorkItem::Acl(name) => diff_acl_pair(r1, r2, &r1.acls[*name], &r2.acls[*name], opts),
     }
 }
 
-/// Attach the pair manager's counter deltas (exit snapshot minus entry
-/// snapshot) to a work-item span: BDD arena growth, cache traffic, GC
-/// effort, and the semantic-diff pruning counters.
-fn attach_stats_delta(
+/// Close a pair's accounting: the manager's counters plus the two it
+/// cannot see — the space's rule-BDD cache and the diff's pruning — with
+/// their deltas since `entry` attached to the pair's item span (BDD arena
+/// growth, cache traffic, GC effort, pruning).
+fn pair_stats(
     span: &mut campion_trace::SpanGuard,
-    before: &ManagerStats,
-    after: &ManagerStats,
-) {
-    if !span.is_active() {
-        return;
+    entry: &ManagerStats,
+    mut stats: ManagerStats,
+    (rule_cache_lookups, rule_cache_hits): (u64, u64),
+    prune: &DiffPruneStats,
+) -> ManagerStats {
+    stats.rule_cache_lookups = rule_cache_lookups;
+    stats.rule_cache_hits = rule_cache_hits;
+    stats.pairs_examined = prune.pairs_examined;
+    stats.pairs_pruned = prune.pairs_pruned;
+    stats.early_exits = prune.early_exits;
+    if span.is_active() {
+        for (name, after, before) in [
+            ("bdd_nodes", stats.nodes, entry.nodes),
+            ("peak_nodes", stats.peak_nodes, entry.peak_nodes),
+            ("unique_lookups", stats.unique_lookups, entry.unique_lookups),
+            ("apply_lookups", stats.apply_lookups, entry.apply_lookups),
+            ("apply_hits", stats.apply_hits, entry.apply_hits),
+            ("gc_runs", stats.gc_runs, entry.gc_runs),
+            ("gc_pauses", stats.gc_pauses, entry.gc_pauses),
+            ("gc_pause_us", stats.gc_pause_us, entry.gc_pause_us),
+            ("gc_nodes_freed", stats.gc_nodes_freed, entry.gc_nodes_freed),
+            (
+                "rule_cache_lookups",
+                rule_cache_lookups,
+                entry.rule_cache_lookups,
+            ),
+            ("rule_cache_hits", rule_cache_hits, entry.rule_cache_hits),
+            ("pairs_examined", prune.pairs_examined, entry.pairs_examined),
+            ("pairs_pruned", prune.pairs_pruned, entry.pairs_pruned),
+            ("early_exits", prune.early_exits, entry.early_exits),
+        ] {
+            span.counter(name, after as i64 - before as i64);
+        }
     }
-    let d = |a: u64, b: u64| a as i64 - b as i64;
-    span.counter("bdd_nodes", d(after.nodes, before.nodes));
-    span.counter("peak_nodes", d(after.peak_nodes, before.peak_nodes));
-    span.counter(
-        "unique_lookups",
-        d(after.unique_lookups, before.unique_lookups),
-    );
-    span.counter(
-        "apply_lookups",
-        d(after.apply_lookups, before.apply_lookups),
-    );
-    span.counter("apply_hits", d(after.apply_hits, before.apply_hits));
-    span.counter("gc_runs", d(after.gc_runs, before.gc_runs));
-    span.counter("gc_pauses", d(after.gc_pauses, before.gc_pauses));
-    span.counter("gc_pause_us", d(after.gc_pause_us, before.gc_pause_us));
-    span.counter(
-        "gc_nodes_freed",
-        d(after.gc_nodes_freed, before.gc_nodes_freed),
-    );
-    span.counter(
-        "rule_cache_lookups",
-        d(after.rule_cache_lookups, before.rule_cache_lookups),
-    );
-    span.counter(
-        "rule_cache_hits",
-        d(after.rule_cache_hits, before.rule_cache_hits),
-    );
-    span.counter(
-        "pairs_examined",
-        d(after.pairs_examined, before.pairs_examined),
-    );
-    span.counter("pairs_pruned", d(after.pairs_pruned, before.pairs_pruned));
-    span.counter("early_exits", d(after.early_exits, before.early_exits));
+    stats
 }
 
 /// Work-stealing fan-out shared by the pair pool, the fleet daemon's pair
-/// scheduler, and external batch drivers such as `campion-fuzz`:
-/// one scoped worker thread per element of `states` (each worker owns its
-/// state), claiming indices `0..n` from a shared cursor so a slow item
-/// never serializes the rest. Outputs come back in index order, making the
-/// callers' merges byte-identical to a sequential run regardless of the
-/// worker count. `on_start` runs on each worker thread before any work
-/// (trace-track assignment).
-pub fn steal_indexed<S, T>(
-    states: Vec<S>,
+/// scheduler, and external batch drivers such as `campion-fuzz`: `workers`
+/// scoped threads (always spawned, even for one worker) claim indices
+/// `0..n` from a shared cursor, so a slow item never serializes the rest.
+/// Outputs come back in index order, making the callers' merges
+/// byte-identical to a sequential run regardless of the worker count.
+/// `on_start` runs on each worker thread before any work (trace-track
+/// assignment).
+pub fn steal_indexed<T>(
+    workers: usize,
     n: usize,
     on_start: impl Fn(usize) + Sync,
-    f: impl Fn(&mut S, usize) -> T + Sync,
+    f: impl Fn(usize) -> T + Sync,
 ) -> Vec<T>
 where
-    S: Send,
     T: Send,
 {
     let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = Vec::new();
     slots.resize_with(n, || None);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = states
-            .into_iter()
-            .enumerate()
-            .map(|(w, mut state)| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
                 let cursor = &cursor;
                 let f = &f;
                 let on_start = &on_start;
@@ -264,10 +231,10 @@ where
                         if timed {
                             claimed += 1;
                             let t0 = std::time::Instant::now();
-                            done.push((i, f(&mut state, i)));
+                            done.push((i, f(i)));
                             busy_ns += t0.elapsed().as_nanos() as u64;
                         } else {
-                            done.push((i, f(&mut state, i)));
+                            done.push((i, f(i)));
                         }
                     }
                     if timed {
@@ -311,9 +278,7 @@ pub fn compare_routers(r1: &RouterIr, r2: &RouterIr, opts: &CampionOptions) -> C
     };
     report.unmatched = matched.unmatched.clone();
 
-    // Collect every enabled unit of work. The vector order is the report
-    // order: policy pairs, ACL pairs, then the structural families in their
-    // traditional sequence.
+    // The pool's items, in report order: policy pairs, then ACL pairs.
     let mut items: Vec<WorkItem<'_>> = Vec::new();
     if opts.check_route_maps {
         items.extend(matched.policy_pairs.iter().map(WorkItem::Policy));
@@ -321,45 +286,44 @@ pub fn compare_routers(r1: &RouterIr, r2: &RouterIr, opts: &CampionOptions) -> C
     if opts.check_acls {
         items.extend(matched.acl_pairs.iter().map(|n| WorkItem::Acl(n)));
     }
-    if opts.check_static_routes {
-        items.push(WorkItem::StaticRoutes);
-    }
-    if opts.check_connected_routes {
-        items.push(WorkItem::ConnectedRoutes);
-    }
-    if opts.check_bgp_properties {
-        items.push(WorkItem::BgpProperties);
-    }
-    if opts.check_ospf {
-        items.push(WorkItem::Ospf);
-    }
 
     let jobs = opts.effective_jobs().min(items.len()).max(1);
-    let outputs: Vec<WorkOutput> = if jobs <= 1 {
+    let outputs = if jobs <= 1 {
         items.iter().map(|it| run_item(r1, r2, it, opts)).collect()
     } else {
         steal_indexed(
-            vec![(); jobs],
+            jobs,
             items.len(),
             // Each worker gets its own trace track (lane in the Chrome
             // trace); track 0 is the coordinating thread.
             |w| campion_trace::set_track(w as u32 + 1),
-            |(), i| run_item(r1, r2, &items[i], opts),
+            |i| run_item(r1, r2, &items[i], opts),
         )
     };
 
     // Merge in item order: identical to the sequential driver's appends.
-    for out in outputs {
-        match out {
-            WorkOutput::RouteMaps(diffs, stats) => {
-                report.route_map_diffs.extend(diffs);
-                report.bdd_stats.merge(&stats);
-            }
-            WorkOutput::Acls(diffs, stats) => {
-                report.acl_diffs.extend(diffs);
-                report.bdd_stats.merge(&stats);
-            }
-            WorkOutput::Structural(findings) => report.structural.extend(findings),
+    for (item, (diffs, stats)) in items.iter().zip(outputs) {
+        match item {
+            WorkItem::Policy(_) => report.route_map_diffs.extend(diffs),
+            WorkItem::Acl(_) => report.acl_diffs.extend(diffs),
+        }
+        report.bdd_stats.merge(&stats);
+    }
+
+    // StructuralDiff, on this thread in its traditional family order.
+    let families: [(bool, StructuralFamily); 4] = [
+        (opts.check_static_routes, structural::diff_static_routes),
+        (
+            opts.check_connected_routes,
+            structural::diff_connected_routes,
+        ),
+        (opts.check_bgp_properties, structural::diff_bgp_properties),
+        (opts.check_ospf, structural::diff_ospf),
+    ];
+    for (enabled, diff) in families {
+        if enabled {
+            campion_trace::span!("item.structural");
+            report.structural.extend(diff(r1, r2));
         }
     }
     report
@@ -379,22 +343,6 @@ pub fn compare_config_texts(
         campion_ir::lower(&cfg).map_err(|e| e.to_string())
     };
     Ok(compare_routers(&load(text1)?, &load(text2)?, opts))
-}
-
-/// Compare two route policies by name (the Figure-1 workflow) and return
-/// the localized difference reports.
-pub fn compare_policies_by_name(r1: &RouterIr, r2: &RouterIr, name: &str) -> Vec<PolicyDiffReport> {
-    diff_policy_pair(
-        r1,
-        r2,
-        &PolicyPair {
-            context: format!("policy {name}"),
-            name1: Some(name.to_string()),
-            name2: Some(name.to_string()),
-        },
-        &CampionOptions::default(),
-    )
-    .0
 }
 
 /// Text localization for one side of a difference: quote the fired clauses'
@@ -466,14 +414,13 @@ fn diff_policy_pair(
             .map(|d| present_policy_diff(r1, r2, &mut space, &dag, &p1, &p2, pair, d, opts))
             .collect()
     };
-    let mut stats = space.manager.stats();
-    let (lookups, hits) = space.rule_cache_stats();
-    stats.rule_cache_lookups = lookups;
-    stats.rule_cache_hits = hits;
-    stats.pairs_examined = prune.pairs_examined;
-    stats.pairs_pruned = prune.pairs_pruned;
-    stats.early_exits = prune.early_exits;
-    attach_stats_delta(&mut item_span, &stats_at_entry, &stats);
+    let stats = pair_stats(
+        &mut item_span,
+        &stats_at_entry,
+        space.manager.stats(),
+        space.rule_cache_stats(),
+        &prune,
+    );
     (out, stats)
 }
 
@@ -700,14 +647,13 @@ fn diff_acl_pair(
             .map(|d| present_acl_diff(r1, r2, &mut space, &dst_dag, &src_dag, a1, a2, d))
             .collect()
     };
-    let mut stats = space.manager.stats();
-    let (lookups, hits) = space.rule_cache_stats();
-    stats.rule_cache_lookups = lookups;
-    stats.rule_cache_hits = hits;
-    stats.pairs_examined = prune.pairs_examined;
-    stats.pairs_pruned = prune.pairs_pruned;
-    stats.early_exits = prune.early_exits;
-    attach_stats_delta(&mut item_span, &stats_at_entry, &stats);
+    let stats = pair_stats(
+        &mut item_span,
+        &stats_at_entry,
+        space.manager.stats(),
+        space.rule_cache_stats(),
+        &prune,
+    );
     (out, stats)
 }
 

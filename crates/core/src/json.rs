@@ -130,7 +130,6 @@ pub fn stats_json(s: &ManagerStats) -> String {
     let _ = write!(o, "\"gc_pauses\": {}, ", s.gc_pauses);
     let _ = write!(o, "\"gc_pause_us\": {}, ", s.gc_pause_us);
     let _ = write!(o, "\"gc_pause_max_us\": {},\n  ", s.gc_pause_max_us);
-    let _ = write!(o, "\"cache_resizes\": {}, ", s.cache_resizes);
     let _ = write!(o, "\"unique_grows\": {},\n  ", s.unique_grows);
     let _ = write!(o, "\"unique_lookups\": {}, ", s.unique_lookups);
     let _ = write!(o, "\"unique_hit_rate\": {:.4},\n  ", s.unique_hit_rate());

@@ -48,10 +48,7 @@ pub mod semantic;
 pub mod structural;
 
 pub use commloc::{community_localize, CommunityCondition, CommunityLocalization};
-pub use driver::{
-    compare_config_texts, compare_policies_by_name, compare_routers, steal_indexed, CampionOptions,
-    GcMode,
-};
+pub use driver::{compare_config_texts, compare_routers, steal_indexed, CampionOptions, GcMode};
 pub use headerloc::{
     header_localize, header_localize_with, reencode, DstAddrSpace, HeaderLocalization, RangeDag,
     RangeEncoder, RangeTerm, SrcAddrSpace,
@@ -61,8 +58,7 @@ pub use matching::{match_policies, MatchedComponents, PolicyPair};
 pub use portloc::{dst_port_localize, src_port_localize};
 pub use report::{CampionReport, FindingSide, PolicyDiffReport, StructuralFinding};
 pub use semantic::{
-    acl_paths, acls_equivalent, policies_equivalent, policy_paths, semantic_diff, PolicyPath,
-    SemanticDifference,
+    acl_paths, policies_equivalent, policy_paths, semantic_diff, PolicyPath, SemanticDifference,
 };
 
 #[cfg(test)]

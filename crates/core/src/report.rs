@@ -131,7 +131,6 @@ impl CampionReport {
             format!("{} \u{b5}s across {} pause(s)", s.gc_pause_us, s.gc_pauses),
         );
         row("GC max pause", format!("{} \u{b5}s", s.gc_pause_max_us));
-        row("cache resizes", s.cache_resizes.to_string());
         row("unique-table grows", s.unique_grows.to_string());
         row(
             "unique hit rate",

@@ -913,12 +913,3 @@ pub fn policies_equivalent(p1: &RoutePolicy, p2: &RoutePolicy) -> bool {
     let paths2 = policy_paths(&mut space, p2, u);
     semantic_diff(&mut space.manager, &paths1, &paths2).is_empty()
 }
-
-/// Convenience: are two ACLs behaviorally equivalent?
-pub fn acls_equivalent(a1: &AclIr, a2: &AclIr) -> bool {
-    let mut space = PacketSpace::new();
-    let u = space.universe();
-    let paths1 = acl_paths(&mut space, a1, u);
-    let paths2 = acl_paths(&mut space, a2, u);
-    semantic_diff(&mut space.manager, &paths1, &paths2).is_empty()
-}

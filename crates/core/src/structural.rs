@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use campion_cfg::Span;
-use campion_ir::{NextHopIr, RouterIr, StaticRouteIr};
+use campion_ir::{RouterIr, StaticRouteIr};
 use campion_net::Prefix;
 
 use crate::report::{FindingSide, StructuralFinding};
@@ -394,19 +394,4 @@ fn describe_ospf(o: &campion_ir::OspfIfaceIr) -> String {
         s.push_str(&format!(", subnet {net}"));
     }
     s
-}
-
-/// Helper used by tests: does a static-route set contain a route to
-/// `prefix` via `next_hop`?
-pub fn has_static(r: &RouterIr, prefix: &str, next_hop: &str) -> bool {
-    let p: Prefix = prefix.parse().expect("valid prefix");
-    r.static_routes.iter().any(|s| {
-        s.prefix == p
-            && match (&s.next_hop, next_hop.parse::<std::net::Ipv4Addr>()) {
-                (NextHopIr::Ip(ip), Ok(want)) => *ip == want,
-                (NextHopIr::Discard, _) => next_hop == "discard",
-                (NextHopIr::Interface(i), _) => i == next_hop,
-                _ => false,
-            }
-    })
 }

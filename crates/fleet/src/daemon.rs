@@ -347,10 +347,10 @@ impl Daemon {
         };
         let workers = self.opts.effective_jobs().min(compute.len()).max(1);
         let results = campion_core::steal_indexed(
-            vec![(); workers],
+            workers,
             compute.len(),
             |_| {},
-            |_, k| {
+            |k| {
                 let _span = campion_trace::span("fleet.compare");
                 let p = &pairs[compute[k]];
                 let t = Instant::now();

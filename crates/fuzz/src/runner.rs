@@ -118,10 +118,10 @@ pub fn run(opts: &FuzzOptions) -> RunSummary {
             .collect()
     } else {
         campion_core::steal_indexed(
-            vec![(); jobs],
+            jobs,
             n,
             |w| campion_trace::set_track(w as u32 + 1),
-            |(), i| {
+            |i| {
                 let case = build_case(opts.seed, i as u64, opts);
                 let outcome = run_case(&case);
                 PerCase { case, outcome }

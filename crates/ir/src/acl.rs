@@ -29,20 +29,6 @@ pub struct AclRuleIr {
 }
 
 impl AclRuleIr {
-    /// A rule matching every packet.
-    pub fn match_all(label: impl Into<String>, permit: bool, span: Span) -> Self {
-        AclRuleIr {
-            label: label.into(),
-            permit,
-            protocols: Vec::new(),
-            src: Vec::new(),
-            dst: Vec::new(),
-            src_ports: Vec::new(),
-            dst_ports: Vec::new(),
-            span,
-        }
-    }
-
     /// Does the rule match a concrete flow?
     pub fn matches(&self, flow: &Flow) -> bool {
         let proto_ok =

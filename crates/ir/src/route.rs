@@ -97,12 +97,6 @@ impl RouteAdvert {
         self
     }
 
-    /// Builder: set the tag.
-    pub fn with_tag(mut self, tag: u32) -> Self {
-        self.tag = tag;
-        self
-    }
-
     /// Does the advertisement carry community `c`?
     pub fn has_community(&self, c: Community) -> bool {
         self.communities.contains(&c)

@@ -234,23 +234,6 @@ impl PacketSpace {
         acc = self.manager.and(acc, b);
         acc
     }
-
-    /// The set of packets with a given port range, for tests.
-    pub fn dst_port_bdd(&mut self, r: &PortRange) -> Bdd {
-        let v: Vec<u32> = DPORT_VARS.collect();
-        bits::range_const(&mut self.manager, &v, u64::from(r.lo), u64::from(r.hi))
-    }
-
-    /// The set of packets with a given protocol, for tests.
-    pub fn protocol_bdd(&mut self, p: IpProtocol) -> Bdd {
-        match p.number() {
-            Some(n) => {
-                let v: Vec<u32> = PROTO_VARS.collect();
-                bits::eq_const(&mut self.manager, &v, u64::from(n))
-            }
-            None => Bdd::TRUE,
-        }
-    }
 }
 
 /// A decoded packet example for reports.

@@ -256,11 +256,10 @@ impl RouteSpace {
         self.manager.and(u, canon)
     }
 
-    /// The universe without the canonical-prefix constraint — the raw
-    /// encoding actual Minesweeper-style checkers operate on (host bits
-    /// beyond the length are unconstrained). Used by the baseline, whose
-    /// concretization masks them anyway.
-    pub fn universe_raw(&mut self) -> Bdd {
+    /// [`RouteSpace::universe`] without the canonical-prefix constraint:
+    /// the length bound, the protocol range, the one-hot tag/metric
+    /// fields and the regex-atom refinement.
+    fn universe_raw(&mut self) -> Bdd {
         let len_vars: Vec<u32> = LEN_VARS.collect();
         let mut u = bits::le_const(&mut self.manager, &len_vars, 32);
         let proto_vars: Vec<u32> = PROTO_VARS.collect();

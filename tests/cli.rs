@@ -275,7 +275,6 @@ fn stats_flag_renders_gc_counters() {
         "post-GC live nodes",
         "GC collections",
         "GC nodes freed",
-        "cache resizes",
         "apply hit rate",
     ] {
         assert!(stdout.contains(label), "missing `{label}` in:\n{stdout}");

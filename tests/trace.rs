@@ -190,6 +190,23 @@ fn chrome_export_is_valid_with_one_track_per_worker() {
         assert!(json.contains(name), "trace missing phase {name}");
     }
     assert!(!report.acl_diffs.is_empty());
+
+    // One ACL pair is the pool's only item, and StructuralDiff runs
+    // inline: whatever `jobs` asks for, the compare never leaves main's
+    // track and no pool worker starts.
+    let (r1, r2) = multi_acl_pair(1, 60, 0xD1CE);
+    trace::enable();
+    let report = compare_routers(&r1, &r2, &opts(4, GcMode::Aggressive));
+    trace::disable();
+    let t = trace::drain();
+    let json = t.chrome_json();
+    let check = validate_chrome_trace(&json).expect("chrome trace validates");
+    assert_eq!(check.tracks, 1, "one pair runs on main's track:\n{check}");
+    assert!(!json.contains("pool.worker"), "one pair started a pool");
+    for name in ["item.acl_pair", "item.structural"] {
+        assert!(json.contains(name), "trace missing phase {name}");
+    }
+    assert!(!report.acl_diffs.is_empty());
 }
 
 #[test]
