@@ -36,6 +36,7 @@
 
 #![warn(missing_docs)]
 
+pub mod bits;
 mod cube;
 mod manager;
 

@@ -10,12 +10,15 @@
 //!   multiply-xor hash. Power-of-two capacity, amortized doubling at 3/4
 //!   load. Compared with a SipHash `HashMap<Node, Bdd>`, a lookup is one
 //!   multiply-mix plus a short probe over a flat `u32` array.
-//! * **Computed tables** — the apply, negation, and if-then-else caches are
-//!   direct-mapped arrays with lossy overwrite (CUDD's "computed table").
-//!   A colliding insert simply replaces the previous entry; correctness is
-//!   unaffected because results are only reused on an exact key match and
-//!   every sweep scrubs out cache entries that reference a freed slot, so
-//!   entries can never dangle onto a recycled arena slot.
+//! * **Computed table** — one direct-mapped array with lossy overwrite
+//!   (CUDD's "computed table") memoizes `apply`, the only recursive
+//!   operator: `and`, `or`, `xor`, `diff` and `not` (as `TRUE ∖ f`) all go
+//!   through it. A colliding insert simply replaces the previous entry;
+//!   correctness is unaffected because results are only reused on an exact
+//!   key match and every sweep scrubs out entries that reference a freed
+//!   slot, so entries can never dangle onto a recycled arena slot. The
+//!   constant encoders of [`crate::bits`] need no memo: they build their
+//!   node chains bottom-up with `mk`.
 //!
 //! ## Garbage collection (reachable-mark, CUDD-style safe points)
 //!
@@ -29,7 +32,7 @@
 //! * **Sweep** — unmarked slots are poisoned and pushed on a free list
 //!   (recycled by `mk`, so *live node indices never move* and outstanding
 //!   rooted handles stay valid), the open-addressing unique table is
-//!   rebuilt in place over the survivors, and the computed caches are
+//!   rebuilt in place over the survivors, and the computed table is
 //!   scrubbed: entries naming only surviving nodes stay warm (indices
 //!   are stable), entries naming a freed slot are dropped (they could
 //!   otherwise alias a recycled slot).
@@ -37,7 +40,8 @@
 //!   [`Manager::gc_checkpoint`] consults the configured [`GcPolicy`]:
 //!   automatic mode collects at safe points once the in-use arena has
 //!   outgrown the live set of the previous collection, and skips the
-//!   sweep (keeping the caches warm) when marking finds little garbage.
+//!   sweep (keeping the computed table warm) when marking finds little
+//!   garbage.
 //!
 //! Checkpoints are **safe points**: callers may only invoke
 //! `gc_checkpoint` when every BDD they need afterwards is protected.
@@ -216,8 +220,9 @@ struct UniqueTable {
 }
 
 impl UniqueTable {
-    fn with_capacity_pow2(capacity: usize) -> Self {
-        let capacity = capacity.next_power_of_two().max(64);
+    /// An empty table of 64 slots, the floor the sweep's rebuild keeps too.
+    fn new() -> Self {
+        let capacity = 64;
         UniqueTable {
             slots: vec![EMPTY; capacity],
             mask: capacity - 1,
@@ -290,17 +295,20 @@ impl UniqueTable {
     }
 }
 
-/// A direct-mapped computed table (lossy overwrite on collision) with a
+/// Key of a memoized `apply`: the operation and its (normalized) operands.
+type ApplyKey = (u8, Bdd, Bdd);
+
+/// The direct-mapped computed table (lossy overwrite on collision) with a
 /// slot count fixed for the manager's lifetime.
 #[derive(Clone)]
-struct DirectCache<K: Copy + PartialEq> {
-    entries: Vec<Option<(K, Bdd)>>,
+struct DirectCache {
+    entries: Vec<Option<(ApplyKey, Bdd)>>,
     mask: usize,
     lookups: u64,
     hits: u64,
 }
 
-impl<K: Copy + PartialEq> DirectCache<K> {
+impl DirectCache {
     fn new(bits: u32) -> Self {
         let capacity = 1usize << bits;
         DirectCache {
@@ -314,7 +322,7 @@ impl<K: Copy + PartialEq> DirectCache<K> {
     /// Drop every entry for which `keep` returns false. The sweep uses
     /// this to scrub out entries naming freed slots while leaving results
     /// over surviving nodes warm (live indices never move).
-    fn retain(&mut self, keep: impl Fn(&K, Bdd) -> bool) {
+    fn retain(&mut self, keep: impl Fn(&ApplyKey, Bdd) -> bool) {
         for e in &mut self.entries {
             if let Some((k, v)) = e {
                 if !keep(k, *v) {
@@ -325,7 +333,7 @@ impl<K: Copy + PartialEq> DirectCache<K> {
     }
 
     #[inline]
-    fn get(&mut self, hash: u64, key: K) -> Option<Bdd> {
+    fn get(&mut self, hash: u64, key: ApplyKey) -> Option<Bdd> {
         self.lookups += 1;
         match self.entries[slot_of(hash, self.mask)] {
             Some((k, v)) if k == key => {
@@ -337,19 +345,17 @@ impl<K: Copy + PartialEq> DirectCache<K> {
     }
 
     #[inline]
-    fn put(&mut self, hash: u64, key: K, value: Bdd) {
+    fn put(&mut self, hash: u64, key: ApplyKey, value: Bdd) {
         self.entries[slot_of(hash, self.mask)] = Some((key, value));
     }
 }
 
-/// Slot-count exponents of the computed tables, fixed per manager. A fresh
-/// manager's caches cost well under a megabyte. Larger direct-mapped tables
+/// Slot-count exponent of the computed table, fixed per manager. A fresh
+/// manager's table costs well under a megabyte. Larger direct-mapped tables
 /// measured slower: they are touched on every operation, and past the
 /// last-level cache each lookup becomes a DRAM miss. Collections scrub the
-/// tables but never resize them.
+/// table but never resize it.
 const APPLY_CACHE_BITS: u32 = 14;
-const NOT_CACHE_BITS: u32 = 12;
-const ITE_CACHE_BITS: u32 = 12;
 
 /// When (if ever) [`Manager::gc_checkpoint`] actually collects.
 ///
@@ -424,18 +430,10 @@ pub struct ManagerStats {
     pub unique_collisions: u64,
     /// Times the unique table doubled.
     pub unique_grows: u64,
-    /// Apply-cache lookups.
+    /// Apply-cache (computed-table) lookups, negations included.
     pub apply_lookups: u64,
     /// Apply-cache hits.
     pub apply_hits: u64,
-    /// Negation-cache lookups.
-    pub not_lookups: u64,
-    /// Negation-cache hits.
-    pub not_hits: u64,
-    /// If-then-else-cache lookups.
-    pub ite_lookups: u64,
-    /// If-then-else-cache hits.
-    pub ite_hits: u64,
     /// Canonical rule-BDD cache lookups (the symbolic layer's per-space
     /// memo for ACL rule conditions / prefix-matcher folds; filled in by
     /// the driver, zero when read straight off a [`Manager`]).
@@ -495,10 +493,6 @@ impl ManagerStats {
         self.unique_grows += other.unique_grows;
         self.apply_lookups += other.apply_lookups;
         self.apply_hits += other.apply_hits;
-        self.not_lookups += other.not_lookups;
-        self.not_hits += other.not_hits;
-        self.ite_lookups += other.ite_lookups;
-        self.ite_hits += other.ite_hits;
         self.rule_cache_lookups += other.rule_cache_lookups;
         self.rule_cache_hits += other.rule_cache_hits;
         self.pairs_examined += other.pairs_examined;
@@ -524,16 +518,15 @@ fn rate(hits: u64, lookups: u64) -> f64 {
 ///
 /// `Clone` snapshots the whole arena. Node indices are preserved, so every
 /// [`Bdd`] handle (and protect refcount) valid in the original is valid in
-/// the clone and denotes the same function — clones can fan read-mostly
-/// work out across threads and be dropped wholesale afterwards.
+/// the clone and denotes the same function. A clone can run throwaway
+/// queries (the benchmark's traced replay localizes on one) and be dropped
+/// wholesale afterwards.
 #[derive(Clone)]
 pub struct Manager {
     num_vars: u32,
     nodes: Vec<Node>,
     unique: UniqueTable,
-    apply_cache: DirectCache<(u8, Bdd, Bdd)>,
-    not_cache: DirectCache<Bdd>,
-    ite_cache: DirectCache<(Bdd, Bdd, Bdd)>,
+    apply_cache: DirectCache,
     /// Freed arena slots awaiting reuse, ascending (pop recycles the
     /// highest index first — deterministic for a fixed operation/GC
     /// sequence).
@@ -564,12 +557,6 @@ impl std::fmt::Debug for Manager {
 impl Manager {
     /// Create a manager over `num_vars` boolean variables, ordered `0..num_vars`.
     pub fn new(num_vars: u32) -> Self {
-        Manager::with_capacity(num_vars, 0)
-    }
-
-    /// Like [`Manager::new`], pre-sizing the unique table for roughly
-    /// `expected_nodes` nodes so large workloads skip the doubling ladder.
-    pub fn with_capacity(num_vars: u32, expected_nodes: usize) -> Self {
         // Index 0 and 1 are reserved for the terminals. Their stored `var` is
         // `num_vars` (one past the last real level) so that terminal `var`
         // compares greater than every decision level.
@@ -588,11 +575,8 @@ impl Manager {
                     high: Bdd::TRUE,
                 },
             ],
-            // Aim for ≤ 3/4 load once `expected_nodes` nodes exist.
-            unique: UniqueTable::with_capacity_pow2(expected_nodes.saturating_mul(4) / 3),
+            unique: UniqueTable::new(),
             apply_cache: DirectCache::new(APPLY_CACHE_BITS),
-            not_cache: DirectCache::new(NOT_CACHE_BITS),
-            ite_cache: DirectCache::new(ITE_CACHE_BITS),
             free: Vec::new(),
             roots: HashMap::new(),
             gc_policy: GcPolicy::Disabled,
@@ -635,10 +619,6 @@ impl Manager {
             unique_grows: self.unique.grows,
             apply_lookups: self.apply_cache.lookups,
             apply_hits: self.apply_cache.hits,
-            not_lookups: self.not_cache.lookups,
-            not_hits: self.not_cache.hits,
-            ite_lookups: self.ite_cache.lookups,
-            ite_hits: self.ite_cache.hits,
             // Filled in by the driver layer; the manager itself has no view
             // of the symbolic rule caches or the diff pruning counters.
             rule_cache_lookups: 0,
@@ -647,16 +627,6 @@ impl Manager {
             pairs_pruned: 0,
             early_exits: 0,
         }
-    }
-
-    /// The constant-false function.
-    pub fn false_(&self) -> Bdd {
-        Bdd::FALSE
-    }
-
-    /// The constant-true function.
-    pub fn true_(&self) -> Bdd {
-        Bdd::TRUE
     }
 
     /// Is `f` the constant true?
@@ -682,8 +652,9 @@ impl Manager {
     }
 
     /// Get-or-create the node `(var, low, high)`, applying the ROBDD
-    /// reduction rule (`low == high` collapses to the child).
-    fn mk(&mut self, var: u32, low: Bdd, high: Bdd) -> Bdd {
+    /// reduction rule (`low == high` collapses to the child). `var` must sit
+    /// above both children's variables.
+    pub(crate) fn mk(&mut self, var: u32, low: Bdd, high: Bdd) -> Bdd {
         debug_assert!(var < self.num_vars, "variable {var} out of range");
         debug_assert!(var < self.var_of(low) && var < self.var_of(high));
         if low == high {
@@ -738,26 +709,9 @@ impl Manager {
         }
     }
 
-    /// Boolean negation.
+    /// Boolean negation, computed as `true ∖ f`.
     pub fn not(&mut self, f: Bdd) -> Bdd {
-        if f.is_const_false() {
-            return Bdd::TRUE;
-        }
-        if f.is_const_true() {
-            return Bdd::FALSE;
-        }
-        let hash = fx_mix(0, u64::from(f.0));
-        if let Some(r) = self.not_cache.get(hash, f) {
-            return r;
-        }
-        let (var, low, high) = (self.var_of(f), self.low_of(f), self.high_of(f));
-        let nl = self.not(low);
-        let nh = self.not(high);
-        let r = self.mk(var, nl, nh);
-        self.not_cache.put(hash, f, r);
-        let rhash = fx_mix(0, u64::from(r.0));
-        self.not_cache.put(rhash, r, f);
-        r
+        self.apply(Op::Diff, Bdd::TRUE, f)
     }
 
     fn apply(&mut self, op: Op, f: Bdd, g: Bdd) -> Bdd {
@@ -823,45 +777,27 @@ impl Manager {
         self.not(d)
     }
 
-    /// Biconditional `f ↔ g`.
-    pub fn iff(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        let x = self.xor(f, g);
-        self.not(x)
-    }
-
-    /// Conjunction over many operands (true for the empty list).
+    /// Disjunction over many operands (false for the empty list).
     ///
     /// Reduces pairwise as a balanced tree rather than a linear fold:
     /// combining operands of similar size keeps intermediate BDDs small,
-    /// the classic multi-operand strategy in mature packages.
-    pub fn and_all(&mut self, fs: &[Bdd]) -> Bdd {
-        self.balanced_reduce(fs, Op::And, Bdd::TRUE, Bdd::FALSE)
-    }
-
-    /// Disjunction over many operands (false for the empty list).
-    ///
-    /// Balanced-tree reduction; see [`Manager::and_all`].
+    /// the classic multi-operand strategy in mature packages. Exits early
+    /// once a partial disjunction is `true`.
     pub fn or_all(&mut self, fs: &[Bdd]) -> Bdd {
-        self.balanced_reduce(fs, Op::Or, Bdd::FALSE, Bdd::TRUE)
-    }
-
-    /// Pairwise balanced reduction with early exit on the absorbing
-    /// element (`false` for AND, `true` for OR).
-    fn balanced_reduce(&mut self, fs: &[Bdd], op: Op, identity: Bdd, absorbing: Bdd) -> Bdd {
         if fs.is_empty() {
-            return identity;
+            return Bdd::FALSE;
         }
         let mut layer: Vec<Bdd> = fs.to_vec();
         while layer.len() > 1 {
             let mut next = Vec::with_capacity(layer.len().div_ceil(2));
             for chunk in layer.chunks(2) {
                 let r = if chunk.len() == 2 {
-                    self.apply(op, chunk[0], chunk[1])
+                    self.or(chunk[0], chunk[1])
                 } else {
                     chunk[0]
                 };
-                if r == absorbing {
-                    return absorbing;
+                if r.is_const_true() {
+                    return Bdd::TRUE;
                 }
                 next.push(r);
             }
@@ -870,62 +806,10 @@ impl Manager {
         layer[0]
     }
 
-    /// If-then-else: `(c ∧ t) ∨ (¬c ∧ e)`. This is how the symbolic layer
-    /// folds a route map's clause chain into per-path predicates.
-    pub fn ite(&mut self, c: Bdd, t: Bdd, e: Bdd) -> Bdd {
-        if c.is_const_true() {
-            return t;
-        }
-        if c.is_const_false() {
-            return e;
-        }
-        if t == e {
-            return t;
-        }
-        if t.is_const_true() && e.is_const_false() {
-            return c;
-        }
-        let key = (c, t, e);
-        let hash = fx_mix(
-            fx_mix(fx_mix(0, u64::from(c.0)), u64::from(t.0)),
-            u64::from(e.0),
-        );
-        if let Some(r) = self.ite_cache.get(hash, key) {
-            return r;
-        }
-        let var = self.var_of(c).min(self.var_of(t)).min(self.var_of(e));
-        let cof = |m: &Manager, f: Bdd, hi: bool| -> Bdd {
-            if m.var_of(f) == var {
-                if hi {
-                    m.high_of(f)
-                } else {
-                    m.low_of(f)
-                }
-            } else {
-                f
-            }
-        };
-        let (cl, tl, el) = (
-            cof(self, c, false),
-            cof(self, t, false),
-            cof(self, e, false),
-        );
-        let (ch, th, eh) = (cof(self, c, true), cof(self, t, true), cof(self, e, true));
-        let low = self.ite(cl, tl, el);
-        let high = self.ite(ch, th, eh);
-        let r = self.mk(var, low, high);
-        self.ite_cache.put(hash, key, r);
-        r
-    }
-
-    /// Are `f` and `g` the same function? (Constant time: hash-consing makes
-    /// handle equality canonical.)
-    pub fn equivalent(&self, f: Bdd, g: Bdd) -> bool {
-        f == g
-    }
-
-    /// Cofactor of `f` with variable `var` fixed to `value`.
-    pub fn restrict(&mut self, f: Bdd, var: u32, value: bool) -> Bdd {
+    /// Cofactor of `f` with variable `var` fixed to `value`: the oracle the
+    /// tests check [`Manager::exists`] against.
+    #[cfg(test)]
+    pub(crate) fn restrict(&mut self, f: Bdd, var: u32, value: bool) -> Bdd {
         if f.is_const() {
             return f;
         }
@@ -941,8 +825,7 @@ impl Manager {
                 self.low_of(f)
             };
         }
-        // v < var: rebuild. Memoization via the ite cache keyed on a literal
-        // would be possible; restriction is rare in Campion so keep it simple.
+        // v < var: rebuild, unmemoized (test inputs are small).
         let (low, high) = (self.low_of(f), self.high_of(f));
         let l = self.restrict(low, var, value);
         let h = self.restrict(high, var, value);
@@ -994,13 +877,6 @@ impl Manager {
         };
         memo.insert(f, r);
         r
-    }
-
-    /// Universal quantification `∀ vars . f`.
-    pub fn forall(&mut self, f: Bdd, vars: &[u32]) -> Bdd {
-        let nf = self.not(f);
-        let e = self.exists(nf, vars);
-        self.not(e)
     }
 
     /// Number of satisfying assignments over the full variable set.
@@ -1137,23 +1013,6 @@ impl Manager {
             stack.push(node.high);
         }
         vars.into_iter().collect()
-    }
-
-    /// Number of nodes reachable from `f` (a size measure for reports).
-    pub fn size(&self, f: Bdd) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![f];
-        let mut count = 0;
-        while let Some(n) = stack.pop() {
-            if n.is_const() || !seen.insert(n) {
-                continue;
-            }
-            count += 1;
-            let node = self.nodes[n.0 as usize];
-            stack.push(node.low);
-            stack.push(node.high);
-        }
-        count
     }
 
     pub(crate) fn node(&self, f: Bdd) -> (u32, Bdd, Bdd) {
@@ -1329,7 +1188,7 @@ impl Manager {
             .max(1 << 6);
         self.unique.rehash(&self.nodes, target);
 
-        // Scrub the computed caches instead of dropping them wholesale: an
+        // Scrub the computed table instead of dropping it wholesale: an
         // entry whose operands and result all survived is still exact
         // (indices never move), and keeping it warm avoids recomputing
         // shared subresults after every collection. Entries naming a freed
@@ -1339,9 +1198,6 @@ impl Manager {
             |b: Bdd| b.is_const() || marks[b.0 as usize / 64] & (1 << (b.0 as usize % 64)) != 0;
         self.apply_cache
             .retain(|&(_, f, g), r| alive(f) && alive(g) && alive(r));
-        self.not_cache.retain(|&f, r| alive(f) && alive(r));
-        self.ite_cache
-            .retain(|&(f, g, h), r| alive(f) && alive(g) && alive(h) && alive(r));
 
         self.gc_runs += 1;
         self.gc_nodes_freed += garbage as u64;

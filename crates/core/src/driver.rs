@@ -329,10 +329,12 @@ pub fn compare_routers(r1: &RouterIr, r2: &RouterIr, opts: &CampionOptions) -> C
     report
 }
 
-/// Reusable end-to-end entry: parse, lower and compare two raw
-/// configuration texts. The CLI's `compare` command and the fleet
-/// daemon's one-shot path both go through here, so their reports are the
-/// same bytes by construction.
+/// Parse, lower and compare two raw configuration texts. The fleet tests
+/// and the benchmark use it as the reference report for a pair. The CLI
+/// (`load_file`) and fleetd (`parse_one`) parse and lower on their own,
+/// then call [`compare_routers`] and the same renderers, so all three
+/// print the same bytes; `fleetd-smoke` in CI and the fleet tests check
+/// that.
 pub fn compare_config_texts(
     text1: &str,
     text2: &str,

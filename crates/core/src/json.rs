@@ -135,10 +135,6 @@ pub fn stats_json(s: &ManagerStats) -> String {
     let _ = write!(o, "\"unique_hit_rate\": {:.4},\n  ", s.unique_hit_rate());
     let _ = write!(o, "\"apply_lookups\": {}, ", s.apply_lookups);
     let _ = write!(o, "\"apply_hit_rate\": {:.4},\n  ", s.apply_hit_rate());
-    let _ = write!(o, "\"not_lookups\": {}, ", s.not_lookups);
-    let _ = write!(o, "\"not_hits\": {}, ", s.not_hits);
-    let _ = write!(o, "\"ite_lookups\": {}, ", s.ite_lookups);
-    let _ = write!(o, "\"ite_hits\": {},\n  ", s.ite_hits);
     let _ = write!(o, "\"rule_cache_lookups\": {}, ", s.rule_cache_lookups);
     let _ = write!(
         o,

@@ -141,14 +141,6 @@ impl CampionReport {
             format!("{:.4} ({} lookups)", s.apply_hit_rate(), s.apply_lookups),
         );
         row(
-            "not lookups/hits",
-            format!("{}/{}", s.not_lookups, s.not_hits),
-        );
-        row(
-            "ite lookups/hits",
-            format!("{}/{}", s.ite_lookups, s.ite_hits),
-        );
-        row(
             "rule-cache hit rate",
             format!(
                 "{:.4} ({} lookups)",

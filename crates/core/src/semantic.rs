@@ -4,7 +4,7 @@
 //! Both ACLs and route policies are sequences of *if-then-else* guards, so
 //! the space of inputs partitions by which guards fire. Each class carries
 //! the BDD predicate selecting it, the composed [`ActionEffect`] of its
-//! path, and the spans/labels of the clauses on the path (for text
+//! path, and the spans of the clauses on the path (for text
 //! localization). Comparing two components is then a pairwise intersection:
 //! classes with a nonempty intersection and different effects are
 //! behavioral differences — the quintuples `(i, a₁, a₂, t₁, t₂)` of the
@@ -35,10 +35,8 @@ pub struct PolicyPath {
     pub predicate: Bdd,
     /// The path's composed, normalized effect.
     pub effect: ActionEffect,
-    /// Labels of the clauses that fired on this path (empty for the
+    /// Spans of the clauses that fired on this path (empty for the
     /// implicit default).
-    pub labels: Vec<String>,
-    /// Spans of the fired clauses.
     pub spans: Vec<Span>,
     /// Whether the policy's implicit default decided this path.
     pub is_default: bool,
@@ -72,7 +70,6 @@ pub fn policy_paths(
         predicate: Bdd,
         effect: ActionEffect,
         state: campion_symbolic::SymbolicRoute,
-        labels: Vec<String>,
         spans: Vec<Span>,
         non_prefix: bool,
     }
@@ -93,7 +90,6 @@ pub fn policy_paths(
         predicate: universe,
         effect: ActionEffect::default(),
         state: initial,
-        labels: Vec::new(),
         spans: Vec::new(),
         non_prefix: false,
     }];
@@ -117,7 +113,6 @@ pub fn policy_paths(
             out.push(PolicyPath {
                 predicate: f.predicate,
                 effect: effect.normalized(),
-                labels: f.labels,
                 spans: f.spans,
                 is_default: true,
                 non_prefix_match: f.non_prefix,
@@ -139,7 +134,6 @@ pub fn policy_paths(
                     predicate: skip,
                     effect: f.effect.clone(),
                     state: f.state.clone(),
-                    labels: f.labels.clone(),
                     spans: f.spans.clone(),
                     non_prefix: f.non_prefix,
                 });
@@ -148,8 +142,6 @@ pub fn policy_paths(
             if space.manager.is_sat(fire) {
                 let mut effect = f.effect;
                 effect.apply_all(&clause.sets);
-                let mut labels = f.labels;
-                labels.push(clause.label.clone());
                 let mut spans = f.spans;
                 spans.push(clause.span);
                 let non_prefix = f.non_prefix
@@ -164,7 +156,6 @@ pub fn policy_paths(
                         out.push(PolicyPath {
                             predicate: fire,
                             effect: effect.normalized(),
-                            labels,
                             spans,
                             is_default: false,
                             non_prefix_match: non_prefix,
@@ -179,7 +170,6 @@ pub fn policy_paths(
                             predicate: fire,
                             effect,
                             state,
-                            labels,
                             spans,
                             non_prefix,
                         });
@@ -218,7 +208,6 @@ pub fn acl_paths(space: &mut PacketSpace, acl: &AclIr, universe: Bdd) -> Vec<Pol
             out.push(PolicyPath {
                 predicate: fire,
                 effect: ActionEffect::terminal(rule.permit),
-                labels: vec![rule.label.clone()],
                 spans: vec![rule.span],
                 is_default: false,
                 non_prefix_match: true,
@@ -231,7 +220,6 @@ pub fn acl_paths(space: &mut PacketSpace, acl: &AclIr, universe: Bdd) -> Vec<Pol
         out.push(PolicyPath {
             predicate: remaining,
             effect: ActionEffect::terminal(false),
-            labels: Vec::new(),
             spans: Vec::new(),
             is_default: true,
             non_prefix_match: true,
@@ -647,7 +635,6 @@ fn acl_paths_within(
             out.push(PolicyPath {
                 predicate: fire,
                 effect: ActionEffect::terminal(rule.permit),
-                labels: vec![rule.label.clone()],
                 spans: vec![rule.span],
                 is_default: false,
                 non_prefix_match: true,
@@ -659,7 +646,6 @@ fn acl_paths_within(
         out.push(PolicyPath {
             predicate: remaining,
             effect: ActionEffect::terminal(false),
-            labels: Vec::new(),
             spans: Vec::new(),
             is_default: true,
             non_prefix_match: true,
@@ -680,10 +666,6 @@ pub struct SemanticDifference {
     pub effect1: ActionEffect,
     /// Action taken by the second component.
     pub effect2: ActionEffect,
-    /// Clause labels on the first component's path.
-    pub labels1: Vec<String>,
-    /// Clause labels on the second component's path.
-    pub labels2: Vec<String>,
     /// Spans on the first component's path.
     pub spans1: Vec<Span>,
     /// Spans on the second component's path.
@@ -839,8 +821,6 @@ fn diff_row(
                     input: inter,
                     effect1: p1.effect.clone(),
                     effect2: p2.effect.clone(),
-                    labels1: p1.labels.clone(),
-                    labels2: p2.labels.clone(),
                     spans1: p1.spans.clone(),
                     spans2: p2.spans.clone(),
                     default1: p1.is_default,
@@ -859,7 +839,7 @@ fn diff_row(
 
 /// The original all-pairs comparison, retained verbatim as the reference
 /// oracle for the pruned [`semantic_diff`]: proptests assert the two return
-/// identical difference lists (same handles, labels, spans, effects) for
+/// identical difference lists (same handles, spans, effects) for
 /// random policy/ACL pairs under every GC mode.
 #[cfg(test)]
 pub(crate) fn semantic_diff_all_pairs(
@@ -880,8 +860,6 @@ pub(crate) fn semantic_diff_all_pairs(
                     input: inter,
                     effect1: p1.effect.clone(),
                     effect2: p2.effect.clone(),
-                    labels1: p1.labels.clone(),
-                    labels2: p2.labels.clone(),
                     spans1: p1.spans.clone(),
                     spans2: p2.spans.clone(),
                     default1: p1.is_default,

@@ -141,9 +141,9 @@ const SOCKET_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
 
 /// Serve requests until the handler asks to shut down. The handler
 /// returns the response plus a `shutdown` flag; the flagged response is
-/// still delivered before the loop exits. Accepted sockets get read and
-/// write timeouts ([`SOCKET_TIMEOUT`]): a stalled request times out, is
-/// dropped, and the loop moves to the next connection.
+/// still delivered before the loop exits. Accepted sockets get 30 s read
+/// and write timeouts: a stalled request times out, is dropped, and the
+/// loop moves to the next connection.
 pub fn serve(
     listener: &TcpListener,
     mut handler: impl FnMut(&Request) -> (Response, bool),

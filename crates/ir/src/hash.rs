@@ -6,9 +6,10 @@
 //! configuration text those components quote: `Present` renders source
 //! snippets via spans, and structural findings print the span line numbers
 //! themselves. A component's hash therefore covers both its lowered IR
-//! (including every embedded [`Span`]) and the dedented snippet of its
-//! overall span — if either moves, the hash moves, and the fleet daemon
-//! recomputes exactly the pairs that read the changed component.
+//! (including every embedded [`Span`](campion_cfg::Span)) and the dedented
+//! snippet of its overall span — if either moves, the hash moves, and the
+//! fleet daemon recomputes exactly the pairs that read the changed
+//! component.
 //!
 //! The hash is FNV-1a over the component's `Debug` rendering plus its
 //! quoted text. `Debug` output is stable for a given crate version; the

@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 mod action;
-mod bits;
 mod packet_space;
 mod route_space;
 

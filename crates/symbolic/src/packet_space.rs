@@ -4,11 +4,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use campion_bdd::{Assignment, Bdd, Manager};
+use campion_bdd::{bits, Assignment, Bdd, Manager};
 use campion_ir::AclRuleIr;
 use campion_net::{Flow, IpProtocol, PortRange, Prefix, WildcardMask};
-
-use crate::bits;
 
 /// Canonical identity of an ACL rule's *match condition* — every field that
 /// feeds [`PacketSpace::rule_bdd`], and nothing else (label, span and

@@ -4,14 +4,12 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
-use campion_bdd::{Assignment, Bdd, Manager};
+use campion_bdd::{bits, Assignment, Bdd, Manager};
 use campion_ir::{
     CommAtom, CommunityDialect, Match, PrefixMatcher, RoutePolicy, RouteProtocol, SetAction,
 };
 use campion_net::regex::Regex;
 use campion_net::{Community, Prefix, PrefixRange};
-
-use crate::bits;
 
 /// One community atom in the encoding.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -209,9 +207,9 @@ impl RouteSpace {
         let len_vars: Vec<u32> = LEN_VARS.collect();
         let mut acc = bits::le_const(&mut self.manager, &len_vars, 32);
         for i in (0..32u32).rev() {
-            let bit = self.manager.var(i);
+            let unset = self.manager.nvar(i);
             let needs = bits::ge_const(&mut self.manager, &len_vars, u64::from(i) + 1);
-            let implied = self.manager.ite(bit, needs, Bdd::TRUE);
+            let implied = self.manager.or(unset, needs);
             acc = self.manager.and(acc, implied);
         }
         // The cache is consulted for the lifetime of the space, so it must
@@ -383,10 +381,14 @@ impl RouteSpace {
         }
         let mut result = Bdd::FALSE;
         // Fold from the last entry backwards: earlier entries shadow later.
+        // A permit entry adds its range, a deny entry carves it out.
         for e in pm.entries.iter().rev() {
             let cond = self.prefix_range_bdd(&e.range);
-            let val = if e.permit { Bdd::TRUE } else { Bdd::FALSE };
-            result = self.manager.ite(cond, val, result);
+            result = if e.permit {
+                self.manager.or(cond, result)
+            } else {
+                self.manager.diff(result, cond)
+            };
         }
         self.manager.protect(result);
         self.matcher_cache.insert(key, result);
@@ -448,8 +450,11 @@ impl RouteSpace {
                                     let ab = self.atom_bdd(a, state);
                                     conj = self.manager.and(conj, ab);
                                 }
-                                let val = if *permit { Bdd::TRUE } else { Bdd::FALSE };
-                                result = self.manager.ite(conj, val, result);
+                                result = if *permit {
+                                    self.manager.or(conj, result)
+                                } else {
+                                    self.manager.diff(result, conj)
+                                };
                             }
                             result
                         }

@@ -294,7 +294,7 @@ fn figure1_semantic_difference_is_nonempty_symbolically() {
     for pol in [&c.policies["POL"], &j.policies["POL"]] {
         let state = space.initial_state();
         // Both policies here have purely terminal clauses, so a simple
-        // reverse ite fold gives the accept set.
+        // reverse first-match fold gives the accept set.
         let default = match pol.default_terminal {
             campion_ir::Terminal::Accept => campion_bdd::Bdd::TRUE,
             _ => campion_bdd::Bdd::FALSE,
@@ -306,12 +306,11 @@ fn figure1_semantic_difference_is_nonempty_symbolically() {
                 let b = space.match_bdd(m, &state);
                 cond = space.manager.and(cond, b);
             }
-            let val = match clause.terminal {
-                campion_ir::Terminal::Accept => campion_bdd::Bdd::TRUE,
-                campion_ir::Terminal::Reject => campion_bdd::Bdd::FALSE,
+            acc = match clause.terminal {
+                campion_ir::Terminal::Accept => space.manager.or(cond, acc),
+                campion_ir::Terminal::Reject => space.manager.diff(acc, cond),
                 campion_ir::Terminal::Fallthrough => acc,
             };
-            acc = space.manager.ite(cond, val, acc);
         }
         accept.push(acc);
     }
@@ -375,12 +374,11 @@ mod properties {
                         let b = space.match_bdd(m, &state);
                         cond = space.manager.and(cond, b);
                     }
-                    let val = match clause.terminal {
-                        Terminal::Accept => campion_bdd::Bdd::TRUE,
-                        Terminal::Reject => campion_bdd::Bdd::FALSE,
+                    acc = match clause.terminal {
+                        Terminal::Accept => space.manager.or(cond, acc),
+                        Terminal::Reject => space.manager.diff(acc, cond),
                         Terminal::Fallthrough => acc,
                     };
-                    acc = space.manager.ite(cond, val, acc);
                 }
                 let sym = eval_on_advert(&space, acc, &a);
                 let conc = pol.evaluate(&a).accept;

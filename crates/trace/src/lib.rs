@@ -4,7 +4,7 @@
 //! vendored offline shims: no external crates, just the API surface the
 //! pipeline needs to answer "which stage burned the time".
 //!
-//! * **RAII spans.** [`span`] (or the [`span!`] macro) opens a named span on
+//! * **RAII spans.** [`span()`] (or the [`span!`] macro) opens a named span on
 //!   the calling thread and closes it when the guard drops. Spans nest via a
 //!   thread-local stack, so begin/end events always pair LIFO per thread.
 //! * **Typed counters.** [`SpanGuard::counter`] attaches `(name, i64)`
@@ -203,7 +203,7 @@ pub fn current_span() -> Option<&'static str> {
     LOCAL.with(|l| l.borrow().stack.last().copied())
 }
 
-/// RAII span guard returned by [`span`]: records the end event (with any
+/// RAII span guard returned by [`span()`]: records the end event (with any
 /// attached counters) when dropped. Inactive — a no-op shell — when the
 /// collector was disabled at construction.
 pub struct SpanGuard {
@@ -367,7 +367,7 @@ pub struct PhaseStat {
 }
 
 /// Per-worker utilization derived from `pool.worker` spans (one per worker
-/// per [`crate::span`]-instrumented steal pool run).
+/// per [`crate::span()`]-instrumented steal pool run).
 #[derive(Debug, Clone)]
 pub struct WorkerStat {
     /// Track the worker ran on.
