@@ -98,11 +98,6 @@ impl Cube {
         &self.values
     }
 
-    /// Number of constrained variables.
-    pub fn fixed_count(&self) -> usize {
-        self.values.iter().filter(|v| v.is_some()).count()
-    }
-
     /// Resolve free variables to `default`, producing a complete assignment.
     pub fn complete_with(&self, default: bool) -> Assignment {
         Assignment::new(self.values.iter().map(|v| v.unwrap_or(default)).collect())

@@ -39,9 +39,8 @@
 //! * **Trigger policy** — [`Manager::gc`] collects immediately;
 //!   [`Manager::gc_checkpoint`] consults the configured [`GcPolicy`]:
 //!   automatic mode collects at safe points once the in-use arena has
-//!   outgrown the live set of the previous collection, and skips the
-//!   sweep (keeping the computed table warm) when marking finds little
-//!   garbage.
+//!   outgrown the live set of the previous collection. Every collection
+//!   marks and sweeps.
 //!
 //! Checkpoints are **safe points**: callers may only invoke
 //! `gc_checkpoint` when every BDD they need afterwards is protected.
@@ -213,8 +212,6 @@ struct UniqueTable {
     hits: u64,
     /// Total lookups.
     lookups: u64,
-    /// Probe steps beyond the home slot (collision walk length).
-    collisions: u64,
     /// Number of times the table doubled.
     grows: u64,
 }
@@ -229,7 +226,6 @@ impl UniqueTable {
             len: 0,
             hits: 0,
             lookups: 0,
-            collisions: 0,
             grows: 0,
         }
     }
@@ -250,7 +246,6 @@ impl UniqueTable {
                 self.hits += 1;
                 return Ok(s);
             }
-            self.collisions += 1;
             slot = (slot + 1) & self.mask;
         }
     }
@@ -371,8 +366,7 @@ pub enum GcPolicy {
     /// Collect at a checkpoint once the in-use arena has grown past
     /// `growth_factor ×` the live set left by the previous collection
     /// (with `min_nodes` as the absolute floor, so small managers never
-    /// pay for marking). If the mark pass then finds under ~12.5% garbage
-    /// the sweep is skipped and the trigger backs off instead.
+    /// pay for marking).
     Automatic {
         /// Arena-growth multiple that arms the trigger (≥ 2 recommended).
         growth_factor: usize,
@@ -410,24 +404,20 @@ pub struct ManagerStats {
     pub peak_nodes: u64,
     /// Live nodes right after the most recent sweep (0 if never swept).
     pub post_gc_nodes: u64,
-    /// Completed collections (sweeps; skipped-sweep checkpoints excluded).
+    /// Completed collections; each one marks and sweeps, so this is also
+    /// the number of collector pauses.
     pub gc_runs: u64,
     /// Nodes freed across all collections.
     pub gc_nodes_freed: u64,
-    /// GC pauses: entries into the collector, including mark-only passes
-    /// that skipped the sweep (a superset of `gc_runs`).
-    pub gc_pauses: u64,
     /// Total wall-clock time spent paused in the collector, microseconds.
     pub gc_pause_us: u64,
     /// Longest single collector pause, microseconds (tail latency: one bad
-    /// pause hides inside `gc_pause_us / gc_pauses`).
+    /// pause hides inside `gc_pause_us / gc_runs`).
     pub gc_pause_max_us: u64,
     /// Unique-table lookups (one per `mk` after the reduction rule).
     pub unique_lookups: u64,
     /// Unique-table lookups that found an existing node.
     pub unique_hits: u64,
-    /// Probe steps beyond the home slot across all unique-table lookups.
-    pub unique_collisions: u64,
     /// Times the unique table doubled.
     pub unique_grows: u64,
     /// Apply-cache (computed-table) lookups, negations included.
@@ -466,15 +456,6 @@ impl ManagerStats {
         rate(self.unique_hits, self.unique_lookups)
     }
 
-    /// Mean probe steps beyond the home slot per unique-table lookup.
-    pub fn unique_collisions_per_lookup(&self) -> f64 {
-        if self.unique_lookups == 0 {
-            0.0
-        } else {
-            self.unique_collisions as f64 / self.unique_lookups as f64
-        }
-    }
-
     /// Accumulate another manager's counters into this one. (Counters sum;
     /// for per-pair managers the summed `peak_nodes` is the aggregate
     /// allocation high-water mark across disjoint arenas.)
@@ -484,12 +465,10 @@ impl ManagerStats {
         self.post_gc_nodes += other.post_gc_nodes;
         self.gc_runs += other.gc_runs;
         self.gc_nodes_freed += other.gc_nodes_freed;
-        self.gc_pauses += other.gc_pauses;
         self.gc_pause_us += other.gc_pause_us;
         self.gc_pause_max_us = self.gc_pause_max_us.max(other.gc_pause_max_us);
         self.unique_lookups += other.unique_lookups;
         self.unique_hits += other.unique_hits;
-        self.unique_collisions += other.unique_collisions;
         self.unique_grows += other.unique_grows;
         self.apply_lookups += other.apply_lookups;
         self.apply_hits += other.apply_hits;
@@ -534,13 +513,12 @@ pub struct Manager {
     /// Protect-refcounts per rooted node index (terminals are implicit).
     roots: HashMap<u32, u32>,
     gc_policy: GcPolicy,
-    /// Live count right after the last sweep (or mark-only back-off).
+    /// Live count right after the last sweep.
     live_after_gc: usize,
     /// High-water mark of live nodes.
     peak_live: usize,
     gc_runs: u64,
     gc_nodes_freed: u64,
-    gc_pauses: u64,
     gc_pause_us: u64,
     gc_pause_max_us: u64,
 }
@@ -584,7 +562,6 @@ impl Manager {
             peak_live: 2,
             gc_runs: 0,
             gc_nodes_freed: 0,
-            gc_pauses: 0,
             gc_pause_us: 0,
             gc_pause_max_us: 0,
         }
@@ -610,12 +587,10 @@ impl Manager {
             post_gc_nodes: self.live_after_gc as u64,
             gc_runs: self.gc_runs,
             gc_nodes_freed: self.gc_nodes_freed,
-            gc_pauses: self.gc_pauses,
             gc_pause_us: self.gc_pause_us,
             gc_pause_max_us: self.gc_pause_max_us,
             unique_lookups: self.unique.lookups,
             unique_hits: self.unique.hits,
-            unique_collisions: self.unique.collisions,
             unique_grows: self.unique.grows,
             apply_lookups: self.apply_cache.lookups,
             apply_hits: self.apply_cache.hits,
@@ -1066,17 +1041,12 @@ impl Manager {
         self.gc_policy = policy;
     }
 
-    /// The currently-installed trigger policy.
-    pub fn gc_policy(&self) -> GcPolicy {
-        self.gc_policy
-    }
-
     /// Force a full mark/sweep collection now, regardless of policy.
     /// Returns the number of nodes freed. Every `Bdd` handle not reachable
     /// from the root set is invalid afterwards — see the module docs for
     /// the safe-point contract.
     pub fn gc(&mut self) -> usize {
-        self.collect(true)
+        self.collect()
     }
 
     /// A safe point: run a collection here if (and only if) the installed
@@ -1084,25 +1054,21 @@ impl Manager {
     /// this between logical work items, after protecting everything they
     /// hold across the call.
     pub fn gc_checkpoint(&mut self) -> bool {
-        match self.gc_policy {
+        let due = match self.gc_policy {
             GcPolicy::Disabled => false,
-            GcPolicy::Aggressive => {
-                self.collect(true);
-                true
-            }
+            GcPolicy::Aggressive => true,
             GcPolicy::Automatic {
                 growth_factor,
                 min_nodes,
             } => {
-                let in_use = self.nodes.len() - self.free.len();
                 let floor = self.live_after_gc.max(min_nodes);
-                if in_use >= floor.saturating_mul(growth_factor.max(1)) {
-                    self.collect(false) > 0
-                } else {
-                    false
-                }
+                self.node_count() >= floor.saturating_mul(growth_factor.max(1))
             }
+        };
+        if due {
+            self.collect();
         }
+        due
     }
 
     /// Mark every node reachable from the root set. Returns the mark bitmap
@@ -1132,40 +1098,17 @@ impl Manager {
         (marks, live)
     }
 
-    /// Pause-accounting wrapper around [`Manager::collect_inner`]: every
-    /// collector entry (sweeps *and* mark-only back-offs) counts as one GC
-    /// pause, its wall time accumulates into `gc_pause_us`, and — when the
-    /// trace collector is on — the pause shows up as a `bdd.gc` span on the
-    /// worker's track with the freed-node count attached.
-    fn collect(&mut self, force: bool) -> usize {
+    /// The mark/sweep collector behind [`Manager::gc`] and
+    /// [`Manager::gc_checkpoint`]. Returns the number of nodes freed. Each
+    /// call is one GC pause: its wall time accumulates into `gc_pause_us`,
+    /// and — when the trace collector is on — it shows up as a `bdd.gc`
+    /// span on the worker's track with the freed and live node counts.
+    fn collect(&mut self) -> usize {
         let t0 = std::time::Instant::now();
         let mut span = campion_trace::span("bdd.gc");
-        let freed = self.collect_inner(force);
-        self.gc_pauses += 1;
-        let pause_us = t0.elapsed().as_micros() as u64;
-        self.gc_pause_us += pause_us;
-        self.gc_pause_max_us = self.gc_pause_max_us.max(pause_us);
-        span.counter("freed_nodes", freed as i64);
-        span.counter("live_nodes", self.node_count() as i64);
-        freed
-    }
-
-    /// The mark/sweep engine behind [`Manager::gc`] and
-    /// [`Manager::gc_checkpoint`]. When `force` is false (automatic trigger)
-    /// and less than 1/8 of the in-use nodes are garbage, the sweep is
-    /// skipped — marking already paid the traversal, so we just raise the
-    /// trigger floor and return. Returns the number of nodes freed.
-    fn collect_inner(&mut self, force: bool) -> usize {
-        let in_use = self.nodes.len() - self.free.len();
+        let in_use = self.node_count();
         let (marks, live) = self.mark_reachable();
         let garbage = in_use - live;
-        if !force && garbage * 8 < in_use {
-            // Not enough garbage to be worth rebuilding the unique table.
-            // Remember the live count so the automatic trigger backs off
-            // instead of re-marking at every checkpoint.
-            self.live_after_gc = live;
-            return 0;
-        }
 
         // Sweep: poison every unmarked slot and rebuild the free list in
         // ascending index order (deterministic reuse; see `mk`).
@@ -1202,6 +1145,11 @@ impl Manager {
         self.gc_runs += 1;
         self.gc_nodes_freed += garbage as u64;
         self.live_after_gc = live;
+        let pause_us = t0.elapsed().as_micros() as u64;
+        self.gc_pause_us += pause_us;
+        self.gc_pause_max_us = self.gc_pause_max_us.max(pause_us);
+        span.counter("freed_nodes", garbage as i64);
+        span.counter("live_nodes", live as i64);
         garbage
     }
 

@@ -163,8 +163,7 @@ fn apply_step(
             return Ok(());
         }
         _ => {
-            // Policy-driven safe point (exercises the automatic trigger and
-            // the mark-only back-off path).
+            // Policy-driven safe point (exercises the automatic trigger).
             m.gc_checkpoint();
             return Ok(());
         }

@@ -40,7 +40,6 @@ struct SizeResult {
     peak_nodes: u64,
     post_gc_nodes: u64,
     gc_runs: u64,
-    gc_pauses: u64,
     gc_pause_us: u64,
     apply_hit_rate: f64,
     unique_hit_rate: f64,
@@ -184,7 +183,6 @@ fn main() {
             peak_nodes: s.peak_nodes,
             post_gc_nodes: s.post_gc_nodes,
             gc_runs: s.gc_runs,
-            gc_pauses: s.gc_pauses,
             gc_pause_us: s.gc_pause_us,
             apply_hit_rate: s.apply_hit_rate(),
             unique_hit_rate: s.unique_hit_rate(),
@@ -333,7 +331,7 @@ fn main() {
                 "    {{\"rules\": {}, \"parse_s\": {:.6}, \"parse_cisco_mb_s\": {:.3}, \
                  \"parse_juniper_mb_s\": {:.3}, \"lower_s\": {:.6}, \"semdiff_s\": {:.6}, \
                  \"diffs_found\": {}, \"bdd_nodes\": {}, \"peak_nodes\": {}, \
-                 \"post_gc_nodes\": {}, \"gc_runs\": {}, \"gc_pauses\": {}, \
+                 \"post_gc_nodes\": {}, \"gc_runs\": {}, \
                  \"gc_pause_us\": {}, \"apply_hit_rate\": {:.4}, \
                  \"unique_hit_rate\": {:.4}, \"pairs_examined\": {}, \
                  \"pairs_pruned\": {}, \"rule_cache_hit_rate\": {:.4}}}",
@@ -348,7 +346,6 @@ fn main() {
                 r.peak_nodes,
                 r.post_gc_nodes,
                 r.gc_runs,
-                r.gc_pauses,
                 r.gc_pause_us,
                 r.apply_hit_rate,
                 r.unique_hit_rate,

@@ -230,36 +230,6 @@ pub struct JuniperBgp {
 }
 
 impl JuniperBgp {
-    /// Effective import chain for a neighbor (neighbor-level wins).
-    pub fn effective_import(&self, addr: Ipv4Addr) -> Option<(&JuniperBgpGroup, Vec<String>)> {
-        for g in self.groups.values() {
-            if let Some(n) = g.neighbors.get(&addr) {
-                let chain = if n.import.is_empty() {
-                    g.import.clone()
-                } else {
-                    n.import.clone()
-                };
-                return Some((g, chain));
-            }
-        }
-        None
-    }
-
-    /// Effective export chain for a neighbor (neighbor-level wins).
-    pub fn effective_export(&self, addr: Ipv4Addr) -> Option<(&JuniperBgpGroup, Vec<String>)> {
-        for g in self.groups.values() {
-            if let Some(n) = g.neighbors.get(&addr) {
-                let chain = if n.export.is_empty() {
-                    g.export.clone()
-                } else {
-                    n.export.clone()
-                };
-                return Some((g, chain));
-            }
-        }
-        None
-    }
-
     /// All neighbors across groups.
     pub fn neighbors(
         &self,

@@ -443,10 +443,8 @@ set interfaces ge-0/0/0 unit 0 family inet address 10.0.1.2/24
             "10.2.2.2"
         );
         let bgp = cfg.bgp.expect("bgp parsed");
-        let (_, export) = bgp
-            .effective_export("10.0.101.2".parse().expect("addr"))
-            .expect("neighbor");
-        assert_eq!(export, vec!["POL"]);
+        let n = &bgp.groups["ibgp"].neighbors[&"10.0.101.2".parse().expect("addr")];
+        assert_eq!(n.export, vec!["POL"]);
         let iface = &cfg.interfaces["ge-0/0/0"];
         assert_eq!(
             iface.units[&0].address.expect("addr").1.to_string(),

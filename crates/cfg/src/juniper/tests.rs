@@ -281,14 +281,16 @@ fn bgp_groups_and_neighbors() {
     assert!(ibgp.internal);
     assert_eq!(ibgp.cluster.unwrap().to_string(), "192.0.2.1");
     assert_eq!(ibgp.export, vec!["EXP1", "EXP2"]);
-    // Effective chains: neighbor-level overrides group-level.
-    let (_, import) = bgp.effective_import("10.0.0.4".parse().unwrap()).unwrap();
-    assert_eq!(import, vec!["CUSTOM_IN"]);
-    let (_, export) = bgp.effective_export("10.0.0.4".parse().unwrap()).unwrap();
-    assert_eq!(export, vec!["EXP1", "EXP2"]);
-    let (g, import) = bgp.effective_import("10.0.1.2".parse().unwrap()).unwrap();
-    assert!(!g.internal);
-    assert_eq!(import, vec!["IMP"]);
+    // Chains stay where they were written; lowering resolves overrides.
+    let n4 = &ibgp.neighbors[&"10.0.0.4".parse().unwrap()];
+    assert_eq!(n4.import, vec!["CUSTOM_IN"]);
+    assert!(n4.export.is_empty());
+    let ebgp = &bgp.groups["ebgp"];
+    assert!(!ebgp.internal);
+    assert_eq!(ebgp.import, vec!["IMP"]);
+    assert!(ebgp.neighbors[&"10.0.1.2".parse().unwrap()]
+        .import
+        .is_empty());
     assert_eq!(bgp.neighbors().count(), 3);
 }
 

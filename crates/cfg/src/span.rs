@@ -145,22 +145,22 @@ impl SourceText {
     }
 
     /// Like [`SourceText::snippet`], but with leading indentation trimmed
-    /// uniformly (for display in reports).
+    /// uniformly (for display in reports). Indentation is counted in
+    /// characters, so a multi-byte space such as U+00A0 counts once and is
+    /// never cut in half; a line shorter than the common indentation (a
+    /// blank one) is kept whole.
     pub fn snippet_dedented(&self, span: Span) -> String {
         let raw = self.snippet(span);
         let min_indent = raw
             .lines()
             .filter(|l| !l.trim().is_empty())
-            .map(|l| l.len() - l.trim_start().len())
+            .map(|l| l.chars().take_while(|c| c.is_whitespace()).count())
             .min()
             .unwrap_or(0);
         raw.lines()
             .map(|l| {
-                if l.len() >= min_indent {
-                    &l[min_indent..]
-                } else {
-                    l
-                }
+                let mut cuts = l.char_indices().map(|(i, _)| i).chain([l.len()]);
+                cuts.nth(min_indent).map_or(l, |cut| &l[cut..])
             })
             .collect::<Vec<_>>()
             .join("\n")
@@ -174,6 +174,42 @@ mod tests {
 
     /// Fragments dense in line terminators (`\PC` never yields them).
     const LINE_SOUP: &[&str] = &["a", " b", "\n", "\r", "\r\n", "é"];
+
+    /// Fragments dense in indentation, one- and multi-byte.
+    const INDENT_SOUP: &[&str] = &[" ", "\t", "\u{a0}", "\u{3000}", "x", "é", "\n", "\r\n"];
+
+    /// Dedent all of `text` and check the result line by line: each line
+    /// loses only leading whitespace, every non-blank line loses the same
+    /// number of characters, and some non-blank line keeps none. ASCII text
+    /// must dedent byte for byte as a byte-counted cut does.
+    fn assert_dedents(text: &str) {
+        let src = SourceText::new(text);
+        let all = Span::lines(1, src.line_count().max(1) as u32);
+        let (raw, out) = (src.snippet(all), src.snippet_dedented(all));
+        let mut cut_chars = Vec::new();
+        for (r, o) in raw.lines().zip(out.split('\n')) {
+            let cut = r.strip_suffix(o).expect("a dedented line is a suffix");
+            assert!(cut.chars().all(char::is_whitespace), "cut {cut:?} of {r:?}");
+            if !r.trim().is_empty() {
+                cut_chars.push(cut.chars().count());
+                assert!(cut_chars.iter().all(|&n| n == cut_chars[0]), "{text:?}");
+            }
+        }
+        let flush = |l: &str| !l.trim().is_empty() && !l.starts_with(char::is_whitespace);
+        if !cut_chars.is_empty() {
+            assert!(out.lines().any(flush), "not fully dedented: {out:?}");
+        }
+        if text.is_ascii() {
+            let min = raw
+                .lines()
+                .filter(|l| !l.trim().is_empty())
+                .map(|l| l.len() - l.trim_start().len())
+                .min()
+                .unwrap_or(0);
+            let bytewise: Vec<&str> = raw.lines().map(|l| l.get(min..).unwrap_or(l)).collect();
+            assert_eq!(out, bytewise.join("\n"));
+        }
+    }
 
     /// `SourceText` must number and slice lines exactly as `str::lines`.
     fn assert_lines_match(text: &str) {
@@ -228,6 +264,15 @@ mod tests {
     }
 
     #[test]
+    fn dedent_counts_multibyte_indentation_once() {
+        let src = SourceText::new(" term t1 {\n\u{a0}from {\n  then accept;\n   \n");
+        assert_eq!(
+            src.snippet_dedented(Span::lines(1, 4)),
+            "term t1 {\nfrom {\n then accept;\n  "
+        );
+    }
+
+    #[test]
     fn clones_share_the_buffer() {
         let src = SourceText::new("x\ny\n");
         let copy = src.clone();
@@ -248,6 +293,18 @@ mod tests {
             parts in proptest::collection::vec(proptest::sample::select(LINE_SOUP), 0..40)
         ) {
             assert_lines_match(&parts.concat());
+        }
+
+        #[test]
+        fn dedent_cuts_whole_characters_of_arbitrary_text(text in "\\PC*") {
+            assert_dedents(&text);
+        }
+
+        #[test]
+        fn dedent_cuts_whole_characters_of_indentation_soup(
+            parts in proptest::collection::vec(proptest::sample::select(INDENT_SOUP), 0..40)
+        ) {
+            assert_dedents(&parts.concat());
         }
     }
 }

@@ -109,14 +109,10 @@ impl CampionOptions {
         }
     }
 
-    /// The effective GC mode: `CAMPION_GC_AGGRESSIVE=1` in the environment
-    /// forces [`GcMode::Aggressive`] (the differential-testing hook);
-    /// otherwise the configured mode stands.
+    /// The GC mode the per-pair managers install: [`CampionOptions::gc`].
+    /// Kept as an accessor because the benchmark's traced replay calls it.
     pub fn effective_gc(&self) -> GcMode {
-        match std::env::var("CAMPION_GC_AGGRESSIVE") {
-            Ok(v) if v == "1" => GcMode::Aggressive,
-            _ => self.gc,
-        }
+        self.gc
     }
 }
 
@@ -168,7 +164,6 @@ fn pair_stats(
             ("apply_lookups", stats.apply_lookups, entry.apply_lookups),
             ("apply_hits", stats.apply_hits, entry.apply_hits),
             ("gc_runs", stats.gc_runs, entry.gc_runs),
-            ("gc_pauses", stats.gc_pauses, entry.gc_pauses),
             ("gc_pause_us", stats.gc_pause_us, entry.gc_pause_us),
             ("gc_nodes_freed", stats.gc_nodes_freed, entry.gc_nodes_freed),
             (
@@ -383,7 +378,7 @@ fn diff_policy_pair(
         None => RoutePolicy::permit_all("(no policy)"),
     };
     let mut space = RouteSpace::for_policies(&[&p1, &p2]);
-    space.manager.set_gc_policy(opts.effective_gc().policy());
+    space.manager.set_gc_policy(opts.gc.policy());
     let stats_at_entry = space.manager.stats();
     let universe = space.universe();
     // The universe is consulted by both path enumerations, which contain
@@ -624,7 +619,7 @@ fn diff_acl_pair(
 ) -> (Vec<PolicyDiffReport>, ManagerStats) {
     let mut item_span = campion_trace::span("item.acl_pair");
     let mut space = PacketSpace::new();
-    space.manager.set_gc_policy(opts.effective_gc().policy());
+    space.manager.set_gc_policy(opts.gc.policy());
     let stats_at_entry = space.manager.stats();
     // Pair-aware enumeration: both sides' classes restricted to the
     // disagreement set, so the chain never materializes predicates the

@@ -49,14 +49,19 @@
 //!   the nodes that actually meet `S`.
 //! * **Lazy materialization.** Node sets and remainders (`λ(n) −
 //!   children`) are encoded the first time a query needs them, in the
-//!   space that is localizing, and rooted there until
-//!   [`RangeDag::release`]. A node's set is needed for its overlap test;
-//!   its remainder only once the node is known to meet `S`.
+//!   space that is localizing. A node's set is needed for its overlap
+//!   test; its remainder only once the node is known to meet `S`.
 //! * **Reuse across queries.** A pair's DAG serves ~10 difference queries,
 //!   which overlap heavily: materialized sets stay for the next query,
 //!   `GetMatch` results are memoized per `(node, S)` on the DAG (`¬S`
 //!   recursions hit the same table), and `¬S` itself is computed once per
 //!   localize call, not once per included node.
+//! * **One validity rule.** The DAG roots nothing. Every handle it caches —
+//!   node sets, remainders and the memo's `S` keys — is valid until the
+//!   next sweep of its space, and a query that finds the manager's
+//!   collection count moved clears all three before it starts. The driver
+//!   reaches no safe point between a DAG's build and its last query, so
+//!   there the caches live for the whole pair.
 //!
 //! The eager, unpruned `GetMatch` (every set and remainder encoded up
 //! front, every node visited) is kept under `#[cfg(test)]` as
@@ -232,8 +237,8 @@ type GetMatchMemo = HashMap<(usize, Bdd), (Vec<NestedTerm>, bool)>;
 /// [`RangeDag::build`] and localize many difference sets against it.
 ///
 /// The build is structural; node sets and remainders are encoded on first
-/// use, in the space passed to [`header_localize_with`], and rooted there,
-/// so every query against one DAG value must pass that same space. The
+/// use, in the space passed to [`header_localize_with`], so every query
+/// against one DAG value must pass that same space. The
 /// driver localizes all of a pair's differences in the pair's own space.
 /// Cloning a DAG alongside a clone of that space yields an independent
 /// snapshot whose materialized handles (and memo entries) remain valid in
@@ -251,14 +256,12 @@ pub struct RangeDag {
     remainders: Vec<Cell<Option<Bdd>>>,
     /// Index of the universe node.
     root: usize,
-    /// Poison flag: [`RangeDag::release`] drops the GC roots, after which
-    /// localizing against this DAG would read collectable BDDs.
-    released: Cell<bool>,
-    /// `GetMatch` memo: `(node, S) → (terms, exact)`. Valid for one GC
-    /// generation — a sweep may recycle node indices, so the table is
-    /// cleared whenever the manager's GC run count moves past `memo_gen`.
+    /// `GetMatch` memo: `(node, S) → (terms, exact)`.
     memo: RefCell<GetMatchMemo>,
-    memo_gen: Cell<u64>,
+    /// The manager's `gc_runs` when `bdds`, `remainders` and `memo` were
+    /// last known valid. None of them is rooted and a sweep may recycle the
+    /// arena slots they name, so all three are cleared once it moves.
+    gen: Cell<u64>,
 }
 
 impl RangeDag {
@@ -284,9 +287,8 @@ impl RangeDag {
             bdds: vec![Cell::new(None); n],
             remainders: vec![Cell::new(None); n],
             root,
-            released: Cell::new(false),
             memo: RefCell::new(HashMap::new()),
-            memo_gen: Cell::new(u64::MAX),
+            gen: Cell::new(0),
         }
     }
 
@@ -295,41 +297,29 @@ impl RangeDag {
         self.ranges.len()
     }
 
-    /// Drop the GC roots this DAG holds: every node set and remainder that
-    /// localization materialized and rooted, so the DAG survives any
-    /// collection run between queries. Pass the manager those queries ran
-    /// in (a DAG that never localized holds no roots). A caller that drops
-    /// the whole space with the DAG need not release it. The DAG must not
-    /// be used for localization afterwards (debug-asserted).
-    pub fn release(&self, manager: &mut Manager) {
-        debug_assert!(!self.released.get(), "RangeDag released twice");
-        self.released.set(true);
-        for b in self.bdds.iter().chain(&self.remainders) {
-            if let Some(b) = b.get() {
-                manager.unprotect(b);
-            }
-        }
-    }
+    /// Does nothing: a DAG roots no BDD, so it has nothing to give back to
+    /// `manager`. Kept for callers written against the earlier rooting
+    /// protocol, such as the benchmark's traced replay.
+    pub fn release(&self, _manager: &mut Manager) {}
 
     /// True when only the universe node exists.
     pub fn is_empty(&self) -> bool {
         self.ranges.len() <= 1
     }
 
-    /// `λ(n)`, encoded in `space` and rooted on first use.
+    /// `λ(n)`, encoded in `space` on first use.
     fn node_bdd<E: RangeEncoder>(&self, space: &mut E, n: usize) -> Bdd {
         if let Some(b) = self.bdds[n].get() {
             return b;
         }
         let b = space.encode(&self.ranges[n]);
         debug_assert!(!space.manager().is_false(b), "nonempty key, empty set");
-        space.manager().protect(b);
         self.bdds[n].set(Some(b));
         b
     }
 
     /// `λ(n) − ⋃ children(n)` (the node's cell; `λ(n)` itself at leaves),
-    /// computed in `space` and rooted on first use.
+    /// computed in `space` on first use.
     fn remainder<E: RangeEncoder>(&self, space: &mut E, n: usize) -> Bdd {
         if let Some(r) = self.remainders[n].get() {
             return r;
@@ -339,7 +329,6 @@ impl RangeDag {
             let kb = self.node_bdd(space, k);
             rem = space.manager().diff(rem, kb);
         }
-        space.manager().protect(rem);
         self.remainders[n].set(Some(rem));
         rem
     }
@@ -550,9 +539,7 @@ pub fn header_localize<E: RangeEncoder>(
     config_ranges: &[PrefixRange],
 ) -> HeaderLocalization {
     let ddnf = RangeDag::build(space, config_ranges);
-    let loc = header_localize_with(space, s, &ddnf);
-    ddnf.release(space.manager());
-    loc
+    header_localize_with(space, s, &ddnf)
 }
 
 /// As [`header_localize`], against a prebuilt [`RangeDag`] — the fast path
@@ -563,18 +550,15 @@ pub fn header_localize_with<E: RangeEncoder>(
     ddnf: &RangeDag,
 ) -> HeaderLocalization {
     campion_trace::span!("headerloc.localize");
-    debug_assert!(
-        !ddnf.released.get(),
-        "localize against a released RangeDag (its node BDDs are unrooted)"
-    );
-    // Memo entries name arena indices, which stay put between sweeps and
-    // may be recycled by one: key the table to the manager's GC run count.
-    // (No sweep can happen inside this call — collection only runs at
-    // explicit checkpoints, and there are none below.)
-    let gc_gen = space.manager().stats().gc_runs;
-    if ddnf.memo_gen.get() != gc_gen {
+    // Drop every cached handle if a sweep ran since they were made. No
+    // sweep can happen inside this call: collection only runs at explicit
+    // checkpoints, and there are none below.
+    let gc_runs = space.manager().stats().gc_runs;
+    if ddnf.gen.replace(gc_runs) != gc_runs {
         ddnf.memo.borrow_mut().clear();
-        ddnf.memo_gen.set(gc_gen);
+        for cell in ddnf.bdds.iter().chain(&ddnf.remainders) {
+            cell.set(None);
+        }
     }
     let mut exact = true;
     let not_s = space.manager().not(s);
@@ -640,7 +624,6 @@ pub(crate) mod oracle {
                     return;
                 }
                 if seen.insert(b) {
-                    space.manager().protect(b);
                     out.push(r);
                     bdds.push(b);
                 }
@@ -703,8 +686,7 @@ pub(crate) mod oracle {
                 }
             }
         }
-        // Its node sets are already encoded and rooted: hand them over as
-        // materialized, so `release` drops those roots.
+        // Its node sets are already encoded: hand them over as materialized.
         let dag = RangeDag::from_parts(ranges, children);
         for (cell, b) in dag.bdds.iter().zip(bdds) {
             cell.set(Some(b));
@@ -712,7 +694,7 @@ pub(crate) mod oracle {
         dag
     }
 
-    /// Materialize (and root) every node set and remainder of `dag` in
+    /// Materialize every node set and remainder of `dag` in
     /// `space`, returning them in node order — the state the pre-lazy
     /// builder produced eagerly.
     fn materialize_all<E: RangeEncoder>(space: &mut E, dag: &RangeDag) -> (Vec<Bdd>, Vec<Bdd>) {

@@ -127,7 +127,6 @@ pub fn stats_json(s: &ManagerStats) -> String {
     let _ = write!(o, "\"post_gc_nodes\": {},\n  ", s.post_gc_nodes);
     let _ = write!(o, "\"gc_runs\": {}, ", s.gc_runs);
     let _ = write!(o, "\"gc_nodes_freed\": {}, ", s.gc_nodes_freed);
-    let _ = write!(o, "\"gc_pauses\": {}, ", s.gc_pauses);
     let _ = write!(o, "\"gc_pause_us\": {}, ", s.gc_pause_us);
     let _ = write!(o, "\"gc_pause_max_us\": {},\n  ", s.gc_pause_max_us);
     let _ = write!(o, "\"unique_grows\": {},\n  ", s.unique_grows);

@@ -55,11 +55,9 @@ pub use headerloc::{
 };
 pub use json::{policy_diff_json, report_json, stats_json, structural_finding_json};
 pub use matching::{match_policies, MatchedComponents, PolicyPair};
-pub use portloc::{dst_port_localize, src_port_localize};
+pub use portloc::dst_port_localize;
 pub use report::{CampionReport, FindingSide, PolicyDiffReport, StructuralFinding};
-pub use semantic::{
-    acl_paths, policies_equivalent, policy_paths, semantic_diff, PolicyPath, SemanticDifference,
-};
+pub use semantic::{acl_paths, policy_paths, semantic_diff, PolicyPath, SemanticDifference};
 
 #[cfg(test)]
 mod tests;

@@ -18,11 +18,6 @@ pub fn dst_port_localize(space: &mut PacketSpace, input: Bdd) -> Option<Vec<Port
     port_localize(space, input, campion_symbolic::packet_dport_vars())
 }
 
-/// Project a difference onto the source-port dimension.
-pub fn src_port_localize(space: &mut PacketSpace, input: Bdd) -> Option<Vec<PortRange>> {
-    port_localize(space, input, campion_symbolic::packet_sport_vars())
-}
-
 fn port_localize(
     space: &mut PacketSpace,
     input: Bdd,

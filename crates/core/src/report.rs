@@ -128,7 +128,7 @@ impl CampionReport {
         row("GC nodes freed", s.gc_nodes_freed.to_string());
         row(
             "GC pause time",
-            format!("{} \u{b5}s across {} pause(s)", s.gc_pause_us, s.gc_pauses),
+            format!("{} \u{b5}s across {} pause(s)", s.gc_pause_us, s.gc_runs),
         );
         row("GC max pause", format!("{} \u{b5}s", s.gc_pause_max_us));
         row("unique-table grows", s.unique_grows.to_string());

@@ -814,8 +814,9 @@ fn diff_row(
             // exactly p1.predicate ∧ p2.predicate.
             let inter = manager.and(rem, p2.predicate);
             if manager.is_sat(inter) {
-                // Returned inputs are rooted; the driver releases each
-                // one after presenting it.
+                // Returned inputs are rooted so the safe points after each
+                // row keep them; the driver never releases them, they go
+                // with the pair's arena.
                 manager.protect(inter);
                 out.push(SemanticDifference {
                     input: inter,
@@ -880,14 +881,4 @@ pub fn release_paths(manager: &mut Manager, paths: &[PolicyPath]) {
     for p in paths {
         manager.unprotect(p.predicate);
     }
-}
-
-/// Convenience: are two route policies behaviorally equivalent (no
-/// semantic differences over the shared input space)?
-pub fn policies_equivalent(p1: &RoutePolicy, p2: &RoutePolicy) -> bool {
-    let mut space = RouteSpace::for_policies(&[p1, p2]);
-    let u = space.universe();
-    let paths1 = policy_paths(&mut space, p1, u);
-    let paths2 = policy_paths(&mut space, p2, u);
-    semantic_diff(&mut space.manager, &paths1, &paths2).is_empty()
 }

@@ -8,7 +8,7 @@ use campion_net::PrefixRange;
 use crate::driver::{compare_routers, CampionOptions};
 use crate::headerloc::{header_localize, reencode};
 use crate::report::FindingSide;
-use crate::semantic::{acl_paths, policies_equivalent, policy_paths, semantic_diff};
+use crate::semantic::{acl_paths, policy_paths, semantic_diff};
 use campion_symbolic::RouteSpace;
 
 fn load(text: &str) -> RouterIr {
@@ -110,10 +110,12 @@ fn identical_policies_are_equivalent() {
     let c2 = load(FIGURE1_CISCO);
     let report = compare_routers(&c1, &c2, &CampionOptions::default());
     assert!(report.is_equivalent(), "{report}");
-    assert!(policies_equivalent(
-        &c1.policies["POL"],
-        &c2.policies["POL"]
-    ));
+    let (p1, p2) = (&c1.policies["POL"], &c2.policies["POL"]);
+    let mut space = RouteSpace::for_policies(&[p1, p2]);
+    let u = space.universe();
+    let paths1 = policy_paths(&mut space, p1, u);
+    let paths2 = policy_paths(&mut space, p2, u);
+    assert!(semantic_diff(&mut space.manager, &paths1, &paths2).is_empty());
 }
 
 #[test]
@@ -1084,8 +1086,6 @@ mod ddnf {
             let b = header_localize_with(space, s, &fast);
             assert_eq!(a, b, "localization diverged between oracle and trie DAG");
         }
-        oracle.release(space.manager());
-        fast.release(space.manager());
     }
 
     fn route_space() -> RouteSpace {
@@ -1170,9 +1170,6 @@ mod ddnf {
                 "pruned GetMatch diverged from the eager oracle"
             );
             prop_assert_eq!(got.exact, exact);
-        }
-        for dag in [cells, pruned, eager] {
-            dag.release(space.manager());
         }
         Ok(())
     }
@@ -1270,8 +1267,7 @@ mod ddnf {
     /// Localize a target confined to one leaf and check what was
     /// materialized: node sets for the root and for the children of every
     /// node on the root-to-leaf path (their overlap tests), remainders for
-    /// the path nodes only. The build roots nothing; `release` drops
-    /// exactly what the query rooted.
+    /// the path nodes only. Neither the build nor the query roots anything.
     fn assert_localizes_one_leaf_lazily<E: RangeEncoder>(space: &mut E) {
         // Encoding once roots the space's own lifetime caches (a route
         // space's canonical-form constraint), which are not the DAG's.
@@ -1322,6 +1318,11 @@ mod ddnf {
         let s = space.manager().and(b, valid);
         let loc = header_localize_with(space, s, &dag);
         assert_eq!(
+            space.manager().root_count(),
+            roots_before,
+            "the query rooted BDDs"
+        );
+        assert_eq!(
             loc,
             HeaderLocalization {
                 terms: vec![RangeTerm {
@@ -1349,13 +1350,6 @@ mod ddnf {
             nodes.len()
         );
         assert_eq!(materialized(&snapshot), (Vec::new(), Vec::new()));
-        dag.release(space.manager());
-        snapshot.release(space.manager());
-        assert_eq!(
-            space.manager().root_count(),
-            roots_before,
-            "release leaked roots"
-        );
     }
 
     #[test]
@@ -1390,23 +1384,9 @@ mod ddnf {
         assert_same_dag(&mut route_space(), &ranges);
     }
 
-    /// Localizing against a released DAG is a use-after-free of its GC
-    /// roots; the poison flag catches it in debug builds.
-    #[test]
-    #[should_panic(expected = "released RangeDag")]
-    #[cfg_attr(
-        not(debug_assertions),
-        ignore = "the poison flag is a debug_assert; it compiles out in release builds"
-    )]
-    fn localize_after_release_is_poisoned() {
-        let mut space = route_space();
-        let dag = RangeDag::build(&mut space, &[]);
-        dag.release(&mut space.manager);
-        let _ = header_localize_with(&mut space, campion_bdd::Bdd::FALSE, &dag);
-    }
-
-    /// The `(node, S)` memo must serve repeat queries and reset when a
-    /// sweep recycles node indices.
+    /// The DAG's caches must serve repeat queries and, after a sweep
+    /// frees the unrooted node sets and recycles their slots, re-materialize
+    /// them in the swept arena.
     #[test]
     fn memo_is_stable_across_queries_and_collections() {
         let r = |s: &str| s.parse::<PrefixRange>().unwrap();
@@ -1427,11 +1407,24 @@ mod ddnf {
         let first = header_localize_with(&mut space, s, &dag);
         let memo_hit = header_localize_with(&mut space, s, &dag);
         assert_eq!(first, memo_hit);
-        space.manager.gc_checkpoint(); // aggressive: sweeps, indices may move
+        let visited = materialized(&dag);
+        // The aggressive checkpoint sweeps the DAG's unrooted sets. Refill
+        // the freed slots with unrelated functions, so a stale cached handle
+        // would now name one of them.
+        space.manager.gc_checkpoint();
+        for r in ["30.0.0.0/8:8-32", "40.0.0.0/12:12-24", "50.0.0.0/16:16-16"] {
+            let _ = space.prefix_range_bdd(&r.parse().unwrap());
+        }
         let after_gc = header_localize_with(&mut space, s, &dag);
         assert_eq!(first, after_gc);
+        assert_eq!(materialized(&dag), visited, "re-materialized other nodes");
+        let fresh = RangeDag::build(&mut space, &ranges);
+        assert_eq!(
+            dag_structure(&mut space, &dag),
+            dag_structure(&mut space, &fresh),
+            "a cached handle outlived the sweep"
+        );
         space.manager.unprotect(s);
-        dag.release(&mut space.manager);
     }
 
     /// The clone invariant the benchmark's traced replay relies on: a
@@ -1475,6 +1468,5 @@ mod ddnf {
         for s in targets {
             space.manager.unprotect(s);
         }
-        dag.release(&mut space.manager);
     }
 }

@@ -10,19 +10,18 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use campion_core::{CampionOptions, GcMode};
+use campion_core::CampionOptions;
 use campion_fleet::{api, flight, http, Daemon};
 use campion_trace::log::{self, Level, Value};
 
 const USAGE: &str = "\
-usage: campion-fleetd --store <dir> [--addr <host:port>] [--jobs N] [--gc auto|off|aggressive]
-                      [--slo-ms N] [--log <file|->] [--log-level debug|info|warn|error]
+usage: campion-fleetd --store <dir> [--addr <host:port>] [--jobs N] [--slo-ms N]
+                      [--log <file|->] [--log-level debug|info|warn|error]
 
 Options:
   --store <dir>      snapshot store directory (created if missing; required)
   --addr <hp>        listen address            [default: 127.0.0.1:8180]
   --jobs N           diff worker threads, 0 = one per hardware thread
-  --gc MODE          BDD garbage collection: auto, off, aggressive
   --slo-ms N         per-pair latency SLO; a slower computed pair dumps a
                      flight-recorder artifact  [default: 60000; 0 = always]
   --log <file|->     structured JSON log destination: a file path, or - for
@@ -57,12 +56,6 @@ fn main() -> ExitCode {
             "--jobs" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) => opts.jobs = v,
                 None => return fail("--jobs needs a number"),
-            },
-            "--gc" => match args.next().as_deref() {
-                Some("auto") => opts.gc = GcMode::Auto,
-                Some("off") => opts.gc = GcMode::Off,
-                Some("aggressive") => opts.gc = GcMode::Aggressive,
-                _ => return fail("--gc needs auto, off, or aggressive"),
             },
             "--slo-ms" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) => slo_ms = v,

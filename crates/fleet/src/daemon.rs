@@ -370,7 +370,7 @@ impl Daemon {
                 peak_nodes: s.peak_nodes,
                 post_gc_nodes: s.post_gc_nodes,
                 gc_runs: s.gc_runs,
-                gc_pauses: s.gc_pauses,
+                gc_pauses: s.gc_runs,
                 gc_pause_us: s.gc_pause_us,
                 gc_pause_max_us: s.gc_pause_max_us,
                 unique_lookups: s.unique_lookups,

@@ -88,7 +88,8 @@ pub struct PairResources {
     pub post_gc_nodes: u64,
     /// Completed collections.
     pub gc_runs: u64,
-    /// Collector entries (incl. mark-only passes).
+    /// GC pauses. Every collection is one pause, so the daemon writes
+    /// `gc_runs` here; the field stays because store format v2 carries it.
     pub gc_pauses: u64,
     /// Total GC pause time, microseconds.
     pub gc_pause_us: u64,

@@ -504,6 +504,35 @@ fn slo_breach_produces_valid_flight_dump() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A JunOS term indented with one space, whose next line is indented with a
+/// no-break space (two bytes, one character), ingests like any other config:
+/// hashing and quoting it must not cut that character in half.
+#[test]
+fn multibyte_indentation_ingests_cleanly() {
+    let _g = trace_guard();
+    let dir = scratch("nbsp");
+    let opts = CampionOptions::default();
+    let mut daemon = Daemon::open(&dir, opts.clone()).expect("open");
+    let cisco = "ip access-list extended F\n permit tcp any any eq 23\n";
+    let junos = "firewall {\nfamily inet {\nfilter F {\n term t1 {\n\u{a0}from {\n  \
+                 protocol tcp;\n  destination-port 22;\n  }\n  then accept;\n }\n}\n}\n}\n";
+    let snap = SnapshotInput {
+        name: "nbsp".to_string(),
+        configs: BTreeMap::from([
+            ("c".to_string(), cisco.to_string()),
+            ("j".to_string(), junos.to_string()),
+        ]),
+        pairs: vec![("c".to_string(), "j".to_string())],
+    };
+    let summary = daemon.ingest(&snap).expect("ingest");
+    assert_eq!((summary.pairs_total, summary.pairs_computed), (1, 1));
+    let pair = &daemon.latest().expect("latest").pairs[0];
+    assert!(!pair.equivalent);
+    let fresh = compare_config_texts(cisco, junos, &opts).expect("fresh compare");
+    assert_eq!(pair.report_text, format!("{fresh}\n"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// One in-process GET against the API router; returns (body, status).
 fn api_get(daemon: &mut Daemon, path: &str) -> (String, u16) {
     let (resp, shutdown) = api::handle(

@@ -394,6 +394,57 @@ fn bgp_neighbor_lowering_defaults() {
     assert_eq!(j.policies["A+B"].clauses.len(), 2);
 }
 
+/// JunOS: a neighbor's own import/export chain overrides its group's; a
+/// neighbor without one inherits the group's.
+#[test]
+fn juniper_neighbor_chains_override_group_chains() {
+    let j = lower(
+        &parse_config(
+            "routing-options { autonomous-system 65001; }
+            policy-options {
+                policy-statement EXP1 { term t { then accept; } }
+                policy-statement EXP2 { term t { then reject; } }
+                policy-statement CUSTOM_IN { term t { then accept; } }
+                policy-statement CUSTOM_OUT { term t { then reject; } }
+                policy-statement IMP { term t { then accept; } }
+            }
+            protocols {
+                bgp {
+                    group ibgp {
+                        type internal;
+                        export [ EXP1 EXP2 ];
+                        neighbor 10.0.0.3;
+                        neighbor 10.0.0.4 {
+                            import CUSTOM_IN;
+                        }
+                    }
+                    group ebgp {
+                        type external;
+                        peer-as 65002;
+                        import IMP;
+                        export EXP1;
+                        neighbor 10.0.1.2;
+                        neighbor 10.0.1.3 {
+                            export CUSTOM_OUT;
+                        }
+                    }
+                }
+            }",
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    let bgp = j.bgp.as_ref().unwrap();
+    let chains = |addr: &str| {
+        let n = &bgp.neighbors[&addr.parse().unwrap()];
+        (n.import_policy.as_deref(), n.export_policy.as_deref())
+    };
+    assert_eq!(chains("10.0.0.3"), (None, Some("EXP1+EXP2")));
+    assert_eq!(chains("10.0.0.4"), (Some("CUSTOM_IN"), Some("EXP1+EXP2")));
+    assert_eq!(chains("10.0.1.2"), (Some("IMP"), Some("EXP1")));
+    assert_eq!(chains("10.0.1.3"), (Some("IMP"), Some("CUSTOM_OUT")));
+}
+
 #[test]
 fn connected_routes_from_interfaces() {
     let c = lower(

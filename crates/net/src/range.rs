@@ -88,12 +88,6 @@ impl PrefixRange {
             && other.prefix.bits() & mask(self.prefix.len()) == self.prefix.bits()
     }
 
-    /// Strict containment: `other ⊂ self` and the two ranges denote
-    /// different sets.
-    pub fn contains_strictly(&self, other: &PrefixRange) -> bool {
-        self.contains(other) && !other.contains(self)
-    }
-
     /// Intersection of two ranges, or `None` when empty.
     ///
     /// The address constraints compose only when one covering prefix
@@ -170,30 +164,6 @@ impl PrefixRange {
             && a.max_len <= b.max_len
             && a.prefix.bits() & mask(b.prefix.len()) == b.prefix.bits()
             && (b.prefix.len() <= a.prefix.len() || a.max_len == a.prefix.len())
-    }
-
-    /// Exact member-set emptiness (e.g. `(10.0.0.0/8, 0-6)` has no
-    /// members: no 0–6-bit truncation preserves the `10.` octet).
-    pub fn members_empty(&self) -> bool {
-        self.canonical_members().is_none()
-    }
-
-    /// Number of member prefixes (for minimality metrics in tests).
-    pub fn member_count(&self) -> u128 {
-        let mut total = 0u128;
-        for len in self.min_len..=self.max_len {
-            let free = u32::from(len.saturating_sub(self.prefix.len()));
-            // For len < prefix.len() the only candidate is the truncated
-            // prefix, and it is a member iff truncation preserves the bits.
-            if len < self.prefix.len() {
-                if self.prefix.bits() & mask(len) == self.prefix.bits() {
-                    total += 1;
-                }
-            } else {
-                total += 1u128 << free;
-            }
-        }
-        total
     }
 }
 

@@ -79,11 +79,6 @@ impl WildcardMask {
         }
     }
 
-    /// Number of "don't care" bits (log2 of the matched-set size).
-    pub fn free_bits(&self) -> u32 {
-        self.wildcard.count_ones()
-    }
-
     /// Decompose the matched set into prefixes.
     ///
     /// A contiguous mask yields its single prefix. A non-contiguous mask

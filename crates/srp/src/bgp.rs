@@ -129,6 +129,3 @@ pub fn best_routes(candidates: &[BgpRoute]) -> BTreeMap<Prefix, BgpRoute> {
     }
     best
 }
-
-/// A router's Adj-RIB-In: candidates per (prefix, neighbor).
-pub type BgpRibIn = BTreeMap<(Prefix, Ipv4Addr), BgpRoute>;

@@ -34,7 +34,7 @@ pub mod network;
 pub mod ospf;
 pub mod srp;
 
-pub use bgp::{BgpRibIn, BgpRoute};
+pub use bgp::BgpRoute;
 pub use network::{Link, Network, RibEntry, RibProtocol};
 pub use ospf::OspfRoute;
 pub use srp::{SolveError, Srp};

@@ -41,11 +41,6 @@ pub fn packet_dport_vars() -> std::ops::Range<u32> {
     packet_space::DPORT_VARS
 }
 
-/// The source-port variable run of the packet space.
-pub fn packet_sport_vars() -> std::ops::Range<u32> {
-    packet_space::SPORT_VARS
-}
-
 /// Total variable count of the packet space.
 pub fn packet_num_vars() -> u32 {
     packet_space::NUM_VARS

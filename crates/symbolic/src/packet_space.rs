@@ -213,25 +213,6 @@ impl PacketSpace {
         };
         FlowExample { flow }
     }
-
-    /// Encode a concrete flow as a point predicate (for differential tests).
-    pub fn flow_bdd(&mut self, f: &Flow) -> Bdd {
-        let dst: Vec<u32> = DST_VARS.collect();
-        let src: Vec<u32> = SRC_VARS.collect();
-        let proto: Vec<u32> = PROTO_VARS.collect();
-        let sp: Vec<u32> = SPORT_VARS.collect();
-        let dp: Vec<u32> = DPORT_VARS.collect();
-        let mut acc = bits::eq_const(&mut self.manager, &dst, u64::from(u32::from(f.dst_ip)));
-        let b = bits::eq_const(&mut self.manager, &src, u64::from(u32::from(f.src_ip)));
-        acc = self.manager.and(acc, b);
-        let b = bits::eq_const(&mut self.manager, &proto, u64::from(f.protocol));
-        acc = self.manager.and(acc, b);
-        let b = bits::eq_const(&mut self.manager, &sp, u64::from(f.src_port));
-        acc = self.manager.and(acc, b);
-        let b = bits::eq_const(&mut self.manager, &dp, u64::from(f.dst_port));
-        acc = self.manager.and(acc, b);
-        acc
-    }
 }
 
 /// A decoded packet example for reports.

@@ -28,7 +28,9 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+#[cfg(test)]
+use std::sync::Arc;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use crate::json::escape;
@@ -126,6 +128,7 @@ pub const MAX_PER_WINDOW: u32 = 64;
 enum Sink {
     Stderr,
     File(std::fs::File),
+    #[cfg(test)]
     Buffer(Arc<Mutex<String>>),
 }
 
@@ -170,8 +173,9 @@ pub fn init_file(level: Level, path: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Route records into an in-memory buffer and return it (tests).
-pub fn init_buffer(level: Level) -> Arc<Mutex<String>> {
+/// Route records into an in-memory buffer and return it.
+#[cfg(test)]
+pub(crate) fn init_buffer(level: Level) -> Arc<Mutex<String>> {
     let buf = Arc::new(Mutex::new(String::new()));
     init(level, Sink::Buffer(buf.clone()));
     buf
@@ -275,6 +279,7 @@ pub fn log(level: Level, event: &'static str, fields: &[(&str, Value<'_>)]) {
         Sink::File(f) => {
             let _ = f.write_all(line.as_bytes());
         }
+        #[cfg(test)]
         Sink::Buffer(b) => {
             b.lock().expect("log buffer poisoned").push_str(&line);
         }

@@ -229,6 +229,51 @@ set firewall family inet filter F term rest then discard
     );
 }
 
+/// A JunOS term indented with one space, whose next line is indented with a
+/// no-break space (two bytes, one character): quoting it in the report must
+/// not cut that character in half.
+const NBSP_INDENTED_FILTER: &str = "firewall {
+family inet {
+filter F {
+ term t1 {
+\u{a0}from {
+  protocol tcp;
+  destination-port 22;
+  }
+  then accept;
+ }
+}
+}
+}
+";
+
+#[test]
+fn multibyte_indentation_is_quoted_not_a_crash() {
+    let dir = std::env::temp_dir();
+    let cisco = dir.join("campion_cli_nbsp_cisco.cfg");
+    let junos = dir.join("campion_cli_nbsp_junos.cfg");
+    std::fs::write(
+        &cisco,
+        "ip access-list extended F\n permit tcp any any eq 23\n",
+    )
+    .expect("write temp");
+    std::fs::write(&junos, NBSP_INDENTED_FILTER).expect("write temp");
+    let out = campion(&[
+        "compare",
+        cisco.to_str().expect("utf8 path"),
+        junos.to_str().expect("utf8 path"),
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("| term t1 {"), "{stdout}");
+    assert!(stdout.contains("| from {"), "{stdout}");
+}
+
 #[test]
 fn baseline_reports_single_counterexamples() {
     let out = campion(&[
@@ -371,20 +416,38 @@ fn log_flag_writes_json_lines_and_leaves_the_report_alone() {
 
 #[test]
 fn gc_flag_modes_accepted_and_equal() {
-    let mut reports = Vec::new();
-    for mode in ["off", "auto", "aggressive"] {
-        let out = campion(&[
-            "compare",
-            "--gc",
-            mode,
+    // Collection is transparent: every mode prints the same report with the
+    // same verdict, on both sample pairs and in both output formats.
+    for (cfg1, cfg2, verdict) in [
+        (
             "testdata/figure1_cisco.cfg",
             "testdata/figure1_juniper.cfg",
-        ]);
-        assert_eq!(out.status.code(), Some(1), "gc mode {mode}");
-        reports.push(out.stdout);
+            1,
+        ),
+        (
+            "testdata/static_cisco.cfg",
+            "testdata/static_juniper.cfg",
+            1,
+        ),
+    ] {
+        for format in ["text", "json"] {
+            let run = |mode| campion(&["compare", "--gc", mode, "--format", format, cfg1, cfg2]);
+            let off = run("off");
+            assert_eq!(off.status.code(), Some(verdict), "{cfg1} --format {format}");
+            for mode in ["auto", "aggressive"] {
+                let out = run(mode);
+                assert_eq!(
+                    out.status.code(),
+                    off.status.code(),
+                    "{cfg1} --format {format}: {mode} vs off exit code"
+                );
+                assert_eq!(
+                    out.stdout, off.stdout,
+                    "{cfg1} --format {format}: {mode} vs off report"
+                );
+            }
+        }
     }
-    assert_eq!(reports[0], reports[1], "off vs auto reports differ");
-    assert_eq!(reports[1], reports[2], "auto vs aggressive reports differ");
     let out = campion(&["compare", "--gc", "sometimes", "a", "b"]);
     assert_eq!(out.status.code(), Some(2));
 }
@@ -445,29 +508,4 @@ fn trace_flag_writes_valid_chrome_json() {
     // A missing output path is a usage error, not a silent no-op.
     let out = campion(&["compare", "--trace"]);
     assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
-fn aggressive_gc_env_override_is_byte_identical() {
-    // CAMPION_GC_AGGRESSIVE=1 forces a collection at every safe point no
-    // matter what the options say — the differential hook CI uses. The
-    // subprocess isolates the env var from other tests.
-    let args = [
-        "compare",
-        "--gc",
-        "off",
-        "testdata/figure1_cisco.cfg",
-        "testdata/figure1_juniper.cfg",
-    ];
-    let plain = campion(&args);
-    let forced = Command::new(env!("CARGO_BIN_EXE_campion"))
-        .args(args)
-        .env("CAMPION_GC_AGGRESSIVE", "1")
-        .output()
-        .expect("binary runs");
-    assert_eq!(plain.status.code(), forced.status.code());
-    assert_eq!(
-        plain.stdout, forced.stdout,
-        "env-forced aggressive GC changed the report"
-    );
 }

@@ -165,7 +165,7 @@ fn pair_stats_count_presentation() {
     let (name, a1) = r1.acls.iter().next().expect("one ACL");
     let a2 = &r2.acls[name];
     let mut space = PacketSpace::new();
-    space.manager.set_gc_policy(opts.effective_gc().policy());
+    space.manager.set_gc_policy(opts.gc.policy());
     let (paths1, paths2) = acl_diff_paths(&mut space, a1, a2, 1);
     let mut prune = DiffPruneStats::default();
     let diffs = semantic_diff_jobs(&mut space.manager, &paths1, &paths2, &mut prune, 1);
@@ -192,24 +192,34 @@ fn pair_stats_count_presentation() {
 #[test]
 fn bdd_stats_aggregate_deterministically() {
     // Per-pair managers are private, so the merged counters are a pure
-    // function of the workload — equal for any worker count.
+    // function of the workload — equal for any worker count, under the
+    // default GC and under one that sweeps at every safe point.
     let pairs = scenario3(3, 50, 55);
-    let (c, j) = (&pairs[0].cisco, &pairs[0].juniper);
-    let seq = compare_routers(&load(c), &load(j), &opts_with_jobs(1));
-    let par = compare_routers(&load(c), &load(j), &opts_with_jobs(8));
-    // gc_pause_us and gc_pause_max_us are wall-clock times, not counters
-    // — the only fields that legitimately vary between two runs of the
-    // same workload (visible under CAMPION_GC_AGGRESSIVE, where the pauses
-    // are numerous enough to time differently). Mask them; everything else
-    // must match exactly.
-    let (mut seq_stats, mut par_stats) = (seq.bdd_stats, par.bdd_stats);
-    for s in [&mut seq_stats, &mut par_stats] {
-        s.gc_pause_us = 0;
-        s.gc_pause_max_us = 0;
+    let (r1, r2) = (load(&pairs[0].cisco), load(&pairs[0].juniper));
+    for gc in [GcMode::Auto, GcMode::Aggressive] {
+        let opts = |jobs| CampionOptions {
+            gc,
+            ..opts_with_jobs(jobs)
+        };
+        let seq = compare_routers(&r1, &r2, &opts(1));
+        let par = compare_routers(&r1, &r2, &opts(8));
+        // gc_pause_us and gc_pause_max_us are wall-clock times, not
+        // counters — the only fields that legitimately vary between two
+        // runs of the same workload (under Aggressive the pauses are
+        // numerous enough to time differently). Mask them; everything
+        // else must match exactly.
+        let (mut seq_stats, mut par_stats) = (seq.bdd_stats, par.bdd_stats);
+        for s in [&mut seq_stats, &mut par_stats] {
+            s.gc_pause_us = 0;
+            s.gc_pause_max_us = 0;
+        }
+        assert_eq!(seq_stats, par_stats, "{gc:?}");
+        assert!(
+            seq.bdd_stats.apply_lookups > 0,
+            "semantic diff exercises the apply cache"
+        );
+        if gc == GcMode::Aggressive {
+            assert!(seq.bdd_stats.gc_runs > 0, "no safe point swept");
+        }
     }
-    assert_eq!(seq_stats, par_stats);
-    assert!(
-        seq.bdd_stats.apply_lookups > 0,
-        "semantic diff exercises the apply cache"
-    );
 }
