@@ -1,10 +1,13 @@
 //! Bit-vector constants: equality, prefix, wildcard and interval
-//! constraints over big-endian variable runs.
+//! constraints over big-endian variable runs, and the canonical first-match
+//! set of an ordered prefix-range list ([`first_match`]).
 //!
-//! Every encoder builds its chain bottom-up with the manager's `mk`: one
-//! unique-table lookup per constrained bit and no computed-table traffic.
-//! `mk` requires a new node's variable to sit above its children's, so each
-//! encoder asserts that its variable run ascends.
+//! Every encoder builds its result bottom-up with the manager's `mk`: one
+//! unique-table lookup per node and no computed-table traffic. `mk`
+//! requires a new node's variable to sit above its children's, so each
+//! encoder asserts that its variable runs ascend.
+
+use std::collections::HashMap;
 
 use crate::{Bdd, Manager};
 
@@ -71,43 +74,218 @@ pub fn wildcard_const(m: &mut Manager, vars: &[u32], addr: u32, wildcard: u32) -
 
 /// `value ≤ hi` over big-endian variables.
 pub fn le_const(m: &mut Manager, vars: &[u32], hi: u64) -> Bdd {
-    assert_ascending(vars);
-    // Build from the least-significant bit backwards:
-    // le(empty) = true; prepending bit b of the bound:
-    //   bound-bit 1: var=0 → anything below is fine; var=1 → rest must be ≤.
-    //   bound-bit 0: var must be 0 and the rest ≤.
-    let n = vars.len();
-    let mut acc = Bdd::TRUE;
-    for (i, &v) in vars.iter().enumerate().rev() {
-        acc = if (hi >> (n - 1 - i)) & 1 == 1 {
-            m.mk(v, Bdd::TRUE, acc)
-        } else {
-            m.mk(v, acc, Bdd::FALSE)
-        };
-    }
-    acc
+    range_const(m, vars, 0, hi)
 }
 
-/// `value ≥ lo` over big-endian variables.
-pub fn ge_const(m: &mut Manager, vars: &[u32], lo: u64) -> Bdd {
-    assert_ascending(vars);
-    let n = vars.len();
-    let mut acc = Bdd::TRUE;
-    for (i, &v) in vars.iter().enumerate().rev() {
-        acc = if (lo >> (n - 1 - i)) & 1 == 1 {
-            m.mk(v, Bdd::FALSE, acc)
-        } else {
-            m.mk(v, acc, Bdd::TRUE)
-        };
-    }
-    acc
-}
-
-/// `lo ≤ value ≤ hi` over big-endian variables.
+/// `lo ≤ value ≤ hi` over big-endian variables, both bounds taken to the
+/// run's width.
 pub fn range_const(m: &mut Manager, vars: &[u32], lo: u64, hi: u64) -> Bdd {
-    let a = ge_const(m, vars, lo);
-    let b = le_const(m, vars, hi);
-    m.and(a, b)
+    assert_ascending(vars);
+    let n = vars.len();
+    let width = u64::MAX.checked_shr(64 - n as u32).unwrap_or(0);
+    let (lo, hi) = (lo & width, hi & width);
+    if lo > hi {
+        return Bdd::FALSE;
+    }
+    let bit = |x: u64, i: usize| (x >> (n - 1 - i)) & 1 == 1;
+    // Above the first bit where the bounds differ the value copies them.
+    // At that bit `lo` has a 0 and `hi` a 1: a 0 there leaves only the
+    // `≥ lo` suffix to meet below it, a 1 only the `≤ hi` suffix.
+    let split = (0..n).find(|&i| bit(lo, i) != bit(hi, i)).unwrap_or(n);
+    let mut acc = Bdd::TRUE;
+    if split < n {
+        let (mut ge, mut le) = (Bdd::TRUE, Bdd::TRUE);
+        for i in (split + 1..n).rev() {
+            let v = vars[i];
+            ge = if bit(lo, i) {
+                m.mk(v, Bdd::FALSE, ge)
+            } else {
+                m.mk(v, ge, Bdd::TRUE)
+            };
+            le = if bit(hi, i) {
+                m.mk(v, Bdd::TRUE, le)
+            } else {
+                m.mk(v, le, Bdd::FALSE)
+            };
+        }
+        acc = m.mk(vars[split], ge, le);
+    }
+    for i in (0..split).rev() {
+        acc = if bit(lo, i) {
+            m.mk(vars[i], Bdd::FALSE, acc)
+        } else {
+            m.mk(vars[i], acc, Bdd::FALSE)
+        };
+    }
+    acc
+}
+
+/// One entry of an ordered prefix-range list: it holds the members whose
+/// first `len` address bits equal those of `bits` and whose length lies in
+/// `lo..=hi`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RangeEntry {
+    /// Whether the members this entry is the first to hold are permitted.
+    pub permit: bool,
+    /// The prefix address; bits past `len` are ignored.
+    pub bits: u32,
+    /// The prefix length, at most 32.
+    pub len: u8,
+    /// Smallest member length.
+    pub lo: u8,
+    /// Largest member length.
+    pub hi: u8,
+}
+
+/// Lengths `0..=d`, one bit each.
+fn lengths_upto(d: usize) -> u64 {
+    (2 << d) - 1
+}
+
+/// The canonical first-match set of an ordered permit/deny prefix-range
+/// list, over 32 address variables and the 6 length variables below them:
+/// the members `(a, l)` with `l ≤ 32` and `a`'s bits at positions `≥ l` all
+/// zero that the first entry holding them permits.
+///
+/// One pass over the entries' address trie. Each trie node carries the
+/// entries still compatible with its path, in list order, and the lengths
+/// its set bits leave canonical. Once no compatible entry is pending (all
+/// are no longer than the depth), the rest of the set depends only on the
+/// depth and the permitted lengths, a 33-bit mask memoized per call; a
+/// length set becomes a chain of at most 6 levels.
+pub fn first_match(
+    m: &mut Manager,
+    addr_vars: &[u32],
+    len_vars: &[u32],
+    entries: &[RangeEntry],
+) -> Bdd {
+    assert_eq!(addr_vars.len(), 32, "32 address variables");
+    assert_eq!(len_vars.len(), 6, "6 length variables");
+    assert_ascending(addr_vars);
+    assert_ascending(len_vars);
+    assert!(
+        addr_vars[31] < len_vars[0],
+        "the address run must sit above the length run"
+    );
+    assert!(entries.iter().all(|e| e.len <= 32), "prefix beyond /32");
+    let lens: Vec<u64> = entries
+        .iter()
+        .map(|e| {
+            let hi = e.hi.min(32);
+            if e.lo > hi {
+                0
+            } else {
+                (2 << hi) - (1 << e.lo)
+            }
+        })
+        .collect();
+    let mut stack: Vec<usize> = (0..entries.len()).filter(|&e| lens[e] != 0).collect();
+    let mut b = FirstMatch {
+        m,
+        addr: addr_vars,
+        len: len_vars,
+        entries,
+        lens,
+        memo: HashMap::new(),
+    };
+    b.node(&mut stack, 0, 0, lengths_upto(32))
+}
+
+/// The state of one [`first_match`] call.
+struct FirstMatch<'a> {
+    m: &'a mut Manager,
+    addr: &'a [u32],
+    len: &'a [u32],
+    entries: &'a [RangeEntry],
+    /// Each entry's lengths, one bit each.
+    lens: Vec<u64>,
+    /// `(depth, permitted lengths)` → the set below that depth.
+    memo: HashMap<(usize, u64), Bdd>,
+}
+
+impl FirstMatch<'_> {
+    /// The set below a trie node at `depth` whose compatible entries are
+    /// `stack[from..]` and whose path leaves lengths `open` canonical.
+    fn node(&mut self, stack: &mut Vec<usize>, from: usize, depth: usize, open: u64) -> Bdd {
+        let to = stack.len();
+        if stack[from..]
+            .iter()
+            .all(|&e| usize::from(self.entries[e].len) <= depth)
+        {
+            let permitted = self.resolve(&stack[from..], open);
+            return self.tail(depth, permitted);
+        }
+        let mut kids = [Bdd::FALSE; 2];
+        for (b, kid) in kids.iter_mut().enumerate() {
+            // A 1 at this position makes every length up to it non-canonical.
+            let open = if b == 1 {
+                open & !lengths_upto(depth)
+            } else {
+                open
+            };
+            for i in from..to {
+                let e = stack[i];
+                let entry = self.entries[e];
+                let on_path =
+                    usize::from(entry.len) <= depth || (entry.bits >> (31 - depth)) & 1 == b as u32;
+                if on_path && self.lens[e] & open != 0 {
+                    stack.push(e);
+                }
+            }
+            *kid = self.node(stack, to, depth + 1, open);
+            stack.truncate(to);
+        }
+        self.m.mk(self.addr[depth], kids[0], kids[1])
+    }
+
+    /// The lengths in `open` that the first of `entries` to hold them
+    /// permits; every entry's address already matches.
+    fn resolve(&self, entries: &[usize], mut open: u64) -> u64 {
+        let mut permitted = 0;
+        for &e in entries {
+            let held = self.lens[e] & open;
+            if self.entries[e].permit {
+                permitted |= held;
+            }
+            open &= !held;
+        }
+        permitted
+    }
+
+    /// The canonical members below `depth` with a length in `lengths`:
+    /// a 1 at position `d` leaves only the lengths above `d`.
+    fn tail(&mut self, depth: usize, lengths: u64) -> Bdd {
+        if lengths == 0 {
+            return Bdd::FALSE;
+        }
+        if let Some(&b) = self.memo.get(&(depth, lengths)) {
+            return b;
+        }
+        let b = if depth == 32 {
+            length_set(self.m, self.len, lengths)
+        } else {
+            let low = self.tail(depth + 1, lengths);
+            let high = self.tail(depth + 1, lengths & !lengths_upto(depth));
+            self.m.mk(self.addr[depth], low, high)
+        };
+        self.memo.insert((depth, lengths), b);
+        b
+    }
+}
+
+/// `value ∈ set` over big-endian `vars`, with `set` one bit per value.
+fn length_set(m: &mut Manager, vars: &[u32], set: u64) -> Bdd {
+    let values = 1u32 << vars.len();
+    if set == 0 {
+        return Bdd::FALSE;
+    }
+    if set == u64::MAX >> (64 - values) {
+        return Bdd::TRUE;
+    }
+    let half = values / 2;
+    let low = length_set(m, &vars[1..], set & (u64::MAX >> (64 - half)));
+    let high = length_set(m, &vars[1..], set >> half);
+    m.mk(vars[0], low, high)
 }
 
 #[cfg(test)]
@@ -144,8 +322,12 @@ mod tests {
         }
         let le = le_const(&mut m, &vars, 0);
         assert_eq!(m.sat_count(le), 1);
-        let ge = ge_const(&mut m, &vars, 0);
-        assert!(m.is_true(ge));
+        let all = range_const(&mut m, &vars, 0, u64::MAX);
+        assert!(m.is_true(all));
+        assert_eq!(range_const(&mut m, &vars, 33, 32), Bdd::FALSE);
+        // Bounds are taken to the run's width: 64 reads as 0.
+        let wrapped = range_const(&mut m, &vars, 0, 64);
+        assert_eq!(wrapped, le);
     }
 
     #[test]
@@ -242,12 +424,14 @@ mod tests {
             let want = and_cube(&mut m, &lits);
             prop_assert_eq!(eq, want);
             let le = le_const(&mut m, &vars, y);
-            let want = cmp_ref(&mut m, &vars, y, false);
-            prop_assert_eq!(le, want);
-            let ge = ge_const(&mut m, &vars, x);
-            let want = cmp_ref(&mut m, &vars, x, true);
-            prop_assert_eq!(ge, want);
+            let le_ref = cmp_ref(&mut m, &vars, y, false);
+            prop_assert_eq!(le, le_ref);
+            let ge = range_const(&mut m, &vars, x, u64::MAX);
+            let ge_ref = cmp_ref(&mut m, &vars, x, true);
+            prop_assert_eq!(ge, ge_ref);
             let range = range_const(&mut m, &vars, x, y);
+            let want = m.and(ge_ref, le_ref);
+            prop_assert_eq!(range, want);
             for bits in 0..1u32 << NV {
                 let asg = Assignment::new((0..NV).map(|v| bits >> v & 1 == 1).collect());
                 let val = decode(&vars, bits);
@@ -283,6 +467,156 @@ mod tests {
                 let asg = Assignment::new((0..32).map(|i| bits >> (31 - i) & 1 == 1).collect());
                 prop_assert_eq!(m.eval(prefix, &asg), (bits ^ addr) >> (32 - width) == 0);
                 prop_assert_eq!(m.eval(wild, &asg), (bits ^ addr) & care == 0);
+            }
+        }
+    }
+
+    /// The route layout the builder is written for: the address run
+    /// `0..32`, then the length run `32..38`.
+    fn route_runs() -> (Vec<u32>, Vec<u32>) {
+        ((0..32).collect(), (32..38).collect())
+    }
+
+    /// Reference first-match set, built from literals with `and`/`or`/
+    /// `diff`: per entry `prefix ∧ length ∧ canonical`, folded from the
+    /// last entry back, `or` for a permit and `diff` for a deny.
+    fn first_match_ref(m: &mut Manager, entries: &[RangeEntry]) -> Bdd {
+        let (addr, len) = route_runs();
+        let mut canon = cmp_ref(m, &len, 32, false);
+        for (i, &v) in addr.iter().enumerate() {
+            let unset = m.literal(v, false);
+            let longer = cmp_ref(m, &len, i as u64 + 1, true);
+            let implied = m.or(unset, longer);
+            canon = m.and(canon, implied);
+        }
+        let mut acc = Bdd::FALSE;
+        for e in entries.iter().rev() {
+            let lits: Vec<(u32, bool)> = addr[..usize::from(e.len)]
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| (v, e.bits >> (31 - i) & 1 == 1))
+                .collect();
+            let prefix = and_cube(m, &lits);
+            let lo = cmp_ref(m, &len, e.lo.into(), true);
+            let hi = cmp_ref(m, &len, e.hi.into(), false);
+            let lens = m.and(lo, hi);
+            let held = m.and(prefix, lens);
+            let held = m.and(held, canon);
+            acc = if e.permit {
+                m.or(held, acc)
+            } else {
+                m.diff(acc, held)
+            };
+        }
+        acc
+    }
+
+    /// Concrete first match: is `(a, l)` canonical, and does the first
+    /// entry holding it permit it?
+    fn decide(entries: &[RangeEntry], a: u32, l: u8) -> bool {
+        let canonical = l <= 32 && (l == 32 || a & (u32::MAX >> l) == 0);
+        canonical
+            && entries
+                .iter()
+                .find(|e| {
+                    let covered = u32::MAX.checked_shl(32 - u32::from(e.len)).unwrap_or(0);
+                    (a ^ e.bits) & covered == 0 && e.lo <= l && l <= e.hi
+                })
+                .is_some_and(|e| e.permit)
+    }
+
+    /// The assignment of the route layout holding address `a`, length `l`.
+    fn point(a: u32, l: u8) -> Assignment {
+        Assignment::new(
+            (0..32)
+                .map(|i| a >> (31 - i) & 1 == 1)
+                .chain((0..6).map(|j| l >> (5 - j) & 1 == 1))
+                .collect(),
+        )
+    }
+
+    /// Entries that nest often (half keep only a few high bits), with /0,
+    /// /32 and `hi = 32` drawn on purpose and `lo` free to sit below the
+    /// prefix length (truncation members).
+    fn entry() -> impl Strategy<Value = RangeEntry> {
+        (
+            any::<bool>(),
+            prop_oneof![any::<u32>(), any::<u32>().prop_map(|b| b & 0xF0F0_0000)],
+            prop_oneof![Just(0u8), Just(32u8), 0u8..=32],
+            0u8..=32,
+            prop_oneof![Just(32u8), 0u8..=32],
+        )
+            .prop_map(|(permit, bits, len, a, b)| RangeEntry {
+                permit,
+                bits,
+                len,
+                lo: a.min(b),
+                hi: a.max(b),
+            })
+    }
+
+    #[test]
+    fn first_match_of_the_universe_is_every_canonical_prefix() {
+        let mut m = Manager::new(38);
+        let (addr, len) = route_runs();
+        let universe = RangeEntry {
+            permit: true,
+            bits: 0,
+            len: 0,
+            lo: 0,
+            hi: 32,
+        };
+        let f = first_match(&mut m, &addr, &len, &[universe]);
+        assert_eq!(m.sat_count(f), (1 << 33) - 1);
+        assert_eq!(f, first_match_ref(&mut m, &[universe]));
+        let nodes = m.node_count();
+        let lookups = m.stats().apply_lookups;
+        assert_eq!(first_match(&mut m, &addr, &len, &[universe]), f);
+        assert_eq!(m.node_count(), nodes, "a rebuild made new nodes");
+        assert_eq!(m.stats().apply_lookups, lookups, "the builder used apply");
+        assert_eq!(first_match(&mut m, &addr, &len, &[]), Bdd::FALSE);
+    }
+
+    #[test]
+    #[should_panic(expected = "the address run must sit above the length run")]
+    fn first_match_rejects_a_length_run_above_the_address_run() {
+        let mut m = Manager::new(38);
+        let addr: Vec<u32> = (6..38).collect();
+        let len: Vec<u32> = (0..6).collect();
+        first_match(&mut m, &addr, &len, &[]);
+    }
+
+    proptest! {
+        /// The trie builder is the same handle as the literal first-match
+        /// fold, and holds exactly the canonical members the first holding
+        /// entry permits: at each entry's bounds and truncations, with
+        /// host bits set, beyond /32, and at random points.
+        #[test]
+        fn first_match_matches_the_literal_fold(
+            mut entries in proptest::collection::vec(entry(), 0..8),
+            dup in any::<u8>(),
+            noise in proptest::collection::vec((any::<u32>(), 0u8..64), 8..9),
+        ) {
+            if !entries.is_empty() && dup % 2 == 0 {
+                let copy = entries[usize::from(dup) % entries.len()];
+                entries.push(copy);
+            }
+            let mut m = Manager::new(38);
+            let (addr, len) = route_runs();
+            let got = first_match(&mut m, &addr, &len, &entries);
+            let want = first_match_ref(&mut m, &entries);
+            prop_assert_eq!(got, want);
+            let mut points = noise;
+            for e in &entries {
+                for l in [e.lo, e.hi, e.len, e.len.saturating_sub(1), e.lo.midpoint(e.hi)] {
+                    let keep = u32::MAX.checked_shl(32 - u32::from(l.min(e.len))).unwrap_or(0);
+                    points.push((e.bits & keep, l));
+                    points.push((e.bits, l));
+                    points.push((e.bits & keep, (l + 33).min(63)));
+                }
+            }
+            for (a, l) in points {
+                prop_assert_eq!(m.eval(got, &point(a, l)), decide(&entries, a, l), "a={:#x} l={}", a, l);
             }
         }
     }

@@ -908,6 +908,29 @@ impl Manager {
         cur.is_const_true()
     }
 
+    /// The cofactor of `f` on a cube of literals `(var, value)`, found by
+    /// walking down `f`: it creates no node. The cube's variables ascend
+    /// and cover every variable `f` tests above the cube's last one, so the
+    /// walk never has to split a node.
+    ///
+    /// # Panics
+    /// Panics if `f` tests a variable the cube skips.
+    pub fn cofactor(&self, f: Bdd, cube: impl IntoIterator<Item = (u32, bool)>) -> Bdd {
+        let mut cur = f;
+        for (var, value) in cube {
+            let node = self.nodes[cur.0 as usize];
+            assert!(
+                node.var >= var,
+                "cofactor: f tests variable {} above the cube's literal {var}",
+                node.var
+            );
+            if node.var == var {
+                cur = if value { node.high } else { node.low };
+            }
+        }
+        cur
+    }
+
     /// Is `f` satisfiable? (Constant time.)
     pub fn is_sat(&self, f: Bdd) -> bool {
         !f.is_const_false()

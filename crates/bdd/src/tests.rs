@@ -92,6 +92,14 @@ fn restrict_cofactors() {
 }
 
 #[test]
+#[should_panic(expected = "cofactor: f tests variable 1")]
+fn cofactor_rejects_a_cube_that_skips_a_tested_variable() {
+    let mut m = Manager::new(3);
+    let y = m.var(1);
+    m.cofactor(y, [(0, true), (2, true)]);
+}
+
+#[test]
 fn exists_removes_support() {
     let mut m = Manager::new(3);
     let x = m.var(0);
@@ -397,6 +405,27 @@ mod properties {
             let c1 = m.restrict(f, var, true);
             let manual = m.or(c0, c1);
             prop_assert_eq!(ex, manual);
+        }
+
+        /// The walk along a cube over the first `k` variables is the chain of
+        /// restrictions, and creates no node.
+        #[test]
+        fn cofactor_is_the_chain_of_restrictions(
+            e in expr_strategy(),
+            k in 0..=NVARS,
+            values in any::<u16>(),
+        ) {
+            let mut m = Manager::new(NVARS);
+            let f = build(&mut m, &e);
+            let cube: Vec<(u32, bool)> = (0..k).map(|v| (v, values >> v & 1 == 1)).collect();
+            let nodes = m.node_count();
+            let walked = m.cofactor(f, cube.iter().copied());
+            prop_assert_eq!(m.node_count(), nodes);
+            let mut want = f;
+            for &(v, b) in &cube {
+                want = m.restrict(want, v, b);
+            }
+            prop_assert_eq!(walked, want);
         }
 
         #[test]

@@ -5,13 +5,14 @@
 //!   builder closes the input set under intersection, deduplicates by
 //!   denoted set, and wires cover edges, all decided structurally on
 //!   `(bits, len, lo-hi)` through a first-octet-bucketed prefix trie. It
-//!   encodes no BDD: node sets are materialized later, by the queries that
-//!   read them. A regression here is a builder regression and not a parser
-//!   or SemanticDiff one.
+//!   encodes no BDD, and no query encodes a node's set either: overlap is
+//!   decided by walking the target, and cells are encoded later, by the
+//!   queries that read them. A regression here is a builder regression and
+//!   not a parser or SemanticDiff one.
 //! * `ddnf_getmatch`: fixed targets localized against the 10⁴-range DAG,
 //!   reported as GetMatch calls/s. Every sample starts from a fresh
-//!   snapshot of the unmaterialized DAG, so it pays the lazy encodes a
-//!   pair's queries pay, not just memo hits.
+//!   snapshot of the DAG with no cell encoded, so it pays the lazy cell
+//!   encodes a pair's queries pay, not just memo hits.
 //!
 //! Inputs are generated with a fixed-seed LCG and squeezed into four first
 //! octets so the closure produces real intersections instead of a forest

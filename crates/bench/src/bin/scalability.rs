@@ -10,7 +10,12 @@
 //! Each size also records the front end per layer: Cisco and JunOS parse
 //! throughput (MB/s, 10⁶ bytes) and the time to lower both configs.
 //!
-//! A second section measures the parallel driver: one router pair holding
+//! A route-map row times one pair at the `rmap-10k` shape (10 000
+//! prefix-list entries behind a 60-clause route map): SemanticDiff's path
+//! enumeration, localization, peak nodes and GC activity, with its
+//! per-phase breakdown.
+//!
+//! A further section measures the parallel driver: one router pair holding
 //! many independent ACLs, compared at `jobs=1` and `jobs=4`. Pass `--json`
 //! to additionally write machine-readable results (timings plus BDD
 //! cache-hit counters) to `BENCH_campion.json`.
@@ -22,8 +27,13 @@ use campion_bench::{load, print_rows};
 use campion_cfg::parse_config;
 use campion_core::{compare_routers, CampionOptions, CampionReport};
 use campion_fleet::{gen as fleet_gen, Daemon};
+use campion_fuzz::inject::{draw_edit, DivClass};
+use campion_fuzz::scenario::{mask, AclRule, Clause, PlEntry, PrefixList};
+use campion_fuzz::{render_cisco, render_juniper, Scenario};
 use campion_gen::capirca_acl_pair;
 use campion_ir::lower;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Per-size measurement for the JSON report.
 struct SizeResult {
@@ -79,6 +89,109 @@ fn multi_acl_pair(pairs: usize, rules: usize, seed: u64) -> (String, String) {
         juniper.push_str(&j.replace("ACL-GEN", &format!("ACL-GEN-{i}")));
     }
     (cisco, juniper)
+}
+
+/// Generator seed of the route-map row's pair.
+const RMAP_SEED: u64 = 0x5EED_2011;
+
+/// One route-map pair at the `rmap-10k` shape: 100 prefix lists of 100
+/// entries (/16–/28, half with `le`), 60 clauses plus a catch-all and 30
+/// single-atom communities, rendered for both vendors from one seed. The
+/// second side carries one edit per divergence class (list bound, clause
+/// flip, community edit). The edits are not witness-checked: one that an
+/// earlier clause shadows changes nothing, so the row records the
+/// differences the compare found.
+fn rmap_pair(seed: u64) -> (String, String) {
+    const LISTS: usize = 100;
+    const ENTRIES: usize = 100;
+    const CLAUSES: usize = 60;
+    const COMMS: usize = 30;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let plists = (0..LISTS)
+        .map(|_| PrefixList {
+            entries: (0..ENTRIES)
+                .map(|_| {
+                    let len: u8 = rng.gen_range(16u8..=28);
+                    let addr = rng.gen::<u32>() & mask(len);
+                    let le = rng.gen_bool(0.5).then(|| rng.gen_range(len + 1..=32));
+                    PlEntry { addr, len, le }
+                })
+                .collect(),
+        })
+        .collect();
+    let comms = (0..COMMS)
+        .map(|_| (rng.gen_range(1u16..=65000), rng.gen_range(1u16..=65000)))
+        .collect();
+    // Every clause but the last matches a prefix list, so no early
+    // catch-all shadows the rest of the chain.
+    let mut clauses: Vec<Clause> = (0..CLAUSES)
+        .map(|_| {
+            let permit = rng.gen_bool(0.6);
+            Clause {
+                permit,
+                plist: Some(rng.gen_range(0..LISTS)),
+                comm: rng.gen_bool(0.3).then(|| rng.gen_range(0..COMMS)),
+                local_pref: (permit && rng.gen_bool(0.5)).then(|| rng.gen_range(50u32..=400)),
+            }
+        })
+        .collect();
+    clauses.push(Clause::catch_all(rng.gen_bool(0.5)));
+    let base = Scenario {
+        acl: vec![AclRule::catch_all(true)],
+        plists,
+        comms,
+        clauses,
+    };
+    let mut mutated = base.clone();
+    for class in [DivClass::PlistBound, DivClass::RmapFlip, DivClass::CommEdit] {
+        if let Some(edit) = draw_edit(&base, class, &mut rng) {
+            edit.apply(&mut mutated);
+        }
+    }
+    (render_cisco(&base).text, render_juniper(&mutated).text)
+}
+
+/// The route-map row of the JSON report.
+struct RmapResult {
+    compare_s: f64,
+    policy_paths_s: f64,
+    localize_s: f64,
+    peak_nodes: u64,
+    gc_runs: u64,
+    gc_pause_us: u64,
+    diffs_found: usize,
+    /// Per-phase breakdown (`Trace::phases_json`).
+    phases: String,
+}
+
+/// Compare the route-map pair traced, on one worker.
+fn rmap_row() -> RmapResult {
+    let (cisco, juniper) = rmap_pair(RMAP_SEED);
+    let (rc, rj) = (load(&cisco), load(&juniper));
+    campion_trace::enable();
+    let report = compare_routers(&rc, &rj, &opts_with_jobs(1));
+    campion_trace::disable();
+    let trace = campion_trace::drain();
+    println!("\n--- per-phase breakdown of the route-map pair ---");
+    print!("{}", trace.render_table());
+    let stats = trace.phase_stats();
+    let total_s = |name: &str| {
+        stats
+            .iter()
+            .find(|s| s.name == name)
+            .map_or(0.0, |s| s.total_ns as f64 / 1e9)
+    };
+    let s = &report.bdd_stats;
+    RmapResult {
+        compare_s: total_s("core.compare"),
+        policy_paths_s: total_s("semdiff.policy_paths"),
+        localize_s: total_s("present.localize"),
+        peak_nodes: s.peak_nodes,
+        gc_runs: s.gc_runs,
+        gc_pause_us: s.gc_pause_us,
+        diffs_found: report.route_map_diffs.len(),
+        phases: trace.phases_json(),
+    }
 }
 
 fn timed_compare(cisco: &str, juniper: &str, opts: &CampionOptions) -> (f64, CampionReport) {
@@ -212,6 +325,29 @@ fn main() {
     );
     let ratio = times[times.len() - 1] / times[2].max(1e-9);
     println!("\n1 000 → 10 000 rules runtime ratio: {ratio:.1}x (paper: <1 s → ~15 s)");
+
+    let rmap = rmap_row();
+    print_rows(
+        "Route-map pair: 100 prefix lists × 100 entries, 60 clauses, 3 injected edits",
+        &[
+            "compare (s)",
+            "policy paths (s)",
+            "localize (s)",
+            "differences found",
+            "peak nodes",
+            "GC runs",
+            "GC pause (µs)",
+        ],
+        &[vec![
+            format!("{:.3}", rmap.compare_s),
+            format!("{:.3}", rmap.policy_paths_s),
+            format!("{:.3}", rmap.localize_s),
+            rmap.diffs_found.to_string(),
+            rmap.peak_nodes.to_string(),
+            rmap.gc_runs.to_string(),
+            rmap.gc_pause_us.to_string(),
+        ]],
+    );
 
     // Parallel driver: one comparison spanning many independent ACL pairs.
     // The speedup scales with real cores — on a single-core host the two
@@ -367,9 +503,10 @@ fn main() {
             ),
             None => "\"skipped_single_core\": true".to_string(),
         };
-        // Per-phase breakdowns for the gated sizes, keyed by rule count.
+        // Per-phase breakdowns for the gated sizes, keyed by rule count,
+        // and for the route-map pair, keyed `rmap`.
         out.push_str("  ],\n  \"phases\": {\n");
-        let phase_entries: Vec<String> = size_results
+        let mut phase_entries: Vec<String> = size_results
             .iter()
             .filter_map(|r| {
                 r.phases
@@ -377,6 +514,7 @@ fn main() {
                     .map(|p| format!("    \"{}\": {p}", r.rules))
             })
             .collect();
+        phase_entries.push(format!("    \"rmap\": {}", rmap.phases));
         out.push_str(&phase_entries.join(",\n"));
         out.push_str("\n  },\n");
         // Localization metrics for the gated sizes, as their own top-level
@@ -392,6 +530,21 @@ fn main() {
         out.push_str("  \"headerloc_share\": {\n");
         out.push_str(&share_entries.join(",\n"));
         out.push_str("\n  },\n");
+        let _ = write!(
+            out,
+            "  \"rmap\": {{\n    \
+             \"lists\": 100, \"entries\": 100, \"clauses\": 60, \"comms\": 30, \
+             \"seed\": {RMAP_SEED}, \"compare_s\": {:.6}, \"policy_paths_s\": {:.6}, \
+             \"localize_s\": {:.6}, \"peak_nodes\": {}, \"gc_runs\": {}, \
+             \"gc_pause_us\": {}, \"diffs_found\": {}\n  }},\n",
+            rmap.compare_s,
+            rmap.policy_paths_s,
+            rmap.localize_s,
+            rmap.peak_nodes,
+            rmap.gc_runs,
+            rmap.gc_pause_us,
+            rmap.diffs_found
+        );
         let _ = write!(
             out,
             "  \"fleet_incremental\": {{\n    \

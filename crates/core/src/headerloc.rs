@@ -40,40 +40,51 @@
 //! ## How localization queries are kept cheap
 //!
 //! A pair's DAG has thousands of nodes, but a difference usually meets
-//! only a few of them. Localization work is kept in proportion to that:
+//! only a few of them. Localization work is kept in proportion to that,
+//! and no query encodes a node's set:
 //!
-//! * **Overlap pruning.** `GetMatch` first tests `λ(n) ∩ S`. A node that
-//!   misses `S` contributes no terms and is not recursed into: its
-//!   descendants are subsets of it, so they miss `S` as well and cannot
-//!   split a cell either. A query visits the root and the children of
-//!   the nodes that actually meet `S`.
-//! * **Lazy materialization.** Node sets and remainders (`λ(n) −
-//!   children`) are encoded the first time a query needs them, in the
-//!   space that is localizing. A node's set is needed for its overlap
-//!   test; its remainder only once the node is known to meet `S`.
+//! * **Overlap by walking.** `GetMatch` first asks whether `λ(n)` meets
+//!   `S` ([`RangeEncoder::meets`]): it walks `S` down `λ(n)`'s prefix bits
+//!   over the space's own address run ([`Manager::cofactor`], which
+//!   creates no node), and a route space then meets the node it reached
+//!   with `λ(n)`'s length interval. The test is exact because both targets
+//!   `GetMatch` passes down, `S` and `¬S = λ(root) − S`, lie inside
+//!   `λ(root)`, so the canonical-prefix constraint (the rest of a route
+//!   range's set) holds on them already.
+//! * **Overlap pruning.** A node that misses `S` contributes no terms and
+//!   is not recursed into: its descendants are subsets of it, so they miss
+//!   `S` as well and cannot split a cell either. A query visits the root
+//!   and the children of the nodes that actually meet `S`.
+//! * **Lazy cells.** A node's cell (`λ(n) − children`, its remainder) is
+//!   encoded the first time a query finds the node meets `S`, in the space
+//!   that is localizing ([`RangeEncoder::cell`]). A route space builds it
+//!   in one [`bits::first_match`] pass, the children as deny entries ahead
+//!   of `λ(n)` as a permit; address spaces fold `diff` over the children.
 //! * **Reuse across queries.** A pair's DAG serves ~10 difference queries,
-//!   which overlap heavily: materialized sets stay for the next query,
-//!   `GetMatch` results are memoized per `(node, S)` on the DAG (`¬S`
-//!   recursions hit the same table), and `¬S` itself is computed once per
-//!   localize call, not once per included node.
+//!   which overlap heavily: cells stay for the next query, `GetMatch`
+//!   results are memoized per `(node, S)` on the DAG (`¬S` recursions hit
+//!   the same table), and `¬S` itself is computed once per localize call,
+//!   not once per included node.
 //! * **One validity rule.** The DAG roots nothing. Every handle it caches —
-//!   node sets, remainders and the memo's `S` keys — is valid until the
-//!   next sweep of its space, and a query that finds the manager's
-//!   collection count moved clears all three before it starts. The driver
-//!   reaches no safe point between a DAG's build and its last query, so
-//!   there the caches live for the whole pair.
+//!   cells and the memo's `S` keys — is valid until the next sweep of its
+//!   space, and a query that finds the manager's collection count moved
+//!   clears both before it starts. The driver reaches no safe point
+//!   between a DAG's build and its last query, so there the caches live
+//!   for the whole pair.
 //!
-//! The eager, unpruned `GetMatch` (every set and remainder encoded up
-//! front, every node visited) is kept under `#[cfg(test)]` as
-//! `oracle::header_localize_eager`; a property suite asserts both return
-//! the same terms and `exact` flag.
+//! The eager, unpruned `GetMatch` (every node set encoded with
+//! [`RangeEncoder::encode`] and every cell folded with `diff` up front,
+//! every node visited, overlap tested with `and`) is kept under
+//! `#[cfg(test)]` as `oracle::header_localize_eager`; a property suite
+//! asserts both return the same terms and `exact` flag.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::ops::Range;
 
-use campion_bdd::{Bdd, Manager};
+use campion_bdd::{bits, Bdd, Manager};
 use campion_net::{Prefix, PrefixRange, PrefixTrie};
-use campion_symbolic::{PacketSpace, RouteSpace};
+use campion_symbolic::{PacketSpace, RouteSpace, DST_VARS, LEN_VARS, PREFIX_VARS, SRC_VARS};
 
 /// What set a prefix range denotes in a given encoder — selects the
 /// structural set key the ddNF builder dedups and orders nodes by.
@@ -100,6 +111,37 @@ pub trait RangeEncoder {
     /// must encode to the same BDD, and key containment must match BDD
     /// containment.
     fn semantics(&self) -> RangeSemantics;
+    /// The variables a range's set is decided on: the space's 32 address
+    /// variables, most significant bit first, then (route spaces) the
+    /// length variables. Localization targets are projected onto these.
+    fn range_vars(&self) -> Range<u32>;
+    /// Does `r`'s set meet `s`? `s` must lie inside the universe range's
+    /// set. Walks `s` down `r`'s prefix bits over the address run, which
+    /// creates no node.
+    fn meets(&mut self, r: &PrefixRange, s: Bdd) -> bool {
+        let start = self.range_vars().start;
+        !walk(self.manager(), s, start, &r.prefix).is_const_false()
+    }
+    /// The cell `range − ⋃ children`, by default a `diff` fold over the
+    /// children's sets.
+    fn cell(&mut self, range: &PrefixRange, children: &[PrefixRange]) -> Bdd {
+        let mut rem = self.encode(range);
+        for k in children {
+            let kb = self.encode(k);
+            rem = self.manager().diff(rem, kb);
+        }
+        rem
+    }
+}
+
+/// `s` walked down `p`'s bits over the address run starting at variable
+/// `start` ([`Manager::cofactor`]).
+fn walk(m: &Manager, s: Bdd, start: u32, p: &Prefix) -> Bdd {
+    let bits = p.bits();
+    m.cofactor(
+        s,
+        (0..u32::from(p.len())).map(|i| (start + i, (bits >> (31 - i)) & 1 == 1)),
+    )
 }
 
 impl RangeEncoder for RouteSpace {
@@ -111,6 +153,36 @@ impl RangeEncoder for RouteSpace {
     }
     fn semantics(&self) -> RangeSemantics {
         RangeSemantics::Members
+    }
+    fn range_vars(&self) -> Range<u32> {
+        PREFIX_VARS.start..LEN_VARS.end
+    }
+    /// The walk, then the reached node met with `r`'s length interval.
+    /// `s` is canonical already, so the rest of `r`'s set (the
+    /// canonical-prefix constraint) needs no test.
+    fn meets(&mut self, r: &PrefixRange, s: Bdd) -> bool {
+        let reached = walk(&self.manager, s, PREFIX_VARS.start, &r.prefix);
+        if reached.is_const_false() {
+            return false;
+        }
+        let len_vars: Vec<u32> = LEN_VARS.collect();
+        let lens = bits::range_const(
+            &mut self.manager,
+            &len_vars,
+            r.min_len.into(),
+            r.max_len.into(),
+        );
+        !self.manager.and(reached, lens).is_const_false()
+    }
+    /// One first-match build: the children as deny entries ahead of
+    /// `range` as a permit.
+    fn cell(&mut self, range: &PrefixRange, children: &[PrefixRange]) -> Bdd {
+        let entries: Vec<(bool, PrefixRange)> = children
+            .iter()
+            .map(|&k| (false, k))
+            .chain([(true, *range)])
+            .collect();
+        self.first_match_bdd(&entries)
     }
 }
 
@@ -129,6 +201,9 @@ impl RangeEncoder for DstAddrSpace<'_> {
     fn semantics(&self) -> RangeSemantics {
         RangeSemantics::Addresses
     }
+    fn range_vars(&self) -> Range<u32> {
+        DST_VARS
+    }
 }
 
 /// Source-address view of a packet space.
@@ -143,6 +218,9 @@ impl RangeEncoder for SrcAddrSpace<'_> {
     }
     fn semantics(&self) -> RangeSemantics {
         RangeSemantics::Addresses
+    }
+    fn range_vars(&self) -> Range<u32> {
+        SRC_VARS
     }
 }
 
@@ -236,31 +314,30 @@ type GetMatchMemo = HashMap<(usize, Bdd), (Vec<NestedTerm>, bool)>;
 /// The ddNF DAG over prefix ranges. Build it once per compared pair with
 /// [`RangeDag::build`] and localize many difference sets against it.
 ///
-/// The build is structural; node sets and remainders are encoded on first
+/// The build is structural, and no query encodes a node's set: overlap is
+/// decided by walking the target. Remainders (cells) are encoded on first
 /// use, in the space passed to [`header_localize_with`], so every query
 /// against one DAG value must pass that same space. The
 /// driver localizes all of a pair's differences in the pair's own space.
 /// Cloning a DAG alongside a clone of that space yields an independent
-/// snapshot whose materialized handles (and memo entries) remain valid in
+/// snapshot whose cached remainders (and memo entries) remain valid in
 /// the cloned arena; the benchmark's traced replay localizes on such
-/// clones. Each snapshot materializes what its own queries read.
+/// clones. Each snapshot encodes what its own queries read.
 #[derive(Clone)]
 pub struct RangeDag {
     /// Node ranges (label function λ).
     ranges: Vec<PrefixRange>,
     /// Cover-edge children per node.
     children: Vec<Vec<usize>>,
-    /// Node BDDs (the denoted prefix sets), once materialized.
-    bdds: Vec<Cell<Option<Bdd>>>,
-    /// Per-node remainders (`λ(n) − children`), once materialized.
+    /// Per-node remainders (`λ(n) − children`), once encoded.
     remainders: Vec<Cell<Option<Bdd>>>,
     /// Index of the universe node.
     root: usize,
     /// `GetMatch` memo: `(node, S) → (terms, exact)`.
     memo: RefCell<GetMatchMemo>,
-    /// The manager's `gc_runs` when `bdds`, `remainders` and `memo` were
-    /// last known valid. None of them is rooted and a sweep may recycle the
-    /// arena slots they name, so all three are cleared once it moves.
+    /// The manager's `gc_runs` when `remainders` and `memo` were last known
+    /// valid. Neither is rooted and a sweep may recycle the arena slots
+    /// they name, so both are cleared once it moves.
     gen: Cell<u64>,
 }
 
@@ -274,7 +351,7 @@ impl RangeDag {
     }
 
     /// A DAG over closed, deduplicated `ranges` with the given cover edges;
-    /// nothing materialized yet.
+    /// no cell encoded yet.
     fn from_parts(ranges: Vec<PrefixRange>, children: Vec<Vec<usize>>) -> RangeDag {
         let n = ranges.len();
         let root = ranges
@@ -284,7 +361,6 @@ impl RangeDag {
         RangeDag {
             ranges,
             children,
-            bdds: vec![Cell::new(None); n],
             remainders: vec![Cell::new(None); n],
             root,
             memo: RefCell::new(HashMap::new()),
@@ -307,28 +383,14 @@ impl RangeDag {
         self.ranges.len() <= 1
     }
 
-    /// `λ(n)`, encoded in `space` on first use.
-    fn node_bdd<E: RangeEncoder>(&self, space: &mut E, n: usize) -> Bdd {
-        if let Some(b) = self.bdds[n].get() {
-            return b;
-        }
-        let b = space.encode(&self.ranges[n]);
-        debug_assert!(!space.manager().is_false(b), "nonempty key, empty set");
-        self.bdds[n].set(Some(b));
-        b
-    }
-
     /// `λ(n) − ⋃ children(n)` (the node's cell; `λ(n)` itself at leaves),
-    /// computed in `space` on first use.
+    /// encoded in `space` on first use.
     fn remainder<E: RangeEncoder>(&self, space: &mut E, n: usize) -> Bdd {
         if let Some(r) = self.remainders[n].get() {
             return r;
         }
-        let mut rem = self.node_bdd(space, n);
-        for &k in &self.children[n] {
-            let kb = self.node_bdd(space, k);
-            rem = space.manager().diff(rem, kb);
-        }
+        let kids: Vec<PrefixRange> = self.children[n].iter().map(|&k| self.ranges[k]).collect();
+        let rem = space.cell(&self.ranges[n], &kids);
         self.remainders[n].set(Some(rem));
         rem
     }
@@ -433,9 +495,9 @@ struct NestedTerm {
 }
 
 /// One `GetMatch` node visit, memoized per `(node, s)` on the DAG. `not_s`
-/// is `¬s`, threaded down so the include-branch recursion (which queries
-/// the complement) costs no `not()` calls; the roles swap on recursion
-/// since `¬¬s = s` is free in a canonical BDD.
+/// is `¬s = λ(root) − s`, threaded down so the include-branch recursion
+/// (which queries the complement) computes no complement; the roles swap
+/// on recursion since `λ(root) − (λ(root) − s) = s` for `s ⊆ λ(root)`.
 fn get_match<E: RangeEncoder>(
     space: &mut E,
     ddnf: &Ddnf,
@@ -450,9 +512,7 @@ fn get_match<E: RangeEncoder>(
         }
         return terms;
     }
-    let range_bdd = ddnf.node_bdd(space, node);
-    let overlap = space.manager().and(range_bdd, s);
-    if space.manager().is_false(overlap) {
+    if !space.meets(&ddnf.ranges[node], s) {
         // λ(n) misses S, and every descendant is a subset of λ(n): the
         // whole subtree contributes no term and splits no cell.
         ddnf.memo.borrow_mut().insert((node, s), (Vec::new(), true));
@@ -530,9 +590,13 @@ fn localization(nested: Vec<NestedTerm>, exact: bool) -> HeaderLocalization {
     HeaderLocalization { terms, exact }
 }
 
-/// Header localization entry point: decompose a predicate `s` (already
-/// projected onto this encoder's range dimensions) over the prefix ranges
-/// mentioned by the two compared components (the paper's `R`).
+/// Header localization entry point: decompose a predicate `s` over the
+/// prefix ranges mentioned by the two compared components (the paper's
+/// `R`).
+///
+/// `s` must be projected onto the space's range dimensions
+/// ([`RangeEncoder::range_vars`]) and lie inside the universe range's set;
+/// every caller's projected difference does. Debug builds assert it.
 pub fn header_localize<E: RangeEncoder>(
     space: &mut E,
     s: Bdd,
@@ -543,7 +607,10 @@ pub fn header_localize<E: RangeEncoder>(
 }
 
 /// As [`header_localize`], against a prebuilt [`RangeDag`] — the fast path
-/// when one component pair produces several differences.
+/// when one component pair produces several differences. The same
+/// precondition holds on `s`: it is projected onto the space's range
+/// dimensions and lies inside the universe range's set, which makes the
+/// walking overlap test exact.
 pub fn header_localize_with<E: RangeEncoder>(
     space: &mut E,
     s: Bdd,
@@ -556,20 +623,25 @@ pub fn header_localize_with<E: RangeEncoder>(
     let gc_runs = space.manager().stats().gc_runs;
     if ddnf.gen.replace(gc_runs) != gc_runs {
         ddnf.memo.borrow_mut().clear();
-        for cell in ddnf.bdds.iter().chain(&ddnf.remainders) {
+        for cell in &ddnf.remainders {
             cell.set(None);
         }
     }
+    let universe = space.encode(&PrefixRange::universe());
+    debug_assert!(
+        {
+            let vars = space.range_vars();
+            let m = space.manager();
+            m.support(s).iter().all(|v| vars.contains(v)) && m.diff(s, universe).is_const_false()
+        },
+        "the target must be projected onto the range variables and lie inside the universe range"
+    );
     let mut exact = true;
-    let not_s = space.manager().not(s);
+    let not_s = space.manager().diff(universe, s);
     let nested = get_match(space, ddnf, s, not_s, ddnf.root, &mut exact);
     let loc = localization(nested, exact);
     debug_assert!(
-        !loc.exact
-            || reencode(space, &loc) == {
-                let u = space.encode(&PrefixRange::universe());
-                space.manager().and(s, u)
-            },
+        !loc.exact || reencode(space, &loc) == s,
         "HeaderLocalize must re-encode to exactly S"
     );
     loc
@@ -595,11 +667,11 @@ pub fn reencode<E: RangeEncoder>(space: &mut E, loc: &HeaderLocalization) -> Bdd
 
 /// Test-only oracles for the structural ddNF builder and the lazy, pruned
 /// `GetMatch`: the pre-trie, BDD-deciding builder and its prefix index, the
-/// eager, unpruned `GetMatch`, plus accessors for node-order-included DAG
-/// equality and for what a query materialized.
+/// eager, unpruned `GetMatch` over node sets it encodes itself and cells
+/// it folds with `diff`, plus accessors for node-order-included DAG
+/// equality and for which cells a query encoded.
 #[cfg(test)]
 pub(crate) mod oracle {
-    use std::cell::Cell;
     use std::collections::HashMap;
 
     use campion_bdd::Bdd;
@@ -686,68 +758,75 @@ pub(crate) mod oracle {
                 }
             }
         }
-        // Its node sets are already encoded: hand them over as materialized.
-        let dag = RangeDag::from_parts(ranges, children);
-        for (cell, b) in dag.bdds.iter().zip(bdds) {
-            cell.set(Some(b));
-        }
-        dag
+        RangeDag::from_parts(ranges, children)
     }
 
-    /// Materialize every node set and remainder of `dag` in
-    /// `space`, returning them in node order — the state the pre-lazy
-    /// builder produced eagerly.
-    fn materialize_all<E: RangeEncoder>(space: &mut E, dag: &RangeDag) -> (Vec<Bdd>, Vec<Bdd>) {
-        let bdds = (0..dag.len()).map(|n| dag.node_bdd(space, n)).collect();
-        let remainders = (0..dag.len()).map(|n| dag.remainder(space, n)).collect();
-        (bdds, remainders)
+    /// Every node set of `dag`, encoded in `space`, in node order.
+    fn node_sets<E: RangeEncoder>(space: &mut E, dag: &RangeDag) -> Vec<Bdd> {
+        dag.ranges.iter().map(|r| space.encode(r)).collect()
     }
 
-    /// The DAG's full skeleton `(ranges, bdds, children, remainders, root)`,
-    /// every node set and remainder materialized in `space`, for the
-    /// differential suite's node-order-included equality assertions (two
-    /// builds in one manager must agree on every node handle too).
+    /// Every cell of `dag` as the `diff` chain `λ(n) − λ(k₁) − …` over
+    /// the node sets, in node order: the reference for
+    /// [`RangeEncoder::cell`].
+    pub(crate) fn diff_chain_cells<E: RangeEncoder>(space: &mut E, dag: &RangeDag) -> Vec<Bdd> {
+        let sets = node_sets(space, dag);
+        (0..dag.len())
+            .map(|n| {
+                let mut rem = sets[n];
+                for &k in &dag.children[n] {
+                    rem = space.manager().diff(rem, sets[k]);
+                }
+                rem
+            })
+            .collect()
+    }
+
+    /// The DAG's full skeleton `(ranges, sets, children, remainders,
+    /// root)`: node sets encoded with [`RangeEncoder::encode`], every
+    /// remainder through the DAG's own lazy cell, for the differential
+    /// suite's node-order-included equality assertions (two builds in one
+    /// manager must agree on every node handle too).
     #[allow(clippy::type_complexity)]
     pub(crate) fn dag_structure<E: RangeEncoder>(
         space: &mut E,
         dag: &RangeDag,
     ) -> (Vec<PrefixRange>, Vec<Bdd>, Vec<Vec<usize>>, Vec<Bdd>, usize) {
-        let (bdds, remainders) = materialize_all(space, dag);
+        let sets = node_sets(space, dag);
+        let remainders = (0..dag.len()).map(|n| dag.remainder(space, n)).collect();
         (
             dag.ranges.clone(),
-            bdds,
+            sets,
             dag.children.clone(),
             remainders,
             dag.root,
         )
     }
 
-    /// The cover edges and root, without materializing anything.
+    /// The cover edges and root, without encoding anything.
     pub(crate) fn skeleton(dag: &RangeDag) -> (&[PrefixRange], &[Vec<usize>], usize) {
         (&dag.ranges, &dag.children, dag.root)
     }
 
-    /// The nodes whose set, and the nodes whose remainder, have been
-    /// materialized so far, ascending.
-    pub(crate) fn materialized(dag: &RangeDag) -> (Vec<usize>, Vec<usize>) {
-        let set = |cells: &[Cell<Option<Bdd>>]| {
-            (0..cells.len())
-                .filter(|&n| cells[n].get().is_some())
-                .collect()
-        };
-        (set(&dag.bdds), set(&dag.remainders))
+    /// The nodes whose remainder has been encoded so far, ascending.
+    pub(crate) fn materialized(dag: &RangeDag) -> Vec<usize> {
+        (0..dag.len())
+            .filter(|&n| dag.remainders[n].get().is_some())
+            .collect()
     }
 
-    /// The pre-pruning `header_localize_with`: every node set and remainder
-    /// materialized up front, and `GetMatch` visiting every node (no overlap
-    /// test). Retained as the differential oracle for the pruned, lazy
-    /// query (`tests::ddnf` asserts equal terms and `exact` flags).
+    /// The pre-pruning `header_localize_with`: every node set encoded and
+    /// every cell folded with `diff` up front, `¬S` as the full complement,
+    /// and `GetMatch` visiting every node, with overlap tested by `and`.
+    /// Retained as the differential oracle for the pruned, lazy query
+    /// (`tests::ddnf` asserts equal terms and `exact` flags).
     pub(crate) fn header_localize_eager<E: RangeEncoder>(
         space: &mut E,
         s: Bdd,
         dag: &RangeDag,
     ) -> HeaderLocalization {
-        let (bdds, remainders) = materialize_all(space, dag);
+        let bdds = node_sets(space, dag);
+        let remainders = diff_chain_cells(space, dag);
         let mut eager = EagerDag {
             dag,
             bdds,

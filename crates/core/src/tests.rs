@@ -1038,9 +1038,10 @@ mod alignment {
 /// `GetMatch`: the trie-based [`RangeDag::build`] must produce
 /// byte-identical DAGs — node order, cover edges, BDD handles and
 /// remainders included — versus the retained BDD-deciding oracle,
-/// localizations against either must agree, and the pruned query must
-/// return what the eager, unpruned one does while materializing only the
-/// nodes it visits.
+/// localizations against either must agree, every cell must be the `diff`
+/// chain over the node sets, and the pruned query, which decides overlap
+/// by walking the target, must return what the eager, unpruned one does
+/// while encoding only the cells of the nodes that meet the target.
 mod ddnf {
     use std::net::Ipv4Addr;
 
@@ -1051,7 +1052,8 @@ mod ddnf {
 
     use super::*;
     use crate::headerloc::oracle::{
-        build_ddnf_oracle, dag_structure, header_localize_eager, materialized, skeleton,
+        build_ddnf_oracle, dag_structure, diff_chain_cells, header_localize_eager, materialized,
+        skeleton,
     };
     use crate::headerloc::{
         header_localize_with, DstAddrSpace, HeaderLocalization, RangeDag, RangeEncoder,
@@ -1059,8 +1061,8 @@ mod ddnf {
     };
 
     /// Build with both builders in the same space (so deterministic
-    /// hash-consing makes node handles comparable), materialize every node
-    /// set and remainder of both, assert full equality, then cross-check
+    /// hash-consing makes node handles comparable), encode every node set
+    /// and remainder of both, assert full equality, then cross-check
     /// localization of every input range and their union.
     fn assert_same_dag<E: RangeEncoder>(space: &mut E, ranges: &[PrefixRange]) {
         let oracle = build_ddnf_oracle(space, ranges);
@@ -1123,9 +1125,11 @@ mod ddnf {
             })
     }
 
-    /// Localize a battery of targets with the pruned, lazy query and with
-    /// the eager, unpruned oracle — each against its own DAG over
-    /// `ranges` — and require equal terms and `exact` flags. Targets: ∅,
+    /// Require every cell the DAG encodes (in a route space, one
+    /// first-match build) to be the `diff` chain over the node sets, handle
+    /// for handle. Then localize a battery of targets with the pruned, lazy
+    /// query and with the eager, unpruned oracle — each against its own DAG
+    /// over `ranges` — and require equal terms and `exact` flags. Targets: ∅,
     /// the universe, every single cell, the union of the input ranges
     /// (all exact), and, when a leaf cell can be split by a range, that
     /// sub-range alone and united with the input ranges disjoint from the
@@ -1136,6 +1140,11 @@ mod ddnf {
     ) -> Result<(), TestCaseError> {
         let cells = RangeDag::build(space, ranges);
         let (nodes, bdds, children, remainders, _) = dag_structure(space, &cells);
+        prop_assert_eq!(
+            &remainders,
+            &diff_chain_cells(space, &cells),
+            "a cell is not the diff chain"
+        );
         let valid = space.encode(&PrefixRange::universe());
         let mut targets: Vec<(Bdd, bool)> = vec![(Bdd::FALSE, true), (valid, true)];
         targets.extend(remainders.iter().map(|&r| (r, true)));
@@ -1187,12 +1196,25 @@ mod ddnf {
     }
 
     /// Address-space ranges from proptest seeds, as the ACL driver builds
-    /// them: `or_longer` ranges from rule prefixes.
-    fn addr_ranges(seeds: &[(u32, u8)]) -> Vec<PrefixRange> {
-        seeds
-            .iter()
-            .map(|&(bits, len)| PrefixRange::or_longer(Prefix::new(Ipv4Addr::from(bits), len)))
-            .collect()
+    /// them: `or_longer` ranges from rule prefixes. A seed marked `split`
+    /// adds both halves of its block too, so the block's cell is empty: a
+    /// node that GetMatch must prune on overlap alone.
+    fn addr_ranges(seeds: &[(u32, u8, bool)]) -> Vec<PrefixRange> {
+        let mut out = Vec::new();
+        for &(bits, len, split) in seeds {
+            let p = Prefix::new(Ipv4Addr::from(bits), len);
+            out.push(PrefixRange::or_longer(p));
+            if split && len < 32 {
+                let half = 1u32 << (31 - len);
+                for b in [p.bits(), p.bits() | half] {
+                    out.push(PrefixRange::or_longer(Prefix::new(
+                        Ipv4Addr::from(b),
+                        len + 1,
+                    )));
+                }
+            }
+        }
+        out
     }
 
     /// Prefix bits for the `GetMatch` differential: half the draws keep
@@ -1211,13 +1233,14 @@ mod ddnf {
             assert_same_dag(&mut route_space(), &member_ranges(&seeds));
         }
 
-        /// Address-space (prefix-only semantics).
+        /// Address-space (prefix-only semantics), destination and source.
         #[test]
         fn trie_matches_oracle_in_addr_spaces(
-            seeds in proptest::collection::vec((any::<u32>(), 0u8..=32), 1..8)
+            seeds in proptest::collection::vec((any::<u32>(), 0u8..=32, any::<bool>()), 1..8)
         ) {
             let mut space = PacketSpace::new();
             assert_same_dag(&mut DstAddrSpace(&mut space), &addr_ranges(&seeds));
+            assert_same_dag(&mut SrcAddrSpace(&mut space), &addr_ranges(&seeds));
         }
     }
 
@@ -1237,13 +1260,16 @@ mod ddnf {
             assert_pruned_matches_eager(&mut route_space(), &member_ranges(&seeds))?;
         }
 
-        /// Pruned, lazy `GetMatch` == eager oracle, address semantics.
+        /// Pruned, lazy `GetMatch` == eager oracle, address semantics, in
+        /// the destination and the source dimension (each walks its own
+        /// variable run).
         #[test]
         fn pruned_getmatch_matches_eager_in_addr_spaces(
-            seeds in proptest::collection::vec((crowded_bits(), 0u8..=32), 1..10)
+            seeds in proptest::collection::vec((crowded_bits(), 0u8..=32, any::<bool>()), 1..10)
         ) {
             let mut space = PacketSpace::new();
             assert_pruned_matches_eager(&mut DstAddrSpace(&mut space), &addr_ranges(&seeds))?;
+            assert_pruned_matches_eager(&mut SrcAddrSpace(&mut space), &addr_ranges(&seeds))?;
         }
     }
 
@@ -1264,13 +1290,10 @@ mod ddnf {
             .collect()
     }
 
-    /// Localize a target confined to one leaf and check what was
-    /// materialized: node sets for the root and for the children of every
-    /// node on the root-to-leaf path (their overlap tests), remainders for
-    /// the path nodes only. Neither the build nor the query roots anything.
+    /// Localize a target confined to one leaf and check what was encoded:
+    /// remainders for the path nodes only (overlap tests walk the target
+    /// and encode nothing). Neither the build nor the query roots anything.
     fn assert_localizes_one_leaf_lazily<E: RangeEncoder>(space: &mut E) {
-        // Encoding once roots the space's own lifetime caches (a route
-        // space's canonical-form constraint), which are not the DAG's.
         let valid = space.encode(&PrefixRange::universe());
         let roots_before = space.manager().root_count();
         let dag = RangeDag::build(space, &lcg_ranges(1000));
@@ -1332,24 +1355,14 @@ mod ddnf {
                 exact: true,
             }
         );
-        let mut want_sets: Vec<usize> = path.iter().flat_map(|&p| children[p].clone()).collect();
-        want_sets.push(root);
-        want_sets.sort_unstable();
         let mut want_rems = path.clone();
         want_rems.sort_unstable();
-        let (sets, rems) = materialized(&dag);
         assert_eq!(
-            sets, want_sets,
-            "node sets materialized off the path's fan-out"
+            materialized(&dag),
+            want_rems,
+            "remainders materialized off the path"
         );
-        assert_eq!(rems, want_rems, "remainders materialized off the path");
-        assert!(
-            3 * sets.len() < nodes.len(),
-            "{} of {} sets",
-            sets.len(),
-            nodes.len()
-        );
-        assert_eq!(materialized(&snapshot), (Vec::new(), Vec::new()));
+        assert_eq!(materialized(&snapshot), Vec::<usize>::new());
     }
 
     #[test]
@@ -1385,8 +1398,8 @@ mod ddnf {
     }
 
     /// The DAG's caches must serve repeat queries and, after a sweep
-    /// frees the unrooted node sets and recycles their slots, re-materialize
-    /// them in the swept arena.
+    /// frees the unrooted cells and recycles their slots, re-encode them in
+    /// the swept arena.
     #[test]
     fn memo_is_stable_across_queries_and_collections() {
         let r = |s: &str| s.parse::<PrefixRange>().unwrap();
@@ -1408,7 +1421,7 @@ mod ddnf {
         let memo_hit = header_localize_with(&mut space, s, &dag);
         assert_eq!(first, memo_hit);
         let visited = materialized(&dag);
-        // The aggressive checkpoint sweeps the DAG's unrooted sets. Refill
+        // The aggressive checkpoint sweeps the DAG's unrooted cells. Refill
         // the freed slots with unrelated functions, so a stale cached handle
         // would now name one of them.
         space.manager.gc_checkpoint();

@@ -31,7 +31,7 @@ mod packet_space;
 mod route_space;
 
 pub use action::ActionEffect;
-pub use packet_space::{FlowExample, PacketSpace, RuleKey};
+pub use packet_space::{FlowExample, PacketSpace, RuleKey, DST_VARS, SRC_VARS};
 pub use route_space::{
     AtomKey, FieldState, RouteExample, RouteSpace, SymbolicRoute, LEN_VARS, PREFIX_VARS, PROTO_VARS,
 };

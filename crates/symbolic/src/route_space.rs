@@ -79,15 +79,13 @@ pub struct RouteSpace {
     tag_base: u32,
     metric_base: u32,
     num_vars: u32,
-    /// Cached canonical-prefix constraint (see [`RouteSpace::canonical`]).
-    canonical: Option<Bdd>,
-    /// Memoized first-match folds of prefix matchers, keyed by canonical
+    /// Memoized first-match sets of prefix matchers, keyed by canonical
     /// content (entries only — name and spans don't shape the BDD). Both
     /// policies of a pair share this space and near-identical pairs reuse
     /// the same prefix lists, and fall-through forks of [`policy_paths`]
     /// re-encode the same clause once per frame; each distinct matcher is
-    /// folded once. Entries are GC-rooted at insert (cache lives as long
-    /// as the space).
+    /// built once, by one [`bits::first_match`] pass. Entries are GC-rooted
+    /// at insert (cache lives as long as the space).
     matcher_cache: HashMap<Vec<(bool, PrefixRange)>, Bdd>,
     matcher_cache_lookups: u64,
     matcher_cache_hits: u64,
@@ -181,7 +179,6 @@ impl RouteSpace {
             tag_base,
             metric_base,
             num_vars,
-            canonical: None,
             matcher_cache: HashMap::new(),
             matcher_cache_lookups: 0,
             matcher_cache_hits: 0,
@@ -196,27 +193,12 @@ impl RouteSpace {
     }
 
     /// The canonical-prefix constraint: address bits at positions ≥ the
-    /// prefix length are zero (real advertisements carry canonical
-    /// prefixes; without this, the space distinguishes phantom inputs that
-    /// differ only in masked-out host bits). Encoded as
-    /// `⋀ᵢ (addr bit i set → length > i)` together with `length ≤ 32`.
-    pub fn canonical(&mut self) -> Bdd {
-        if let Some(c) = self.canonical {
-            return c;
-        }
-        let len_vars: Vec<u32> = LEN_VARS.collect();
-        let mut acc = bits::le_const(&mut self.manager, &len_vars, 32);
-        for i in (0..32u32).rev() {
-            let unset = self.manager.nvar(i);
-            let needs = bits::ge_const(&mut self.manager, &len_vars, u64::from(i) + 1);
-            let implied = self.manager.or(unset, needs);
-            acc = self.manager.and(acc, implied);
-        }
-        // The cache is consulted for the lifetime of the space, so it must
-        // survive any collection the driver runs between work phases.
-        self.manager.protect(acc);
-        self.canonical = Some(acc);
-        acc
+    /// prefix length are zero and the length is at most 32 (real
+    /// advertisements carry canonical prefixes; without this, the space
+    /// distinguishes phantom inputs that differ only in masked-out host
+    /// bits). It is the universe range's set.
+    fn canonical(&mut self) -> Bdd {
+        self.prefix_range_bdd(&PrefixRange::universe())
     }
 
     /// The community atoms in variable order.
@@ -350,27 +332,32 @@ impl RouteSpace {
     /// `r`. The canonicality constraint is included so that range sets,
     /// path predicates and projections all live in the same subspace.
     pub fn prefix_range_bdd(&mut self, r: &PrefixRange) -> Bdd {
-        let addr_vars: Vec<u32> = PREFIX_VARS.collect();
-        let a = bits::prefix_const(
-            &mut self.manager,
-            &addr_vars,
-            r.prefix.bits(),
-            r.prefix.len(),
-        );
-        let len_vars: Vec<u32> = LEN_VARS.collect();
-        let l = bits::range_const(
-            &mut self.manager,
-            &len_vars,
-            u64::from(r.min_len),
-            u64::from(r.max_len),
-        );
-        let range = self.manager.and(a, l);
-        let canon = self.canonical();
-        self.manager.and(range, canon)
+        self.first_match_bdd(&[(true, *r)])
     }
 
-    /// First-match fold of an ordered permit/deny prefix matcher. Memoized
-    /// on the matcher's canonical entry list (see `matcher_cache`).
+    /// The canonical advertisements an ordered permit/deny list of prefix
+    /// ranges permits: each takes the action of the first range holding
+    /// its prefix. One [`bits::first_match`] pass, which builds the set
+    /// bottom-up without the computed table.
+    pub fn first_match_bdd(&mut self, entries: &[(bool, PrefixRange)]) -> Bdd {
+        let addr_vars: Vec<u32> = PREFIX_VARS.collect();
+        let len_vars: Vec<u32> = LEN_VARS.collect();
+        let entries: Vec<bits::RangeEntry> = entries
+            .iter()
+            .map(|&(permit, r)| bits::RangeEntry {
+                permit,
+                bits: r.prefix.bits(),
+                len: r.prefix.len(),
+                lo: r.min_len,
+                hi: r.max_len,
+            })
+            .collect();
+        bits::first_match(&mut self.manager, &addr_vars, &len_vars, &entries)
+    }
+
+    /// The first-match set of an ordered permit/deny prefix matcher.
+    /// Memoized on the matcher's canonical entry list (see
+    /// `matcher_cache`).
     pub fn prefix_matcher_bdd(&mut self, pm: &PrefixMatcher) -> Bdd {
         let key: Vec<(bool, PrefixRange)> =
             pm.entries.iter().map(|e| (e.permit, e.range)).collect();
@@ -379,17 +366,7 @@ impl RouteSpace {
             self.matcher_cache_hits += 1;
             return b;
         }
-        let mut result = Bdd::FALSE;
-        // Fold from the last entry backwards: earlier entries shadow later.
-        // A permit entry adds its range, a deny entry carves it out.
-        for e in pm.entries.iter().rev() {
-            let cond = self.prefix_range_bdd(&e.range);
-            result = if e.permit {
-                self.manager.or(cond, result)
-            } else {
-                self.manager.diff(result, cond)
-            };
-        }
+        let result = self.first_match_bdd(&key);
         self.manager.protect(result);
         self.matcher_cache.insert(key, result);
         result
@@ -632,5 +609,59 @@ impl fmt::Display for RouteExample {
             write!(f, " metric: {m}")?;
         }
         Ok(())
+    }
+}
+
+/// Test-only oracle for [`RouteSpace::prefix_matcher_bdd`]: the first-match
+/// fold that [`bits::first_match`] replaced, kept as the differential
+/// reference (`tests::properties` asserts both give the same handle).
+#[cfg(test)]
+pub(crate) mod oracle {
+    use campion_bdd::{bits, Bdd};
+    use campion_ir::PrefixMatcher;
+    use campion_net::PrefixRange;
+
+    use super::{RouteSpace, LEN_VARS, PREFIX_VARS};
+
+    /// `length ≤ 32 ∧ ⋀ᵢ (address bit i set → length > i)`, one clause at
+    /// a time.
+    fn canonical_fold(space: &mut RouteSpace) -> Bdd {
+        let m = &mut space.manager;
+        let len_vars: Vec<u32> = LEN_VARS.collect();
+        let mut acc = bits::le_const(m, &len_vars, 32);
+        for i in (0..32u32).rev() {
+            let unset = m.nvar(i);
+            let needs = bits::range_const(m, &len_vars, u64::from(i) + 1, u64::MAX);
+            let implied = m.or(unset, needs);
+            acc = m.and(acc, implied);
+        }
+        acc
+    }
+
+    /// `prefix ∧ length ∧ canonical` for one range.
+    fn range_fold(space: &mut RouteSpace, r: &PrefixRange, canon: Bdd) -> Bdd {
+        let addr_vars: Vec<u32> = PREFIX_VARS.collect();
+        let len_vars: Vec<u32> = LEN_VARS.collect();
+        let m = &mut space.manager;
+        let a = bits::prefix_const(m, &addr_vars, r.prefix.bits(), r.prefix.len());
+        let l = bits::range_const(m, &len_vars, r.min_len.into(), r.max_len.into());
+        let range = m.and(a, l);
+        m.and(range, canon)
+    }
+
+    /// The first-match fold of a prefix matcher: from the last entry back,
+    /// `or` for a permit entry and `diff` for a deny entry.
+    pub(crate) fn prefix_matcher_fold(space: &mut RouteSpace, pm: &PrefixMatcher) -> Bdd {
+        let canon = canonical_fold(space);
+        let mut result = Bdd::FALSE;
+        for e in pm.entries.iter().rev() {
+            let cond = range_fold(space, &e.range, canon);
+            result = if e.permit {
+                space.manager.or(cond, result)
+            } else {
+                space.manager.diff(result, cond)
+            };
+        }
+        result
     }
 }

@@ -407,6 +407,45 @@ mod properties {
         }
     }
 
+    /// Prefix-matcher entries that nest often, with /0, /32, deny entries,
+    /// lengths below the prefix length and `le 32` all drawn.
+    fn arb_entry() -> impl Strategy<Value = campion_ir::PrefixMatcherEntry> {
+        (
+            any::<bool>(),
+            prop_oneof![any::<u32>(), any::<u32>().prop_map(|b| b & 0xF0F0_0000)],
+            prop_oneof![Just(0u8), Just(32u8), 0u8..=32],
+            0u8..=32,
+            prop_oneof![Just(32u8), 0u8..=32],
+        )
+            .prop_map(|(permit, bits, len, a, b)| campion_ir::PrefixMatcherEntry {
+                permit,
+                range: PrefixRange::new(
+                    Prefix::new(std::net::Ipv4Addr::from(bits), len),
+                    a.min(b),
+                    a.max(b),
+                ),
+                span: Default::default(),
+            })
+    }
+
+    proptest! {
+        /// The trie-built matcher set is the same handle as the retained
+        /// first-match fold, and a repeat lookup hits the matcher cache.
+        #[test]
+        fn prefix_matcher_bdd_is_the_first_match_fold(
+            entries in proptest::collection::vec(arb_entry(), 0..10)
+        ) {
+            let dummy = campion_ir::RoutePolicy::permit_all("x");
+            let mut space = RouteSpace::for_policies(&[&dummy]);
+            let pm = campion_ir::PrefixMatcher { entries, name: String::new() };
+            let got = space.prefix_matcher_bdd(&pm);
+            let want = crate::route_space::oracle::prefix_matcher_fold(&mut space, &pm);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(space.prefix_matcher_bdd(&pm), got);
+            prop_assert_eq!(space.rule_cache_stats(), (2, 1));
+        }
+    }
+
     #[test]
     fn match_enum_is_covered() {
         // Guard: if Match grows a variant, match_bdd must be extended.
