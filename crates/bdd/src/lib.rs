@@ -41,7 +41,7 @@ mod cube;
 mod manager;
 
 pub use cube::{Assignment, Cube, CubeIter};
-pub use manager::{Bdd, GcPolicy, Manager, ManagerStats};
+pub use manager::{Bdd, Manager, ManagerStats};
 
 #[cfg(test)]
 mod tests;

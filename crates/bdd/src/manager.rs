@@ -15,42 +15,24 @@
 //!   operator: `and`, `or`, `xor`, `diff` and `not` (as `TRUE ∖ f`) all go
 //!   through it. A colliding insert simply replaces the previous entry;
 //!   correctness is unaffected because results are only reused on an exact
-//!   key match and every sweep scrubs out entries that reference a freed
-//!   slot, so entries can never dangle onto a recycled arena slot. The
-//!   constant encoders of [`crate::bits`] need no memo: they build their
-//!   node chains bottom-up with `mk`.
+//!   key match, and [`Manager::compact`], the only operation that renumbers
+//!   nodes, clears the table. The constant encoders of [`crate::bits`] need
+//!   no memo: they build their node chains bottom-up with `mk`.
 //!
-//! ## Garbage collection (reachable-mark, CUDD-style safe points)
+//! ## Compaction
 //!
-//! Long-lived managers reclaim dead nodes with a reachable-mark collector:
-//!
-//! * **Root set** — callers declare the BDDs they keep alive across
-//!   operations with [`Manager::protect`] / [`Manager::unprotect`]
-//!   (refcounted, so the same handle may be protected from several
-//!   owners). The two terminals are implicitly always rooted.
-//! * **Mark** — a DFS from the protected roots over the arena.
-//! * **Sweep** — unmarked slots are poisoned and pushed on a free list
-//!   (recycled by `mk`, so *live node indices never move* and outstanding
-//!   rooted handles stay valid), the open-addressing unique table is
-//!   rebuilt in place over the survivors, and the computed table is
-//!   scrubbed: entries naming only surviving nodes stay warm (indices
-//!   are stable), entries naming a freed slot are dropped (they could
-//!   otherwise alias a recycled slot).
-//! * **Trigger policy** — [`Manager::gc`] collects immediately;
-//!   [`Manager::gc_checkpoint`] consults the configured [`GcPolicy`]:
-//!   automatic mode collects at safe points once the in-use arena has
-//!   outgrown the live set of the previous collection. Every collection
-//!   marks and sweeps.
-//!
-//! Checkpoints are **safe points**: callers may only invoke
-//! `gc_checkpoint` when every BDD they need afterwards is protected.
-//! Operations never collect on their own, so intermediate handles held
-//! across plain operation calls are always safe.
+//! Operations only ever add nodes; nothing is collected behind a caller's
+//! back, so every handle stays valid for as long as the manager lives.
+//! A caller done with most of its arena calls [`Manager::compact`] with
+//! the handles it still needs: the arena is rebuilt from what they reach,
+//! they are rewritten in place, and every other handle is invalid
+//! afterwards. Campion's driver compacts each pair's arena once, after
+//! SemanticDiff, to the differences' inputs.
 //!
 //! Every table keeps hit/probe counters, surfaced through
 //! [`Manager::stats`] so benchmarks (the `scalability` bin) can report
-//! cache behavior, GC activity and peak/post-GC node counts alongside
-//! wall-clock numbers.
+//! cache behavior, compactions and peak node counts alongside wall-clock
+//! numbers.
 
 use std::collections::HashMap;
 
@@ -186,18 +168,6 @@ fn slot_of(hash: u64, mask: usize) -> usize {
 /// Marker for an empty unique-table slot.
 const EMPTY: u32 = u32::MAX;
 
-/// `var` value poisoning a freed arena slot. Distinct from every decision
-/// level and from the terminals' `var == num_vars`, so table rebuilds can
-/// skip dead slots and debug traversals of dangling handles fail loudly.
-const POISON: u32 = u32::MAX;
-
-/// The node written into a freed arena slot.
-const POISON_NODE: Node = Node {
-    var: POISON,
-    low: Bdd::FALSE,
-    high: Bdd::FALSE,
-};
-
 /// Open-addressing unique table: node indices keyed by the node's
 /// `(var, low, high)` triple, resolved against the arena.
 #[derive(Clone)]
@@ -217,7 +187,7 @@ struct UniqueTable {
 }
 
 impl UniqueTable {
-    /// An empty table of 64 slots, the floor the sweep's rebuild keeps too.
+    /// An empty table of 64 slots.
     fn new() -> Self {
         let capacity = 64;
         UniqueTable {
@@ -261,31 +231,19 @@ impl UniqueTable {
         }
     }
 
-    /// Double the table and rehash every live non-terminal node.
+    /// Double the table and rehash every non-terminal node.
     fn grow(&mut self, nodes: &[Node]) {
         self.grows += 1;
-        self.rehash(nodes, self.slots.len() * 2);
-    }
-
-    /// Rebuild the table at `new_cap` slots (a power of two) from the live
-    /// (non-poisoned) nodes of the arena — used by both growth and the
-    /// post-sweep rebuild, which may also *shrink* the table.
-    fn rehash(&mut self, nodes: &[Node], new_cap: usize) {
-        debug_assert!(new_cap.is_power_of_two());
+        let new_cap = self.slots.len() * 2;
         self.mask = new_cap - 1;
         self.slots.clear();
         self.slots.resize(new_cap, EMPTY);
-        self.len = 0;
         for (i, n) in nodes.iter().enumerate().skip(2) {
-            if n.var == POISON {
-                continue;
-            }
             let mut slot = slot_of(node_hash(n.var, n.low, n.high), self.mask);
             while self.slots[slot] != EMPTY {
                 slot = (slot + 1) & self.mask;
             }
             self.slots[slot] = u32::try_from(i).expect("BDD arena overflow");
-            self.len += 1;
         }
     }
 }
@@ -314,17 +272,9 @@ impl DirectCache {
         }
     }
 
-    /// Drop every entry for which `keep` returns false. The sweep uses
-    /// this to scrub out entries naming freed slots while leaving results
-    /// over surviving nodes warm (live indices never move).
-    fn retain(&mut self, keep: impl Fn(&ApplyKey, Bdd) -> bool) {
-        for e in &mut self.entries {
-            if let Some((k, v)) = e {
-                if !keep(k, *v) {
-                    *e = None;
-                }
-            }
-        }
+    /// Drop every entry, keeping the buffer.
+    fn clear(&mut self) {
+        self.entries.fill(None);
     }
 
     #[inline]
@@ -348,70 +298,30 @@ impl DirectCache {
 /// Slot-count exponent of the computed table, fixed per manager. A fresh
 /// manager's table costs well under a megabyte. Larger direct-mapped tables
 /// measured slower: they are touched on every operation, and past the
-/// last-level cache each lookup becomes a DRAM miss. Collections scrub the
-/// table but never resize it.
+/// last-level cache each lookup becomes a DRAM miss. A compaction clears
+/// the table but keeps its buffer.
 const APPLY_CACHE_BITS: u32 = 14;
-
-/// When (if ever) [`Manager::gc_checkpoint`] actually collects.
-///
-/// Checkpoints are placed by callers at *safe points* — moments when every
-/// BDD needed later is protected — so the policy only decides frequency,
-/// never safety.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GcPolicy {
-    /// Never collect automatically (a manual [`Manager::gc`] still works).
-    /// The default: short-lived managers are cheapest when dropped whole.
-    #[default]
-    Disabled,
-    /// Collect at a checkpoint once the in-use arena has grown past
-    /// `growth_factor ×` the live set left by the previous collection
-    /// (with `min_nodes` as the absolute floor, so small managers never
-    /// pay for marking).
-    Automatic {
-        /// Arena-growth multiple that arms the trigger (≥ 2 recommended).
-        growth_factor: usize,
-        /// Never collect below this many in-use nodes.
-        min_nodes: usize,
-    },
-    /// Collect (mark *and* sweep) at every checkpoint. For differential
-    /// tests that must prove GC transparency; ruinous for throughput.
-    Aggressive,
-}
-
-impl GcPolicy {
-    /// The recommended automatic policy: collect when the arena doubles
-    /// past the previous live set, never under 64k in-use nodes. Doubling
-    /// bounds peak memory at ~2× the live set (plus within-item growth
-    /// between checkpoints) while cache scrubbing keeps the sweeps cheap
-    /// (measured in EXPERIMENTS.md §5.4).
-    pub fn automatic() -> GcPolicy {
-        GcPolicy::Automatic {
-            growth_factor: 2,
-            min_nodes: 1 << 16,
-        }
-    }
-}
 
 /// A point-in-time snapshot of a manager's internal counters, for
 /// benchmarks and scalability reporting. Obtain via [`Manager::stats`];
 /// merge across managers with [`ManagerStats::merge`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ManagerStats {
-    /// Live (in-use) nodes, including the two terminals. Equals
-    /// allocated-ever only when the manager has never swept.
+    /// Live nodes, including the two terminals. Equals allocated-ever only
+    /// when the manager has never compacted.
     pub nodes: u64,
     /// High-water mark of live nodes over the manager's lifetime.
     pub peak_nodes: u64,
-    /// Live nodes right after the most recent sweep (0 if never swept).
+    /// Live nodes right after the most recent compaction (0 if never
+    /// compacted).
     pub post_gc_nodes: u64,
-    /// Completed collections; each one marks and sweeps, so this is also
-    /// the number of collector pauses.
+    /// Completed collections: [`Manager::compact`] calls.
     pub gc_runs: u64,
-    /// Nodes freed across all collections.
+    /// Nodes dropped across all compactions.
     pub gc_nodes_freed: u64,
-    /// Total wall-clock time spent paused in the collector, microseconds.
+    /// Total wall-clock time spent compacting, microseconds.
     pub gc_pause_us: u64,
-    /// Longest single collector pause, microseconds (tail latency: one bad
+    /// Longest single compaction, microseconds (tail latency: one bad
     /// pause hides inside `gc_pause_us / gc_runs`).
     pub gc_pause_max_us: u64,
     /// Unique-table lookups (one per `mk` after the reduction rule).
@@ -496,24 +406,16 @@ fn rate(hits: u64, lookups: u64) -> f64 {
 /// which keeps prefix constraints linear-sized.
 ///
 /// `Clone` snapshots the whole arena. Node indices are preserved, so every
-/// [`Bdd`] handle (and protect refcount) valid in the original is valid in
-/// the clone and denotes the same function. A clone can run throwaway
-/// queries (the benchmark's traced replay localizes on one) and be dropped
-/// wholesale afterwards.
+/// [`Bdd`] handle valid in the original is valid in the clone and denotes
+/// the same function. A clone can run throwaway queries (the benchmark's
+/// traced replay localizes on one) and be dropped wholesale afterwards.
 #[derive(Clone)]
 pub struct Manager {
     num_vars: u32,
     nodes: Vec<Node>,
     unique: UniqueTable,
     apply_cache: DirectCache,
-    /// Freed arena slots awaiting reuse, ascending (pop recycles the
-    /// highest index first — deterministic for a fixed operation/GC
-    /// sequence).
-    free: Vec<u32>,
-    /// Protect-refcounts per rooted node index (terminals are implicit).
-    roots: HashMap<u32, u32>,
-    gc_policy: GcPolicy,
-    /// Live count right after the last sweep.
+    /// Live count right after the last compaction.
     live_after_gc: usize,
     /// High-water mark of live nodes.
     peak_live: usize,
@@ -555,9 +457,6 @@ impl Manager {
             ],
             unique: UniqueTable::new(),
             apply_cache: DirectCache::new(APPLY_CACHE_BITS),
-            free: Vec::new(),
-            roots: HashMap::new(),
-            gc_policy: GcPolicy::Disabled,
             live_after_gc: 0,
             peak_live: 2,
             gc_runs: 0,
@@ -572,11 +471,10 @@ impl Manager {
         self.num_vars
     }
 
-    /// Number of live (in-use) nodes, including the two terminals —
-    /// allocated minus freed-and-not-yet-recycled. Useful for benchmarks
-    /// and scalability reporting.
+    /// Number of live nodes, including the two terminals. Useful for
+    /// benchmarks and scalability reporting.
     pub fn node_count(&self) -> usize {
-        self.nodes.len() - self.free.len()
+        self.nodes.len()
     }
 
     /// Snapshot of the internal hot-path counters.
@@ -638,28 +536,11 @@ impl Manager {
         match self.unique.find(&self.nodes, var, low, high) {
             Ok(existing) => Bdd(existing),
             Err(slot) => {
-                let node = Node { var, low, high };
-                // Recycle a swept slot when one is available so handles stay
-                // dense; otherwise extend the arena. The free list is rebuilt
-                // in ascending index order by every sweep, so `pop` hands out
-                // the highest free index first — deterministic across runs.
-                let idx = match self.free.pop() {
-                    Some(i) => {
-                        self.nodes[i as usize] = node;
-                        i
-                    }
-                    None => {
-                        let idx = u32::try_from(self.nodes.len()).expect("BDD arena overflow");
-                        assert!(idx != EMPTY, "BDD arena overflow");
-                        self.nodes.push(node);
-                        idx
-                    }
-                };
+                let idx = u32::try_from(self.nodes.len()).expect("BDD arena overflow");
+                assert!(idx != EMPTY, "BDD arena overflow");
+                self.nodes.push(Node { var, low, high });
                 self.unique.insert(slot, idx, &self.nodes);
-                let live = self.nodes.len() - self.free.len();
-                if live > self.peak_live {
-                    self.peak_live = live;
-                }
+                self.peak_live = self.peak_live.max(self.nodes.len());
                 Bdd(idx)
             }
         }
@@ -1018,211 +899,75 @@ impl Manager {
         (n.var, n.low, n.high)
     }
 
-    // === Garbage collection =================================================
-
-    /// Add `f` to the root set. Roots (and everything reachable from them)
-    /// survive collection; every other node is swept. Protecting the same
-    /// handle more than once is reference-counted, so nested callers can
-    /// protect/unprotect independently. Terminals are always live and need
-    /// no protection.
-    pub fn protect(&mut self, f: Bdd) {
-        if f.is_const() {
-            return;
-        }
-        debug_assert!((f.0 as usize) < self.nodes.len());
-        debug_assert!(
-            self.nodes[f.0 as usize].var != POISON,
-            "protecting a dead handle"
-        );
-        *self.roots.entry(f.0).or_insert(0) += 1;
-    }
-
-    /// Drop one protection reference from `f` (the inverse of
-    /// [`Manager::protect`]). The node only becomes collectable once every
-    /// protect call has been balanced by an unprotect.
-    pub fn unprotect(&mut self, f: Bdd) {
-        if f.is_const() {
-            return;
-        }
-        match self.roots.get_mut(&f.0) {
-            Some(count) if *count > 1 => *count -= 1,
-            Some(_) => {
-                self.roots.remove(&f.0);
-            }
-            None => debug_assert!(false, "unprotect without matching protect"),
-        }
-    }
-
-    /// Number of distinct protected handles (for tests and diagnostics).
-    pub fn root_count(&self) -> usize {
-        self.roots.len()
-    }
-
-    /// Install a collection trigger policy. The default is
-    /// [`GcPolicy::Disabled`]; see the policy docs for the trigger math.
-    pub fn set_gc_policy(&mut self, policy: GcPolicy) {
-        self.gc_policy = policy;
-    }
-
-    /// Force a full mark/sweep collection now, regardless of policy.
-    /// Returns the number of nodes freed. Every `Bdd` handle not reachable
-    /// from the root set is invalid afterwards — see the module docs for
-    /// the safe-point contract.
-    pub fn gc(&mut self) -> usize {
-        self.collect()
-    }
-
-    /// A safe point: run a collection here if (and only if) the installed
-    /// [`GcPolicy`] asks for one. Returns whether a sweep ran. Callers place
-    /// this between logical work items, after protecting everything they
-    /// hold across the call.
-    pub fn gc_checkpoint(&mut self) -> bool {
-        let due = match self.gc_policy {
-            GcPolicy::Disabled => false,
-            GcPolicy::Aggressive => true,
-            GcPolicy::Automatic {
-                growth_factor,
-                min_nodes,
-            } => {
-                let floor = self.live_after_gc.max(min_nodes);
-                self.node_count() >= floor.saturating_mul(growth_factor.max(1))
-            }
-        };
-        if due {
-            self.collect();
-        }
-        due
-    }
-
-    /// Mark every node reachable from the root set. Returns the mark bitmap
-    /// (bit per arena index, terminals always set) and the live count.
-    fn mark_reachable(&self) -> (Vec<u64>, usize) {
-        let words = self.nodes.len().div_ceil(64);
-        let mut marks = vec![0u64; words];
-        marks[0] |= 0b11; // terminals are always live
-        let mut live = 2usize;
-        let mut stack: Vec<u32> = self.roots.keys().copied().collect();
-        while let Some(i) = stack.pop() {
-            let (word, bit) = (i as usize / 64, i as usize % 64);
-            if marks[word] & (1 << bit) != 0 {
-                continue;
-            }
-            marks[word] |= 1 << bit;
-            live += 1;
-            let node = &self.nodes[i as usize];
-            debug_assert!(node.var != POISON, "marked a dead node");
-            if !node.low.is_const() {
-                stack.push(node.low.0);
-            }
-            if !node.high.is_const() {
-                stack.push(node.high.0);
-            }
-        }
-        (marks, live)
-    }
-
-    /// The mark/sweep collector behind [`Manager::gc`] and
-    /// [`Manager::gc_checkpoint`]. Returns the number of nodes freed. Each
-    /// call is one GC pause: its wall time accumulates into `gc_pause_us`,
-    /// and — when the trace collector is on — it shows up as a `bdd.gc`
-    /// span on the worker's track with the freed and live node counts.
-    fn collect(&mut self) -> usize {
+    /// Rebuild the arena from the nodes `roots` reach and rewrite each
+    /// root in place to its handle there; every other handle is invalid
+    /// afterwards. The node array and the unique table are rebuilt
+    /// bottom-up with `mk` (the old ones are freed), and the computed
+    /// table, whose entries name old indices, is cleared.
+    ///
+    /// Counters stay cumulative and `peak_nodes` stays the lifetime
+    /// high-water mark. A compaction is this manager's only collection:
+    /// it counts as one `gc_runs`, its wall time goes to `gc_pause_us`,
+    /// and, when the trace collector is on, it shows up as a `bdd.gc` span
+    /// with the freed and live node counts.
+    pub fn compact(&mut self, roots: &mut [Bdd]) {
         let t0 = std::time::Instant::now();
         let mut span = campion_trace::span("bdd.gc");
-        let in_use = self.node_count();
-        let (marks, live) = self.mark_reachable();
-        let garbage = in_use - live;
-
-        // Sweep: poison every unmarked slot and rebuild the free list in
-        // ascending index order (deterministic reuse; see `mk`).
-        self.free.clear();
-        for i in 2..self.nodes.len() {
-            let (word, bit) = (i / 64, i % 64);
-            if marks[word] & (1 << bit) == 0 {
-                self.nodes[i] = POISON_NODE;
-                self.free.push(i as u32);
-            }
+        let terminals = self.nodes[..2].to_vec();
+        let old = std::mem::replace(&mut self.nodes, terminals);
+        self.unique = UniqueTable {
+            lookups: self.unique.lookups,
+            hits: self.unique.hits,
+            grows: self.unique.grows,
+            ..UniqueTable::new()
+        };
+        self.apply_cache.clear();
+        // Old index → new index, memoized for this call.
+        let mut moved = vec![EMPTY; old.len()];
+        for r in roots.iter_mut() {
+            *r = self.copy_from(&old, &mut moved, *r);
         }
-
-        // Rebuild the unique table over the survivors, shrinking it when the
-        // live set no longer justifies the grown capacity (keep ≤ 3/4 load).
-        let live_nonterminal = live - 2;
-        let target = live_nonterminal
-            .saturating_mul(4)
-            .div_ceil(3)
-            .next_power_of_two()
-            .max(1 << 6);
-        self.unique.rehash(&self.nodes, target);
-
-        // Scrub the computed table instead of dropping it wholesale: an
-        // entry whose operands and result all survived is still exact
-        // (indices never move), and keeping it warm avoids recomputing
-        // shared subresults after every collection. Entries naming a freed
-        // slot must go — they would alias whatever `mk` later recycles into
-        // that slot.
-        let alive =
-            |b: Bdd| b.is_const() || marks[b.0 as usize / 64] & (1 << (b.0 as usize % 64)) != 0;
-        self.apply_cache
-            .retain(|&(_, f, g), r| alive(f) && alive(g) && alive(r));
-
+        let (live, freed) = (self.node_count(), old.len() - self.node_count());
         self.gc_runs += 1;
-        self.gc_nodes_freed += garbage as u64;
+        self.gc_nodes_freed += freed as u64;
         self.live_after_gc = live;
         let pause_us = t0.elapsed().as_micros() as u64;
         self.gc_pause_us += pause_us;
         self.gc_pause_max_us = self.gc_pause_max_us.max(pause_us);
-        span.counter("freed_nodes", garbage as i64);
+        span.counter("freed_nodes", freed as i64);
         span.counter("live_nodes", live as i64);
-        garbage
     }
 
-    /// Check the structural invariants that must hold immediately after a
-    /// collection: the unique table indexes exactly the reachable
-    /// non-terminal nodes, dead slots are poisoned and on the free list, and
-    /// canonicity (each live node findable at its own index) is intact.
-    /// Intended for tests; panics on violation.
-    pub fn assert_gc_invariants(&mut self) {
-        let (marks, live) = self.mark_reachable();
-        let marked = |i: usize| marks[i / 64] & (1 << (i % 64)) != 0;
-
-        assert_eq!(self.node_count(), live, "live count out of sync");
-        assert_eq!(
-            self.unique.len,
-            live - 2,
-            "unique table population != reachable non-terminals"
-        );
-
-        let mut free_set: Vec<bool> = vec![false; self.nodes.len()];
-        for &i in &self.free {
-            assert!(!marked(i as usize), "reachable node on the free list");
-            assert!(
-                self.nodes[i as usize].var == POISON,
-                "free-list node not poisoned"
-            );
-            assert!(!free_set[i as usize], "duplicate free-list entry");
-            free_set[i as usize] = true;
+    /// The node `f` of the `old` arena, rebuilt in this one.
+    fn copy_from(&mut self, old: &[Node], moved: &mut [u32], f: Bdd) -> Bdd {
+        if f.is_const() {
+            return f;
         }
-
-        let mut seen = HashMap::new();
-        #[allow(clippy::needless_range_loop)] // indexes nodes, marks and free_set alike
-        for i in 2..self.nodes.len() {
-            let node = self.nodes[i];
-            if !marked(i) {
-                assert!(
-                    node.var == POISON && free_set[i],
-                    "dead node {i} neither poisoned nor freed"
-                );
-                continue;
-            }
-            assert!(node.var != POISON, "reachable node is poisoned");
-            // Canonicity: the triple must be unique among live nodes and the
-            // table must resolve it back to this exact index.
-            let prev = seen.insert((node.var, node.low, node.high), i);
-            assert!(prev.is_none(), "duplicate live node for {node:?}");
-            match self.unique.find(&self.nodes, node.var, node.low, node.high) {
-                Ok(found) => assert_eq!(found as usize, i, "unique table aliases node {i}"),
-                Err(_) => panic!("live node {i} missing from unique table"),
-            }
+        if moved[f.0 as usize] != EMPTY {
+            return Bdd(moved[f.0 as usize]);
         }
+        let n = old[f.0 as usize];
+        let low = self.copy_from(old, moved, n.low);
+        let high = self.copy_from(old, moved, n.high);
+        let r = self.mk(n.var, low, high);
+        moved[f.0 as usize] = r.0;
+        r
     }
+}
+
+/// No-op stand-ins for the entry points of the mark/sweep collector that
+/// [`Manager::compact`] replaced. Kept only for campbench's traced replay,
+/// which still calls them; nothing else may.
+impl Manager {
+    /// Kept only for campbench's traced replay: does nothing.
+    pub fn protect(&mut self, _f: Bdd) {}
+
+    /// Kept only for campbench's traced replay: does nothing.
+    pub fn unprotect(&mut self, _f: Bdd) {}
+
+    /// Kept only for campbench's traced replay: does nothing.
+    pub fn gc_checkpoint(&mut self) {}
+
+    /// Kept only for campbench's traced replay: does nothing.
+    pub fn set_gc_policy(&mut self, _policy: ()) {}
 }

@@ -547,8 +547,7 @@ mod wide_properties {
     }
 }
 
-mod gc {
-    use crate::manager::GcPolicy;
+mod compact {
     use crate::{Assignment, Bdd, Manager};
 
     /// A small ACL-rule-shaped conjunction over a window of variables.
@@ -562,48 +561,39 @@ mod gc {
     }
 
     #[test]
-    fn gc_frees_unreachable_nodes() {
+    fn compact_keeps_exactly_what_the_roots_reach() {
         let mut m = Manager::new(16);
         let keep = rule(&mut m, 0b1010_1010);
-        m.protect(keep);
         for seed in 0..64 {
             let _ = rule(&mut m, seed);
         }
-        let before = m.node_count();
-        let freed = m.gc();
-        assert!(freed > 0, "expected garbage to be freed");
-        assert!(m.node_count() < before);
-        m.assert_gc_invariants();
-        // The protected function must still evaluate correctly.
+        let mut roots = [keep, Bdd::TRUE];
+        m.compact(&mut roots);
+        // An 8-literal cube has one node per literal, plus the terminals.
+        assert_eq!(m.node_count(), 8 + 2);
+        assert_eq!(roots[1], Bdd::TRUE, "terminals keep their handles");
+        let kept = roots[0];
         let a = Assignment::new((0..16).map(|v| 0b1010_1010u32 >> v & 1 == 1).collect());
-        assert!(m.eval(keep, &a));
-        assert_eq!(m.sat_count(keep), 1 << 8);
+        assert!(m.eval(kept, &a));
+        assert_eq!(m.sat_count(kept), 1 << 8);
+        // Rebuilding the function hash-conses onto the rewritten handle.
+        assert_eq!(rule(&mut m, 0b1010_1010), kept, "canonicity broken");
+
+        m.compact(&mut []);
+        assert_eq!(m.node_count(), 2, "nothing rooted: only terminals stay");
     }
 
     #[test]
-    fn gc_preserves_canonicity_and_recycles_slots() {
+    fn repeated_compactions_keep_the_arena_bounded() {
         let mut m = Manager::new(16);
-        let keep = rule(&mut m, 3);
-        m.protect(keep);
+        let mut keep = [rule(&mut m, 3)];
         for seed in 4..40 {
             let _ = rule(&mut m, seed);
         }
-        let allocated = {
-            m.gc();
-            m.node_count()
-        };
-        // Rebuilding the same functions after collection must hash-cons to
-        // identical handles (canonicity) and reuse freed arena slots rather
-        // than growing the arena.
-        let again = rule(&mut m, 3);
-        assert_eq!(again, keep, "canonicity broken after gc");
-        for seed in 4..40 {
-            let _ = rule(&mut m, seed);
-        }
-        let _ = allocated;
         let peak = m.stats().peak_nodes;
         for _ in 0..8 {
-            m.gc();
+            m.compact(&mut keep);
+            assert_eq!(rule(&mut m, 3), keep[0], "canonicity broken");
             for seed in 4..40 {
                 let _ = rule(&mut m, seed);
             }
@@ -611,91 +601,41 @@ mod gc {
         assert_eq!(
             m.stats().peak_nodes,
             peak,
-            "arena kept growing across gc cycles"
+            "arena kept growing across compactions"
         );
     }
 
     #[test]
-    fn protect_is_refcounted() {
-        let mut m = Manager::new(8);
-        let f = rule(&mut m, 7);
-        m.protect(f);
-        m.protect(f);
-        assert_eq!(m.root_count(), 1);
-        m.unprotect(f);
-        m.gc();
-        m.assert_gc_invariants();
-        // Still protected by the second reference.
-        assert_eq!(rule(&mut m, 7), f);
-        m.unprotect(f);
-        assert_eq!(m.root_count(), 0);
-        let freed = m.gc();
-        assert!(freed > 0);
-        assert_eq!(m.node_count(), 2);
-    }
-
-    #[test]
-    fn checkpoint_honours_policy() {
-        let mut m = Manager::new(16);
-        // Disabled: never collects.
-        for seed in 0..32 {
-            let _ = rule(&mut m, seed);
-        }
-        assert!(!m.gc_checkpoint());
-        assert_eq!(m.stats().gc_runs, 0);
-
-        // Aggressive: collects at every checkpoint.
-        m.set_gc_policy(GcPolicy::Aggressive);
-        assert!(m.gc_checkpoint());
-        assert_eq!(m.stats().gc_runs, 1);
-        assert_eq!(m.node_count(), 2);
-
-        // Automatic with a tiny floor: collects once in-use doubles.
-        m.set_gc_policy(GcPolicy::Automatic {
-            growth_factor: 2,
-            min_nodes: 4,
-        });
-        for seed in 0..32 {
-            let _ = rule(&mut m, seed);
-        }
-        assert!(m.gc_checkpoint());
-        let runs = m.stats().gc_runs;
-        // Immediately after a collection the trigger must not re-fire.
-        assert!(!m.gc_checkpoint());
-        assert_eq!(m.stats().gc_runs, runs);
-    }
-
-    #[test]
-    fn stats_track_gc_counters() {
+    fn stats_count_compactions() {
         let mut m = Manager::new(16);
         let keep = rule(&mut m, 1);
-        m.protect(keep);
         for seed in 2..20 {
             let _ = rule(&mut m, seed);
         }
-        let peak_before = m.stats().peak_nodes;
-        let freed = m.gc();
+        let before = m.stats();
+        m.compact(&mut [keep]);
         let s = m.stats();
         assert_eq!(s.gc_runs, 1);
-        assert_eq!(s.gc_nodes_freed, freed as u64);
+        assert_eq!(s.gc_nodes_freed, before.nodes - s.nodes);
         assert_eq!(s.post_gc_nodes, s.nodes);
-        assert_eq!(s.peak_nodes, peak_before);
         assert_eq!(s.nodes as usize, m.node_count());
+        assert_eq!(s.peak_nodes, before.peak_nodes, "peak is a lifetime mark");
+        assert!(s.gc_pause_max_us <= s.gc_pause_us);
+        // Counters are cumulative: the rebuild's own lookups add to them.
+        assert!(s.unique_lookups > before.unique_lookups);
+        assert!(s.unique_hits >= before.unique_hits);
+        assert_eq!(s.apply_lookups, before.apply_lookups);
+        assert_eq!(s.apply_hits, before.apply_hits);
     }
 
     #[test]
-    fn ops_work_after_many_collections() {
+    fn ops_work_after_many_compactions() {
         let mut m = Manager::new(16);
-        m.set_gc_policy(GcPolicy::Aggressive);
-        let mut acc = Bdd::FALSE;
+        let mut acc = [Bdd::FALSE];
         for seed in 0..32 {
             let r = rule(&mut m, seed * 37 % 256);
-            let next = m.or(acc, r);
-            m.unprotect(acc); // no-op on the first (constant) accumulator
-            m.protect(next);
-            acc = next;
-            m.gc_checkpoint();
-            m.assert_gc_invariants();
+            acc[0] = m.or(acc[0], r);
+            m.compact(&mut acc);
         }
         // Spot-check the accumulated union against direct reconstruction.
         let mut fresh = Manager::new(16);
@@ -704,6 +644,21 @@ mod gc {
             let r = rule(&mut fresh, seed * 37 % 256);
             want = fresh.or(want, r);
         }
-        assert_eq!(m.sat_count(acc), fresh.sat_count(want));
+        assert_eq!(m.sat_count(acc[0]), fresh.sat_count(want));
+        assert_eq!(m.node_count(), 2 + reachable(&m, acc[0]));
+    }
+
+    /// Non-terminal nodes `f` reaches.
+    fn reachable(m: &Manager, f: Bdd) -> usize {
+        let mut seen = std::collections::HashSet::new();
+        let mut stack = vec![f];
+        while let Some(n) = stack.pop() {
+            if n.is_const() || !seen.insert(n) {
+                continue;
+            }
+            let (_, low, high) = m.node(n);
+            stack.extend([low, high]);
+        }
+        seen.len()
     }
 }

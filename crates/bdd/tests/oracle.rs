@@ -1,15 +1,18 @@
-//! Differential oracle for the BDD manager under garbage collection.
+//! Differential oracle for the BDD manager under compaction.
 //!
 //! Every operation the manager supports, and the `mk`-built constants of
 //! `campion_bdd::bits`, is mirrored against a brute-force truth-table
-//! evaluator over `NVARS ≤ 16` variables. Random operation
-//! sequences — interleaved with `gc()` calls and root-set churn — must
-//! produce BDDs whose `eval` matches the oracle on all `2^NVARS`
-//! assignments, and whose `sat_count`/`first_sat` answers are unchanged by
-//! collection. This is the safety net that lets the reachable-mark GC touch
-//! the unique table at all.
+//! evaluator over `NVARS ≤ 16` variables. Random operation sequences —
+//! interleaved with compactions to random subsets of the functions built
+//! so far — must produce BDDs whose `eval` matches the oracle on all
+//! `2^NVARS` assignments. After each compaction every kept function must
+//! evaluate as before, rebuild onto its rewritten handle, and the arena
+//! must hold exactly the nodes the truth tables imply; later operations,
+//! which a stale computed-table entry would corrupt, must still agree.
 
-use campion_bdd::{bits, Assignment, Bdd, GcPolicy, Manager};
+use std::collections::HashSet;
+
+use campion_bdd::{bits, Assignment, Bdd, Manager};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -58,9 +61,71 @@ fn check_entry(m: &Manager, e: &Entry) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The truth table's function rebuilt by Shannon expansion, one variable
+/// at a time from the top: canonicity makes this the handle of any other
+/// BDD of the same function.
+fn rebuild(m: &mut Manager, table: &[bool]) -> Bdd {
+    fn expand(m: &mut Manager, sub: &[bool], var: u32) -> Bdd {
+        if let [value] = sub {
+            return if *value { Bdd::TRUE } else { Bdd::FALSE };
+        }
+        // `sub` is indexed by the values of `var..NVARS`, `var` lowest.
+        let low: Vec<bool> = sub.iter().step_by(2).copied().collect();
+        let high: Vec<bool> = sub.iter().skip(1).step_by(2).copied().collect();
+        let (l, h) = (expand(m, &low, var + 1), expand(m, &high, var + 1));
+        let x = m.var(var);
+        let on = m.and(x, h);
+        let off = m.diff(l, x);
+        m.or(on, off)
+    }
+    expand(m, table, 0)
+}
+
+/// Node count, terminals included, of the reduced ordered BDD holding
+/// every table: one node per distinct subfunction, after fixing the
+/// variables above some level, that depends on that level's variable.
+fn robdd_size<'a>(tables: impl IntoIterator<Item = &'a [bool]>) -> usize {
+    let mut nodes = HashSet::new();
+    for table in tables {
+        for level in 0..NVARS as usize {
+            for above in 0..1usize << level {
+                let sub: Vec<bool> = (0..TABLE >> level)
+                    .map(|rest| table[rest << level | above])
+                    .collect();
+                if sub.chunks(2).any(|pair| pair[0] != pair[1]) {
+                    nodes.insert((level, sub));
+                }
+            }
+        }
+    }
+    2 + nodes.len()
+}
+
+/// Compact `m` to the entries `keep` selects (bit `i % 64` for entry `i`)
+/// and drop the rest; then check every survivor evaluates as before,
+/// rebuilds onto its rewritten handle, and the arena holds exactly the
+/// nodes their tables imply.
+fn compact_to(m: &mut Manager, built: &mut Vec<Entry>, keep: u64) -> Result<(), TestCaseError> {
+    let mut i = 0;
+    built.retain(|_| {
+        i += 1;
+        keep >> ((i - 1) % 64) & 1 == 1
+    });
+    let mut roots: Vec<Bdd> = built.iter().map(|e| e.bdd).collect();
+    m.compact(&mut roots);
+    for (e, r) in built.iter_mut().zip(roots) {
+        e.bdd = r;
+    }
+    let size = robdd_size(built.iter().map(|e| e.table.as_slice()));
+    prop_assert_eq!(m.node_count(), size, "arena holds unreachable nodes");
+    for e in built.iter() {
+        check_entry(m, e)?;
+        prop_assert_eq!(rebuild(m, &e.table), e.bdd, "rebuilt function moved");
+    }
+    Ok(())
+}
+
 /// Interpret one random step against both the manager and the oracle.
-/// Returns false when the step was a structural action (gc/drop) rather
-/// than a function-producing operation.
 fn apply_step(
     m: &mut Manager,
     built: &mut Vec<Entry>,
@@ -140,36 +205,19 @@ fn apply_step(
             }
         }
         9 => {
-            // Drop a function from the root set: it becomes collectable and
-            // must never be consulted again.
+            // Drop a function: it is no compaction root from now on.
             let f = pick(a);
-            let dead = built.swap_remove(f);
-            m.unprotect(dead.bdd);
-            return Ok(());
-        }
-        10 => {
-            // Manual collection mid-sequence. Everything in `built` is
-            // protected, so sat_count/first_sat must be unchanged by it.
-            let before: Vec<_> = built
-                .iter()
-                .map(|e| (m.sat_count(e.bdd), m.first_sat(e.bdd)))
-                .collect();
-            m.gc();
-            m.assert_gc_invariants();
-            for (e, (count, cube)) in built.iter().zip(before) {
-                prop_assert_eq!(m.sat_count(e.bdd), count, "sat_count changed across gc");
-                prop_assert_eq!(m.first_sat(e.bdd), cube, "first_sat changed across gc");
-            }
+            built.swap_remove(f);
             return Ok(());
         }
         _ => {
-            // Policy-driven safe point (exercises the automatic trigger).
-            m.gc_checkpoint();
-            return Ok(());
+            // Compact to a random subset of the built functions. The first
+            // always stays, so later steps still have an operand.
+            let keep = 1 | u64::from(a) << 1 | u64::from(b) << 17 | u64::from(c) << 33;
+            return compact_to(m, built, keep);
         }
     };
     check_entry(m, &entry)?;
-    m.protect(entry.bdd);
     built.push(entry);
     Ok(())
 }
@@ -187,7 +235,6 @@ fn seed_entries(m: &mut Manager) -> Vec<Entry> {
     ];
     for v in 0..NVARS {
         let bdd = m.var(v);
-        m.protect(bdd);
         built.push(Entry {
             bdd,
             table: (0..TABLE).map(|bits| bits >> v & 1 == 1).collect(),
@@ -199,36 +246,31 @@ fn seed_entries(m: &mut Manager) -> Vec<Entry> {
 proptest! {
     #![proptest_config(oracle_config())]
 
-    /// Random op sequences interleaved with gc() match the truth-table
-    /// oracle on every assignment, with sat_count/first_sat stable across
-    /// collections.
+    /// Random op sequences interleaved with compactions to random subsets
+    /// match the truth-table oracle on every assignment; each compaction
+    /// keeps exactly the reachable nodes and canonical handles.
     #[test]
-    fn ops_with_gc_match_oracle(
+    fn ops_with_compaction_match_oracle(
         steps in vec((0u8..=11, 0u16..4096, 0u16..4096, 0u16..4096), 4..28),
     ) {
         let mut m = Manager::new(NVARS);
-        m.set_gc_policy(GcPolicy::Automatic { growth_factor: 2, min_nodes: 64 });
         let mut built = seed_entries(&mut m);
         for (op, a, b, c) in steps {
-            // Keep at least the constants + vars so index picking stays sane.
-            if op % 12 == 9 && built.len() <= 2 {
+            // Keep at least one function so index picking stays sane.
+            if op % 12 >= 9 && built.len() <= 2 {
                 continue;
             }
             apply_step(&mut m, &mut built, op, a, b, c)?;
         }
         // Final exhaustive re-check of every surviving function.
-        m.gc();
-        m.assert_gc_invariants();
-        for e in &built {
-            check_entry(&m, e)?;
-        }
+        compact_to(&mut m, &mut built, u64::MAX)?;
     }
 
-    /// After every gc the unique table holds exactly the root-reachable
-    /// nodes, and canonicity is preserved: two surviving functions have
-    /// equal handles iff their oracle tables are identical.
+    /// Compacting to every built function after each step keeps
+    /// canonicity: two surviving functions have equal handles iff their
+    /// oracle tables are identical.
     #[test]
-    fn gc_preserves_canonicity(
+    fn compaction_preserves_canonicity(
         steps in vec((0u8..=9, 0u16..4096, 0u16..4096, 0u16..4096), 4..20),
     ) {
         let mut m = Manager::new(NVARS);
@@ -238,8 +280,7 @@ proptest! {
                 continue;
             }
             apply_step(&mut m, &mut built, op, a, b, c)?;
-            m.gc();
-            m.assert_gc_invariants();
+            compact_to(&mut m, &mut built, u64::MAX)?;
         }
         for (i, e1) in built.iter().enumerate() {
             for e2 in &built[i + 1..] {
@@ -248,52 +289,4 @@ proptest! {
             }
         }
     }
-}
-
-/// Build→drop-roots→collect over 1k random ACL-rule-shaped BDDs: the arena
-/// must stay bounded instead of growing monotonically (the pre-GC failure
-/// mode called out in ROADMAP.md).
-#[test]
-fn acl_rule_churn_keeps_node_count_bounded() {
-    let mut m = Manager::new(16);
-    m.set_gc_policy(GcPolicy::Automatic {
-        growth_factor: 2,
-        min_nodes: 1 << 10,
-    });
-    // Deterministic xorshift64* stream; no external RNG needed.
-    let mut state = 0x9E3779B97F4A7C15u64;
-    let mut rng = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state.wrapping_mul(0x2545F4914F6CDD1D)
-    };
-    let mut high_water = 0usize;
-    for _ in 0..1000 {
-        // A random 5-conjunct rule over 16 vars, rooted while "in use".
-        let bits = rng();
-        let mut acc = Bdd::TRUE;
-        for j in 0..5u32 {
-            let v = (bits >> (j * 8)) as u32 % 16;
-            let lit = m.literal(v, bits >> (40 + j) & 1 == 1);
-            acc = m.and(acc, lit);
-        }
-        m.protect(acc);
-        // Simulate the rule leaving scope, then hit a safe point.
-        m.unprotect(acc);
-        m.gc_checkpoint();
-        high_water = high_water.max(m.node_count());
-    }
-    m.gc();
-    assert_eq!(m.node_count(), 2, "nothing is rooted; all nodes must go");
-    // The automatic policy must cap the arena well below 1k-rules-worth of
-    // retained garbage: floor 2^10 nodes, trigger at 2×, so the arena never
-    // legitimately exceeds ~2×floor plus one rule's worth of slack.
-    assert!(
-        high_water <= (1 << 11) + 64,
-        "node_count unbounded under churn: high water {high_water}"
-    );
-    let s = m.stats();
-    assert!(s.gc_runs > 0, "automatic trigger never fired");
-    assert!(s.gc_nodes_freed > 0);
 }

@@ -8,10 +8,14 @@
 //! count. A compare with at most one such pair never leaves the calling
 //! thread. StructuralDiff (§3.3) is an exact walk over the IR, microseconds
 //! per family, and runs inline after the pool joins.
+//!
+//! A pair's BDD arena is compacted once, right after SemanticDiff, to the
+//! differences' inputs: localization reads nothing else, and builds what
+//! it needs in what is left.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use campion_bdd::{GcPolicy, ManagerStats};
+use campion_bdd::{Bdd, ManagerStats};
 use campion_cfg::Span;
 use campion_ir::{AclIr, RoutePolicy, RouterIr};
 use campion_net::PrefixRange;
@@ -21,36 +25,9 @@ use crate::headerloc::{self, DstAddrSpace, SrcAddrSpace};
 use crate::matching::{match_policies, PolicyPair};
 use crate::report::{CampionReport, PolicyDiffReport, StructuralFinding};
 use crate::semantic::{
-    acl_diff_paths, policy_paths, release_paths, semantic_diff_jobs, DiffPruneStats,
-    SemanticDifference,
+    acl_diff_paths, policy_paths, semantic_diff_jobs, DiffPruneStats, SemanticDifference,
 };
 use crate::structural;
-
-/// Garbage-collection mode for the per-pair BDD managers. The rendered
-/// report is byte-identical in every mode; only memory behavior changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GcMode {
-    /// Never collect (PR 1 behavior: the arena grows monotonically).
-    Off,
-    /// Collect at safe points when the live set has doubled since the last
-    /// collection ([`GcPolicy::automatic`]).
-    #[default]
-    Auto,
-    /// Collect at *every* safe point — maximal memory pressure relief and
-    /// the differential-testing mode of `tests/determinism.rs`.
-    Aggressive,
-}
-
-impl GcMode {
-    /// The manager-level policy this mode installs.
-    pub fn policy(self) -> GcPolicy {
-        match self {
-            GcMode::Off => GcPolicy::Disabled,
-            GcMode::Auto => GcPolicy::automatic(),
-            GcMode::Aggressive => GcPolicy::Aggressive,
-        }
-    }
-}
 
 /// Options controlling a comparison run.
 #[derive(Debug, Clone)]
@@ -74,8 +51,6 @@ pub struct CampionOptions {
     /// Worker threads for the policy and ACL pairs; `0` means one per
     /// available hardware thread. The report is identical for every value.
     pub jobs: usize,
-    /// Garbage-collection mode for the per-pair BDD managers.
-    pub gc: GcMode,
 }
 
 impl Default for CampionOptions {
@@ -89,7 +64,6 @@ impl Default for CampionOptions {
             check_acls: true,
             exhaustive_communities: false,
             jobs: 0,
-            gc: GcMode::default(),
         }
     }
 }
@@ -107,12 +81,6 @@ impl CampionOptions {
         } else {
             hw
         }
-    }
-
-    /// The GC mode the per-pair managers install: [`CampionOptions::gc`].
-    /// Kept as an accessor because the benchmark's traced replay calls it.
-    pub fn effective_gc(&self) -> GcMode {
-        self.gc
     }
 }
 
@@ -136,14 +104,14 @@ fn run_item(
 ) -> (Vec<PolicyDiffReport>, ManagerStats) {
     match item {
         WorkItem::Policy(pair) => diff_policy_pair(r1, r2, pair, opts),
-        WorkItem::Acl(name) => diff_acl_pair(r1, r2, &r1.acls[*name], &r2.acls[*name], opts),
+        WorkItem::Acl(name) => diff_acl_pair(r1, r2, &r1.acls[*name], &r2.acls[*name]),
     }
 }
 
 /// Close a pair's accounting: the manager's counters plus the two it
 /// cannot see — the space's rule-BDD cache and the diff's pruning — with
 /// their deltas since `entry` attached to the pair's item span (BDD arena
-/// growth, cache traffic, GC effort, pruning).
+/// growth, cache traffic, compaction effort, pruning).
 fn pair_stats(
     span: &mut campion_trace::SpanGuard,
     entry: &ManagerStats,
@@ -378,31 +346,23 @@ fn diff_policy_pair(
         None => RoutePolicy::permit_all("(no policy)"),
     };
     let mut space = RouteSpace::for_policies(&[&p1, &p2]);
-    space.manager.set_gc_policy(opts.gc.policy());
     let stats_at_entry = space.manager.stats();
     let universe = space.universe();
-    // The universe is consulted by both path enumerations, which contain
-    // safe points — root it for the whole pair.
-    space.manager.protect(universe);
     let paths1 = policy_paths(&mut space, &p1, universe);
     let paths2 = policy_paths(&mut space, &p2, universe);
     let mut prune = DiffPruneStats::default();
-    let diffs = semantic_diff_jobs(&mut space.manager, &paths1, &paths2, &mut prune, 1);
-    // The diffs' inputs are rooted by semantic_diff; the paths themselves
-    // are now garbage.
-    release_paths(&mut space.manager, &paths1);
-    release_paths(&mut space.manager, &paths2);
-    space.manager.gc_checkpoint();
+    let mut diffs = semantic_diff_jobs(&mut space.manager, &paths1, &paths2, &mut prune, 1);
+    drop((paths1, paths2));
 
     // The range universe R: every range in either configuration (§3.2).
-    // The ddNF over R is built once and every difference is localized
-    // against it, in order, in the pair's own space; an equivalent pair
-    // has nothing to localize and builds none. Presentation reaches no
-    // safe point and the arena is dropped on return, so nothing is
-    // unrooted afterwards.
+    // The ddNF over R is built once, after the arena is compacted to the
+    // differences' inputs, and every difference is localized against it,
+    // in order, in the pair's own space. An equivalent pair has nothing to
+    // localize: it compacts nothing and builds no ddNF.
     let out = if diffs.is_empty() {
         Vec::new()
     } else {
+        keep_inputs(&mut diffs, |roots| space.compact(roots));
         let mut ranges: Vec<PrefixRange> = p1.prefix_ranges();
         ranges.extend(p2.prefix_ranges());
         let dag = headerloc::RangeDag::build(&mut space, &ranges);
@@ -419,6 +379,16 @@ fn diff_policy_pair(
         &prune,
     );
     (out, stats)
+}
+
+/// Compact a pair's arena to the differences' inputs with `compact`, and
+/// rewrite each input to its handle in the compacted arena.
+fn keep_inputs(diffs: &mut [SemanticDifference], compact: impl FnOnce(&mut [Bdd])) {
+    let mut inputs: Vec<Bdd> = diffs.iter().map(|d| d.input).collect();
+    compact(&mut inputs);
+    for (d, input) in diffs.iter_mut().zip(inputs) {
+        d.input = input;
+    }
 }
 
 /// Present one route-map difference: localize its input over the pair's
@@ -615,27 +585,25 @@ fn diff_acl_pair(
     r2: &RouterIr,
     a1: &AclIr,
     a2: &AclIr,
-    opts: &CampionOptions,
 ) -> (Vec<PolicyDiffReport>, ManagerStats) {
     let mut item_span = campion_trace::span("item.acl_pair");
     let mut space = PacketSpace::new();
-    space.manager.set_gc_policy(opts.gc.policy());
     let stats_at_entry = space.manager.stats();
     // Pair-aware enumeration: both sides' classes restricted to the
     // disagreement set, so the chain never materializes predicates the
     // diff would prune anyway (the 10k-rule hot path).
     let (paths1, paths2) = acl_diff_paths(&mut space, a1, a2, 1);
     let mut prune = DiffPruneStats::default();
-    let diffs = semantic_diff_jobs(&mut space.manager, &paths1, &paths2, &mut prune, 1);
-    release_paths(&mut space.manager, &paths1);
-    release_paths(&mut space.manager, &paths2);
-    space.manager.gc_checkpoint();
+    let mut diffs = semantic_diff_jobs(&mut space.manager, &paths1, &paths2, &mut prune, 1);
+    drop((paths1, paths2));
 
-    // Equivalent pair: nothing to localize, so no ddNF to build. As for
-    // route maps, every difference is presented in the pair's own space.
+    // As for route maps: an equivalent pair compacts nothing and builds no
+    // ddNF; otherwise the arena keeps only the differences' inputs, and
+    // every difference is presented in the pair's own space.
     let out = if diffs.is_empty() {
         Vec::new()
     } else {
+        keep_inputs(&mut diffs, |roots| space.compact(roots));
         let (dst_ranges, src_ranges) = acl_address_ranges(a1, a2);
         let dst_dag = headerloc::RangeDag::build(&mut DstAddrSpace(&mut space), &dst_ranges);
         let src_dag = headerloc::RangeDag::build(&mut SrcAddrSpace(&mut space), &src_ranges);
@@ -660,7 +628,7 @@ fn diff_acl_pair(
 /// prefix and localization may go inexact), so differences confined to a
 /// non-contiguous region still land on ddNF cells instead of vanishing
 /// from the included set.
-fn acl_address_ranges(a1: &AclIr, a2: &AclIr) -> (Vec<PrefixRange>, Vec<PrefixRange>) {
+pub(crate) fn acl_address_ranges(a1: &AclIr, a2: &AclIr) -> (Vec<PrefixRange>, Vec<PrefixRange>) {
     const WILDCARD_COVER_CAP: usize = 256;
     let mut src_ranges = Vec::new();
     let mut dst_ranges = Vec::new();

@@ -65,12 +65,12 @@
 //!   results are memoized per `(node, S)` on the DAG (`¬S` recursions hit
 //!   the same table), and `¬S` itself is computed once per localize call,
 //!   not once per included node.
-//! * **One validity rule.** The DAG roots nothing. Every handle it caches —
-//!   cells and the memo's `S` keys — is valid until the next sweep of its
-//!   space, and a query that finds the manager's collection count moved
-//!   clears both before it starts. The driver reaches no safe point
-//!   between a DAG's build and its last query, so there the caches live
-//!   for the whole pair.
+//! * **One validity rule.** Every handle the DAG caches — cells and the
+//!   memo's `S` keys — is valid until its space is next compacted
+//!   ([`Manager::compact`]), and a query that finds the manager's
+//!   collection count moved clears both before it starts. The driver
+//!   compacts a pair's space once, before it builds the DAG, and never
+//!   after, so there the caches live for the whole pair.
 //!
 //! The eager, unpruned `GetMatch` (every node set encoded with
 //! [`RangeEncoder::encode`] and every cell folded with `diff` up front,
@@ -322,7 +322,9 @@ type GetMatchMemo = HashMap<(usize, Bdd), (Vec<NestedTerm>, bool)>;
 /// Cloning a DAG alongside a clone of that space yields an independent
 /// snapshot whose cached remainders (and memo entries) remain valid in
 /// the cloned arena; the benchmark's traced replay localizes on such
-/// clones. Each snapshot encodes what its own queries read.
+/// clones. Each snapshot encodes what its own queries read. A compaction
+/// of the space between two queries invalidates the cached handles, and
+/// the next query rebuilds what it reads.
 #[derive(Clone)]
 pub struct RangeDag {
     /// Node ranges (label function λ).
@@ -336,8 +338,8 @@ pub struct RangeDag {
     /// `GetMatch` memo: `(node, S) → (terms, exact)`.
     memo: RefCell<GetMatchMemo>,
     /// The manager's `gc_runs` when `remainders` and `memo` were last known
-    /// valid. Neither is rooted and a sweep may recycle the arena slots
-    /// they name, so both are cleared once it moves.
+    /// valid. A compaction renumbers the nodes they name, so both are
+    /// cleared once it moves.
     gen: Cell<u64>,
 }
 
@@ -372,11 +374,6 @@ impl RangeDag {
     pub fn len(&self) -> usize {
         self.ranges.len()
     }
-
-    /// Does nothing: a DAG roots no BDD, so it has nothing to give back to
-    /// `manager`. Kept for callers written against the earlier rooting
-    /// protocol, such as the benchmark's traced replay.
-    pub fn release(&self, _manager: &mut Manager) {}
 
     /// True when only the universe node exists.
     pub fn is_empty(&self) -> bool {
@@ -617,9 +614,8 @@ pub fn header_localize_with<E: RangeEncoder>(
     ddnf: &RangeDag,
 ) -> HeaderLocalization {
     campion_trace::span!("headerloc.localize");
-    // Drop every cached handle if a sweep ran since they were made. No
-    // sweep can happen inside this call: collection only runs at explicit
-    // checkpoints, and there are none below.
+    // Drop every cached handle if the space was compacted since they were
+    // made.
     let gc_runs = space.manager().stats().gc_runs;
     if ddnf.gen.replace(gc_runs) != gc_runs {
         ddnf.memo.borrow_mut().clear();

@@ -43,12 +43,13 @@ pub mod headerloc;
 pub mod json;
 pub mod matching;
 pub mod portloc;
+mod replay_shims;
 pub mod report;
 pub mod semantic;
 pub mod structural;
 
 pub use commloc::{community_localize, CommunityCondition, CommunityLocalization};
-pub use driver::{compare_config_texts, compare_routers, steal_indexed, CampionOptions, GcMode};
+pub use driver::{compare_config_texts, compare_routers, steal_indexed, CampionOptions};
 pub use headerloc::{
     header_localize, header_localize_with, reencode, DstAddrSpace, HeaderLocalization, RangeDag,
     RangeEncoder, RangeTerm, SrcAddrSpace,

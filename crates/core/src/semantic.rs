@@ -10,23 +10,13 @@
 //! behavioral differences — the quintuples `(i, a₁, a₂, t₁, t₂)` of the
 //! paper.
 
-//! ## GC root discipline
-//!
-//! The BDD manager only collects at explicit safe points
-//! ([`campion_bdd::Manager::gc_checkpoint`]), so locals that never span a
-//! checkpoint need no registration. The functions here place a checkpoint
-//! after every processed rule / path frame / outer diff row, and therefore
-//! root exactly what they hold across those boundaries: the active frontier
-//! (`remaining`, the exploration stack's predicates and symbolic states)
-//! and their outputs. **Returned [`PolicyPath`] predicates and
-//! [`SemanticDifference`] inputs stay protected**: callers release them via
-//! [`release_paths`] (or per-handle `unprotect`) once done.
-
 use campion_bdd::{Bdd, Manager};
 use campion_cfg::Span;
 use campion_ir::{AclIr, AclRuleIr, RoutePolicy, Terminal};
 use campion_net::{PortRange, WildcardMask};
-use campion_symbolic::{ActionEffect, PacketSpace, RouteSpace, RuleKey, SymbolicRoute};
+use campion_symbolic::{ActionEffect, PacketSpace, RouteSpace, RuleKey};
+
+pub use crate::replay_shims::release_paths;
 
 /// One path equivalence class through a component.
 #[derive(Debug, Clone)]
@@ -73,18 +63,8 @@ pub fn policy_paths(
         spans: Vec<Span>,
         non_prefix: bool,
     }
-    // Every frame on the exploration stack is held across checkpoints, so
-    // its predicate and symbolic community functions are rooted at push and
-    // released once the frame has been fully processed.
-    fn protect_frame(m: &mut Manager, predicate: Bdd, state: &SymbolicRoute) {
-        m.protect(predicate);
-        for &b in &state.comm {
-            m.protect(b);
-        }
-    }
     let mut out = Vec::new();
     let initial = space.initial_state();
-    protect_frame(&mut space.manager, universe, &initial);
     let mut stack = vec![Frame {
         idx: 0,
         predicate: universe,
@@ -99,17 +79,12 @@ pub fn policy_paths(
             "policy {} exceeds {MAX_PATHS} path classes",
             policy.name
         );
-        // The popped frame's roots are released at the bottom of the loop;
-        // remember them now because the fallthrough branch moves `f.state`.
-        let popped_predicate = f.predicate;
-        let popped_comm = f.state.comm.clone();
         if space.manager.is_false(f.predicate) {
             // Dead branch: nothing to emit.
         } else if f.idx == policy.clauses.len() {
             // Implicit default.
             let mut effect = f.effect;
             effect.accept = policy.default_terminal == Terminal::Accept;
-            space.manager.protect(f.predicate);
             out.push(PolicyPath {
                 predicate: f.predicate,
                 effect: effect.normalized(),
@@ -128,7 +103,6 @@ pub fn policy_paths(
             let skip = space.manager.diff(f.predicate, cond);
             // Non-matching branch: continue with unchanged state.
             if space.manager.is_sat(skip) {
-                protect_frame(&mut space.manager, skip, &f.state);
                 stack.push(Frame {
                     idx: f.idx + 1,
                     predicate: skip,
@@ -152,7 +126,6 @@ pub fn policy_paths(
                 match clause.terminal {
                     Terminal::Accept | Terminal::Reject => {
                         effect.accept = clause.terminal == Terminal::Accept;
-                        space.manager.protect(fire);
                         out.push(PolicyPath {
                             predicate: fire,
                             effect: effect.normalized(),
@@ -164,7 +137,6 @@ pub fn policy_paths(
                     Terminal::Fallthrough => {
                         let mut state = f.state;
                         space.apply_sets(&mut state, &clause.sets);
-                        protect_frame(&mut space.manager, fire, &state);
                         stack.push(Frame {
                             idx: f.idx + 1,
                             predicate: fire,
@@ -177,11 +149,6 @@ pub fn policy_paths(
                 }
             }
         }
-        space.manager.unprotect(popped_predicate);
-        for b in popped_comm {
-            space.manager.unprotect(b);
-        }
-        space.manager.gc_checkpoint();
     }
     out
 }
@@ -190,44 +157,7 @@ pub fn policy_paths(
 /// terminal, so this is linear: one class per reachable rule plus the
 /// implicit trailing deny).
 pub fn acl_paths(space: &mut PacketSpace, acl: &AclIr, universe: Bdd) -> Vec<PolicyPath> {
-    let mut out = Vec::new();
-    let mut remaining = universe;
-    space.manager.protect(remaining);
-    for rule in &acl.rules {
-        let cond = space.rule_bdd(rule);
-        let fire = space.manager.and(remaining, cond);
-        let next = space.manager.diff(remaining, cond);
-        // Root the new frontier before releasing the old one: `next` and the
-        // accumulated fire predicates are all we hold across the checkpoint;
-        // `cond` and the superseded `remaining` become garbage.
-        space.manager.protect(next);
-        space.manager.unprotect(remaining);
-        remaining = next;
-        if space.manager.is_sat(fire) {
-            space.manager.protect(fire);
-            out.push(PolicyPath {
-                predicate: fire,
-                effect: ActionEffect::terminal(rule.permit),
-                spans: vec![rule.span],
-                is_default: false,
-                non_prefix_match: true,
-            });
-        }
-        space.manager.gc_checkpoint();
-    }
-    if space.manager.is_sat(remaining) {
-        // The frontier root carries over as the default path's output root.
-        out.push(PolicyPath {
-            predicate: remaining,
-            effect: ActionEffect::terminal(false),
-            spans: Vec::new(),
-            is_default: true,
-            non_prefix_match: true,
-        });
-    } else {
-        space.manager.unprotect(remaining);
-    }
-    out
+    acl_paths_within(space, acl, universe, None)
 }
 
 /// Difference-restricted path enumeration for an ACL *pair* — the fast
@@ -258,12 +188,10 @@ pub fn acl_paths(space: &mut PacketSpace, acl: &AclIr, universe: Bdd) -> Vec<Pol
 /// slightly less than the old handle-keyed one, never more than soundness
 /// allows.) Classes with an empty restriction are exactly the ones the
 /// pruned diff would skip. When the alignment finds little in common, `R`
-/// falls back to the universe and this degrades to plain [`acl_paths`]
-/// (minus shadowed duplicates).
+/// falls back to the universe and this degrades to plain [`acl_paths`].
 ///
 /// `jobs` is accepted and ignored: both sides enumerate sequentially on the
-/// one manager. Returned predicates are protected, like [`acl_paths`]'s;
-/// release with [`release_paths`].
+/// one manager.
 pub fn acl_diff_paths(
     space: &mut PacketSpace,
     a1: &AclIr,
@@ -310,7 +238,6 @@ pub fn acl_diff_paths(
         }
         None => space.universe(),
     };
-    space.manager.protect(restrict);
     // Structural-skip generators: only worth screening against when the
     // set is small (the screen is O(rules × generators)).
     let gens: Option<&[&AclRuleIr]> = match &unaligned {
@@ -324,8 +251,6 @@ pub fn acl_diff_paths(
             acl_paths_within(space, a2, restrict, gens),
         )
     };
-    space.manager.unprotect(restrict);
-    space.manager.gc_checkpoint();
     (paths1, paths2)
 }
 
@@ -592,9 +517,11 @@ pub(crate) fn lcs_pairs<T: Eq>(a: &[T], b: &[T]) -> Vec<(usize, usize)> {
     out
 }
 
-/// [`acl_paths`] with the chain restricted to `within`: class predicates
-/// come out as `predicate ∧ within`, and enumeration stops once the
-/// restriction set is exhausted (every later class would restrict to ∅).
+/// The ACL enumeration behind [`acl_paths`] and [`acl_diff_paths`]: the
+/// chain restricted to `within`, so class predicates come out as
+/// `predicate ∧ within`. A rule whose condition already appeared is
+/// shadowed and fires on nothing, and once the restriction set is
+/// exhausted every later class would restrict to ∅, so both are skipped.
 ///
 /// When `generators` carries the rules whose conditions union to `within`,
 /// a rule structurally disjoint from every generator is skipped without
@@ -610,7 +537,6 @@ fn acl_paths_within(
     let mut out = Vec::new();
     let mut seen = std::collections::HashSet::new();
     let mut remaining = within;
-    space.manager.protect(remaining);
     for rule in &acl.rules {
         if !space.manager.is_sat(remaining) {
             break;
@@ -622,16 +548,11 @@ fn acl_paths_within(
         }
         let cond = space.rule_bdd(rule);
         if !seen.insert(cond) {
-            // Duplicate condition: shadowed, fires on nothing.
             continue;
         }
         let fire = space.manager.and(remaining, cond);
-        let next = space.manager.diff(remaining, cond);
-        space.manager.protect(next);
-        space.manager.unprotect(remaining);
-        remaining = next;
+        remaining = space.manager.diff(remaining, cond);
         if space.manager.is_sat(fire) {
-            space.manager.protect(fire);
             out.push(PolicyPath {
                 predicate: fire,
                 effect: ActionEffect::terminal(rule.permit),
@@ -640,7 +561,6 @@ fn acl_paths_within(
                 non_prefix_match: true,
             });
         }
-        space.manager.gc_checkpoint();
     }
     if space.manager.is_sat(remaining) {
         out.push(PolicyPath {
@@ -650,8 +570,6 @@ fn acl_paths_within(
             is_default: true,
             non_prefix_match: true,
         });
-    } else {
-        space.manager.unprotect(remaining);
     }
     out
 }
@@ -761,9 +679,7 @@ pub fn semantic_diff_jobs(
             .map(|(e, preds)| (*e, manager.or_all(preds)))
             .collect();
 
-        // Step 1b: the disagreement set D. Built whole before any
-        // checkpoint, so the unions and row terms need no roots of their
-        // own.
+        // Step 1b: the disagreement set D.
         let mut terms = Vec::with_capacity(paths1.len());
         for p1 in paths1 {
             let same = unions
@@ -774,24 +690,17 @@ pub fn semantic_diff_jobs(
         }
         manager.or_all(&terms)
     };
-    // D is consulted across every row checkpoint below — root it. The
-    // construction garbage (unions, row terms) may go right away.
-    manager.protect(disagree);
-    manager.gc_checkpoint();
 
     let mut out = Vec::new();
     for p1 in paths1 {
         diff_row(manager, p1, paths2, disagree, stats, &mut out);
-        manager.gc_checkpoint();
     }
-    manager.unprotect(disagree);
     stats.pairs_pruned += total_pairs - (stats.pairs_examined - examined_before);
     out
 }
 
 /// One row of the pruned comparison: `p1` against every side-2 class, with
-/// the remainder early exit. Emitted inputs are protected; the caller
-/// releases them.
+/// the remainder early exit.
 fn diff_row(
     manager: &mut Manager,
     p1: &PolicyPath,
@@ -814,10 +723,6 @@ fn diff_row(
             // exactly p1.predicate ∧ p2.predicate.
             let inter = manager.and(rem, p2.predicate);
             if manager.is_sat(inter) {
-                // Returned inputs are rooted so the safe points after each
-                // row keep them; the driver never releases them, they go
-                // with the pair's arena.
-                manager.protect(inter);
                 out.push(SemanticDifference {
                     input: inter,
                     effect1: p1.effect.clone(),
@@ -841,7 +746,7 @@ fn diff_row(
 /// The original all-pairs comparison, retained verbatim as the reference
 /// oracle for the pruned [`semantic_diff`]: proptests assert the two return
 /// identical difference lists (same handles, spans, effects) for
-/// random policy/ACL pairs under every GC mode.
+/// random policy/ACL pairs.
 #[cfg(test)]
 pub(crate) fn semantic_diff_all_pairs(
     manager: &mut Manager,
@@ -856,7 +761,6 @@ pub(crate) fn semantic_diff_all_pairs(
             }
             let inter = manager.and(p1.predicate, p2.predicate);
             if manager.is_sat(inter) {
-                manager.protect(inter);
                 out.push(SemanticDifference {
                     input: inter,
                     effect1: p1.effect.clone(),
@@ -869,16 +773,6 @@ pub(crate) fn semantic_diff_all_pairs(
                 });
             }
         }
-        manager.gc_checkpoint();
     }
     out
-}
-
-/// Release the GC roots held by a set of path predicates (the counterpart
-/// of [`policy_paths`]/[`acl_paths`], which return their outputs rooted).
-/// Call once `semantic_diff` has consumed the paths.
-pub fn release_paths(manager: &mut Manager, paths: &[PolicyPath]) {
-    for p in paths {
-        manager.unprotect(p.predicate);
-    }
 }

@@ -6,7 +6,7 @@ use campion_ir::{lower, RouterIr};
 use campion_net::PrefixRange;
 
 use crate::driver::{compare_routers, CampionOptions};
-use crate::headerloc::{header_localize, reencode};
+use crate::headerloc::{header_localize, reencode, HeaderLocalization};
 use crate::report::FindingSide;
 use crate::semantic::{acl_paths, policy_paths, semantic_diff};
 use campion_symbolic::RouteSpace;
@@ -712,13 +712,12 @@ fn missing_policy_compares_as_permit_all() {
 
 /// Differential oracle for the disagreement-set-pruned [`semantic_diff`]:
 /// the quadratic all-pairs loop is kept verbatim (test-only) and random
-/// near-identical component pairs are pushed through both, under every GC
-/// mode. Both run in the *same* manager, so hash-consing makes BDD handle
+/// near-identical component pairs are pushed through both. Both run in the
+/// *same* manager, so hash-consing makes BDD handle
 /// equality function equality — the strongest possible "same predicate"
 /// check — and the remaining fields are compared structurally.
 mod prune_oracle {
     use super::*;
-    use crate::driver::GcMode;
     use crate::semantic::{semantic_diff_all_pairs, SemanticDifference};
     use campion_cfg::Span;
     use campion_ir::{
@@ -732,7 +731,7 @@ mod prune_oracle {
 
     /// Seed for one ACL rule: addresses, (dst-port base, protocol selector,
     /// permit), and the side-2 mutation selector.
-    type RuleSeed = (u32, u8, u32, u8, (u16, u8, bool), u8);
+    pub(super) type RuleSeed = (u32, u8, u32, u8, (u16, u8, bool), u8);
 
     fn mk_rule(i: usize, s: &RuleSeed, flip: bool, widen: bool) -> AclRuleIr {
         let (src_bits, src_len, dst_bits, dst_len, (port_lo, proto_sel, permit), _) = *s;
@@ -769,7 +768,7 @@ mod prune_oracle {
     /// Build a near-identical ACL pair: side 2 is side 1 with per-rule
     /// mutations (most rules identical, a few flipped / dropped / widened —
     /// the regime the pruning is designed for).
-    fn acl_pair(seeds: &[RuleSeed]) -> (AclIr, AclIr) {
+    pub(super) fn acl_pair(seeds: &[RuleSeed]) -> (AclIr, AclIr) {
         let mut r1 = Vec::new();
         let mut r2 = Vec::new();
         for (i, s) in seeds.iter().enumerate() {
@@ -791,7 +790,7 @@ mod prune_oracle {
 
     /// Seed for one policy clause: prefix bits/len, set-action selector,
     /// terminal selector, and the side-2 mutation selector.
-    type ClauseSeed = (u32, u8, u8, u8, u8);
+    pub(super) type ClauseSeed = (u32, u8, u8, u8, u8);
 
     fn mk_clause(i: usize, s: &ClauseSeed, flip_term: bool, alt_sets: bool) -> Clause {
         let (bits, len, action_sel, term_sel, _) = *s;
@@ -826,7 +825,10 @@ mod prune_oracle {
     }
 
     /// Near-identical policy pair, mutation scheme as for ACLs.
-    fn policy_pair(seeds: &[ClauseSeed], default_accept: bool) -> (RoutePolicy, RoutePolicy) {
+    pub(super) fn policy_pair(
+        seeds: &[ClauseSeed],
+        default_accept: bool,
+    ) -> (RoutePolicy, RoutePolicy) {
         let mut c1 = Vec::new();
         let mut c2 = Vec::new();
         for (i, s) in seeds.iter().enumerate() {
@@ -855,28 +857,40 @@ mod prune_oracle {
     fn assert_same(
         pruned: &[SemanticDifference],
         reference: &[SemanticDifference],
-        gc: GcMode,
     ) -> Result<(), proptest::prelude::TestCaseError> {
-        prop_assert_eq!(pruned.len(), reference.len(), "count, gc={:?}", gc);
+        prop_assert_eq!(pruned.len(), reference.len(), "count");
         for (a, b) in pruned.iter().zip(reference.iter()) {
-            prop_assert_eq!(a.input, b.input, "input handle, gc={:?}", gc);
-            prop_assert_eq!(&a.effect1, &b.effect1, "effect1, gc={:?}", gc);
-            prop_assert_eq!(&a.effect2, &b.effect2, "effect2, gc={:?}", gc);
-            prop_assert_eq!(&a.spans1, &b.spans1, "spans1, gc={:?}", gc);
-            prop_assert_eq!(&a.spans2, &b.spans2, "spans2, gc={:?}", gc);
-            prop_assert_eq!(a.default1, b.default1, "default1, gc={:?}", gc);
-            prop_assert_eq!(a.default2, b.default2, "default2, gc={:?}", gc);
-            prop_assert_eq!(
-                a.non_prefix_match,
-                b.non_prefix_match,
-                "non_prefix_match, gc={:?}",
-                gc
-            );
+            prop_assert_eq!(a.input, b.input, "input handle");
+            prop_assert_eq!(&a.effect1, &b.effect1, "effect1");
+            prop_assert_eq!(&a.effect2, &b.effect2, "effect2");
+            prop_assert_eq!(&a.spans1, &b.spans1, "spans1");
+            prop_assert_eq!(&a.spans2, &b.spans2, "spans2");
+            prop_assert_eq!(a.default1, b.default1, "default1");
+            prop_assert_eq!(a.default2, b.default2, "default2");
+            prop_assert_eq!(a.non_prefix_match, b.non_prefix_match, "non_prefix_match");
         }
         Ok(())
     }
 
-    const GC_MODES: [GcMode; 3] = [GcMode::Off, GcMode::Auto, GcMode::Aggressive];
+    /// Random ACL rule seeds for [`acl_pair`].
+    pub(super) fn rule_seeds() -> impl Strategy<Value = Vec<RuleSeed>> {
+        proptest::collection::vec(
+            (
+                any::<u32>(),
+                0u8..=32,
+                any::<u32>(),
+                0u8..=32,
+                (any::<u16>(), 0u8..=3, any::<bool>()),
+                0u8..=7,
+            ),
+            1..10,
+        )
+    }
+
+    /// Random policy clause seeds for [`policy_pair`].
+    pub(super) fn clause_seeds() -> impl Strategy<Value = Vec<ClauseSeed>> {
+        proptest::collection::vec((any::<u32>(), 0u8..=24, 0u8..=3, 0u8..=1, 0u8..=7), 1..8)
+    }
 
     proptest! {
         // The acceptance bar for this oracle is ≥256 cases per property;
@@ -885,52 +899,230 @@ mod prune_oracle {
             ProptestConfig::default().cases.max(256)
         ))]
 
-        /// ACL diff: pruned == all-pairs reference under every GC mode.
+        /// ACL diff: pruned == all-pairs reference.
         #[test]
-        fn acl_pruned_diff_matches_all_pairs(
-            seeds in proptest::collection::vec(
-                (any::<u32>(), 0u8..=32, any::<u32>(), 0u8..=32,
-                 (any::<u16>(), 0u8..=3, any::<bool>()), 0u8..=7),
-                1..10,
-            )
-        ) {
+        fn acl_pruned_diff_matches_all_pairs(seeds in rule_seeds()) {
             let (a1, a2) = acl_pair(&seeds);
-            for gc in GC_MODES {
-                let mut space = PacketSpace::new();
-                space.manager.set_gc_policy(gc.policy());
-                let u = space.universe();
-                let paths1 = acl_paths(&mut space, &a1, u);
-                let paths2 = acl_paths(&mut space, &a2, u);
-                let pruned = semantic_diff(&mut space.manager, &paths1, &paths2);
-                let reference =
-                    semantic_diff_all_pairs(&mut space.manager, &paths1, &paths2);
-                assert_same(&pruned, &reference, gc)?;
-            }
+            let mut space = PacketSpace::new();
+            let u = space.universe();
+            let paths1 = acl_paths(&mut space, &a1, u);
+            let paths2 = acl_paths(&mut space, &a2, u);
+            let pruned = semantic_diff(&mut space.manager, &paths1, &paths2);
+            let reference = semantic_diff_all_pairs(&mut space.manager, &paths1, &paths2);
+            assert_same(&pruned, &reference)?;
         }
 
-        /// Route-policy diff: pruned == all-pairs reference under every GC
-        /// mode (exercises multi-effect grouping: accept verdicts carry
-        /// distinct rewrite sets).
+        /// Route-policy diff: pruned == all-pairs reference (exercises
+        /// multi-effect grouping: accept verdicts carry distinct rewrite
+        /// sets).
         #[test]
         fn policy_pruned_diff_matches_all_pairs(
-            seeds in proptest::collection::vec(
-                (any::<u32>(), 0u8..=24, 0u8..=3, 0u8..=1, 0u8..=7),
-                1..8,
-            ),
+            seeds in clause_seeds(),
             default_accept in any::<bool>(),
         ) {
             let (p1, p2) = policy_pair(&seeds, default_accept);
-            for gc in GC_MODES {
-                let mut space = RouteSpace::for_policies(&[&p1, &p2]);
-                space.manager.set_gc_policy(gc.policy());
-                let u = space.universe();
-                space.manager.protect(u);
-                let paths1 = policy_paths(&mut space, &p1, u);
-                let paths2 = policy_paths(&mut space, &p2, u);
-                let pruned = semantic_diff(&mut space.manager, &paths1, &paths2);
-                let reference =
-                    semantic_diff_all_pairs(&mut space.manager, &paths1, &paths2);
-                assert_same(&pruned, &reference, gc)?;
+            let mut space = RouteSpace::for_policies(&[&p1, &p2]);
+            let u = space.universe();
+            let paths1 = policy_paths(&mut space, &p1, u);
+            let paths2 = policy_paths(&mut space, &p2, u);
+            let pruned = semantic_diff(&mut space.manager, &paths1, &paths2);
+            let reference = semantic_diff_all_pairs(&mut space.manager, &paths1, &paths2);
+            assert_same(&pruned, &reference)?;
+        }
+    }
+}
+
+// -------------------------------------------------------------- compaction
+
+/// The driver compacts a pair's arena to the differences' inputs before it
+/// localizes them. On random near-identical ACL and policy pairs, every
+/// difference must localize (and yield its example) after the compaction
+/// exactly as it does in the uncompacted arena.
+mod compaction {
+    use super::prune_oracle::{acl_pair, clause_seeds, policy_pair, rule_seeds};
+    use super::*;
+    use crate::driver::acl_address_ranges;
+    use crate::headerloc::{header_localize_with, DstAddrSpace, RangeDag, SrcAddrSpace};
+    use crate::semantic::acl_diff_paths;
+    use campion_bdd::{Assignment, Bdd};
+    use campion_symbolic::PacketSpace;
+    use proptest::prelude::*;
+
+    /// Per input: its destination and source localizations and its first
+    /// satisfying assignment.
+    fn localize_acl(
+        space: &mut PacketSpace,
+        (dst, src): &(Vec<PrefixRange>, Vec<PrefixRange>),
+        inputs: &[Bdd],
+    ) -> Vec<(HeaderLocalization, HeaderLocalization, Option<Assignment>)> {
+        let dst_dag = RangeDag::build(&mut DstAddrSpace(space), dst);
+        let src_dag = RangeDag::build(&mut SrcAddrSpace(space), src);
+        inputs
+            .iter()
+            .map(|&i| {
+                let d = space.project_to_dst(i);
+                let d = header_localize_with(&mut DstAddrSpace(space), d, &dst_dag);
+                let s = space.project_to_src(i);
+                let s = header_localize_with(&mut SrcAddrSpace(space), s, &src_dag);
+                (d, s, space.manager.first_sat_assignment(i))
+            })
+            .collect()
+    }
+
+    /// Per input: its prefix localization and its first satisfying
+    /// assignment.
+    fn localize_policy(
+        space: &mut RouteSpace,
+        ranges: &[PrefixRange],
+        inputs: &[Bdd],
+    ) -> Vec<(HeaderLocalization, Option<Assignment>)> {
+        let dag = RangeDag::build(space, ranges);
+        inputs
+            .iter()
+            .map(|&i| {
+                let s = space.project_to_prefix(i);
+                let loc = header_localize_with(space, s, &dag);
+                (loc, space.manager.first_sat_assignment(i))
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            ProptestConfig::default().cases.max(256)
+        ))]
+
+        #[test]
+        fn acl_localization_survives_compaction(seeds in rule_seeds()) {
+            let (a1, a2) = acl_pair(&seeds);
+            let mut space = PacketSpace::new();
+            let (paths1, paths2) = acl_diff_paths(&mut space, &a1, &a2, 1);
+            let diffs = semantic_diff(&mut space.manager, &paths1, &paths2);
+            let inputs: Vec<Bdd> = diffs.iter().map(|d| d.input).collect();
+            let mut compacted = space.clone();
+            let mut kept = inputs.clone();
+            compacted.compact(&mut kept);
+            let ranges = acl_address_ranges(&a1, &a2);
+            prop_assert_eq!(
+                localize_acl(&mut compacted, &ranges, &kept),
+                localize_acl(&mut space, &ranges, &inputs)
+            );
+        }
+
+        #[test]
+        fn policy_localization_survives_compaction(
+            seeds in clause_seeds(),
+            default_accept in any::<bool>(),
+        ) {
+            let (p1, p2) = policy_pair(&seeds, default_accept);
+            let mut space = RouteSpace::for_policies(&[&p1, &p2]);
+            let u = space.universe();
+            let paths1 = policy_paths(&mut space, &p1, u);
+            let paths2 = policy_paths(&mut space, &p2, u);
+            let diffs = semantic_diff(&mut space.manager, &paths1, &paths2);
+            let inputs: Vec<Bdd> = diffs.iter().map(|d| d.input).collect();
+            let mut compacted = space.clone();
+            let mut kept = inputs.clone();
+            compacted.compact(&mut kept);
+            let mut ranges = p1.prefix_ranges();
+            ranges.extend(p2.prefix_ranges());
+            prop_assert_eq!(
+                localize_policy(&mut compacted, &ranges, &kept),
+                localize_policy(&mut space, &ranges, &inputs)
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------- overlap screen
+
+/// `rules_may_overlap` lets `acl_paths_within` skip a rule without encoding
+/// it, so a `false` must prove the two conditions disjoint. A rule's
+/// condition is a product of per-field sets (its protocols narrowed to
+/// TCP/UDP when it names ports, its address alternatives, its port
+/// ranges), and two nonempty products meet iff every field's sets meet, so
+/// on nonempty rules the screen is exact as well.
+mod overlap_screen {
+    use crate::semantic::rules_may_overlap;
+    use campion_cfg::Span;
+    use campion_ir::AclRuleIr;
+    use campion_net::{IpProtocol, PortRange, Prefix, WildcardMask};
+    use campion_symbolic::PacketSpace;
+    use proptest::prelude::*;
+
+    /// Protocol lists, "any" and non-port protocols included; empty means
+    /// unconstrained.
+    fn protocols() -> impl Strategy<Value = Vec<IpProtocol>> {
+        proptest::collection::vec(
+            prop_oneof![
+                Just(IpProtocol::Any),
+                Just(IpProtocol::Tcp),
+                Just(IpProtocol::Udp),
+                Just(IpProtocol::Icmp),
+                Just(IpProtocol::Other(47)),
+            ],
+            0..3,
+        )
+    }
+
+    /// Address alternatives over a few cared-for bits, so rules often
+    /// meet: prefixes of the top three bits, and non-contiguous masks that
+    /// care about some of the top three and bottom two bits.
+    fn wildcards() -> impl Strategy<Value = Vec<WildcardMask>> {
+        proptest::collection::vec(
+            prop_oneof![
+                (any::<u32>(), 0u8..=3).prop_map(|(bits, len)| {
+                    WildcardMask::from_prefix(&Prefix::new(bits.into(), len))
+                }),
+                (any::<u32>(), any::<u32>()).prop_map(|(bits, care)| {
+                    let care = care & 0xE000_0003;
+                    WildcardMask {
+                        addr: bits & care,
+                        wildcard: !care,
+                    }
+                }),
+            ],
+            0..3,
+        )
+    }
+
+    /// Port ranges over a small domain; empty means unconstrained.
+    fn ports() -> impl Strategy<Value = Vec<PortRange>> {
+        proptest::collection::vec(
+            (0u16..8, 0u16..4).prop_map(|(lo, w)| PortRange::new(lo, lo + w)),
+            0..3,
+        )
+    }
+
+    fn rule() -> impl Strategy<Value = AclRuleIr> {
+        (protocols(), wildcards(), wildcards(), ports(), ports()).prop_map(
+            |(protocols, src, dst, src_ports, dst_ports)| AclRuleIr {
+                label: String::new(),
+                permit: true,
+                protocols,
+                src,
+                dst,
+                src_ports,
+                dst_ports,
+                span: Span::default(),
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            ProptestConfig::default().cases.max(256)
+        ))]
+
+        #[test]
+        fn screen_is_sound_and_exact_on_nonempty_rules(a in rule(), b in rule()) {
+            let mut space = PacketSpace::new();
+            let (ca, cb) = (space.rule_bdd(&a), space.rule_bdd(&b));
+            let meet = space.manager.and(ca, cb);
+            let screen = rules_may_overlap(&a, &b);
+            prop_assert!(screen || meet.is_const_false(), "screen called meeting rules disjoint");
+            if !ca.is_const_false() && !cb.is_const_false() {
+                prop_assert_eq!(screen, !meet.is_const_false(), "screen missed a disjoint field");
             }
         }
     }
@@ -1292,16 +1484,10 @@ mod ddnf {
 
     /// Localize a target confined to one leaf and check what was encoded:
     /// remainders for the path nodes only (overlap tests walk the target
-    /// and encode nothing). Neither the build nor the query roots anything.
+    /// and encode nothing).
     fn assert_localizes_one_leaf_lazily<E: RangeEncoder>(space: &mut E) {
         let valid = space.encode(&PrefixRange::universe());
-        let roots_before = space.manager().root_count();
         let dag = RangeDag::build(space, &lcg_ranges(1000));
-        assert_eq!(
-            space.manager().root_count(),
-            roots_before,
-            "build rooted BDDs"
-        );
         let snapshot = dag.clone();
         let (nodes, children, root) = skeleton(&dag);
         let (nodes, children) = (nodes.to_vec(), children.to_vec());
@@ -1340,11 +1526,6 @@ mod ddnf {
         let b = space.encode(&nodes[leaf]);
         let s = space.manager().and(b, valid);
         let loc = header_localize_with(space, s, &dag);
-        assert_eq!(
-            space.manager().root_count(),
-            roots_before,
-            "the query rooted BDDs"
-        );
         assert_eq!(
             loc,
             HeaderLocalization {
@@ -1397,9 +1578,9 @@ mod ddnf {
         assert_same_dag(&mut route_space(), &ranges);
     }
 
-    /// The DAG's caches must serve repeat queries and, after a sweep
-    /// frees the unrooted cells and recycles their slots, re-encode them in
-    /// the swept arena.
+    /// The DAG's caches must serve repeat queries and, after a compaction
+    /// renumbers the nodes their handles name, re-encode them in the
+    /// compacted arena.
     #[test]
     fn memo_is_stable_across_queries_and_collections() {
         let r = |s: &str| s.parse::<PrefixRange>().unwrap();
@@ -1409,35 +1590,29 @@ mod ddnf {
             r("20.0.0.0/8:8-32"),
         ];
         let mut space = route_space();
-        space
-            .manager
-            .set_gc_policy(campion_bdd::GcPolicy::Aggressive);
         let dag = RangeDag::build(&mut space, &ranges);
         let b = space.prefix_range_bdd(&ranges[0]);
         let valid = space.prefix_range_bdd(&PrefixRange::universe());
-        let s = space.manager.and(b, valid);
-        space.manager.protect(s);
-        let first = header_localize_with(&mut space, s, &dag);
-        let memo_hit = header_localize_with(&mut space, s, &dag);
+        let mut s = [space.manager.and(b, valid)];
+        let first = header_localize_with(&mut space, s[0], &dag);
+        let memo_hit = header_localize_with(&mut space, s[0], &dag);
         assert_eq!(first, memo_hit);
         let visited = materialized(&dag);
-        // The aggressive checkpoint sweeps the DAG's unrooted cells. Refill
-        // the freed slots with unrelated functions, so a stale cached handle
-        // would now name one of them.
-        space.manager.gc_checkpoint();
+        // Keep only the target, then refill the arena with unrelated
+        // functions, so a stale cached handle would now name one of them.
+        space.compact(&mut s);
         for r in ["30.0.0.0/8:8-32", "40.0.0.0/12:12-24", "50.0.0.0/16:16-16"] {
             let _ = space.prefix_range_bdd(&r.parse().unwrap());
         }
-        let after_gc = header_localize_with(&mut space, s, &dag);
-        assert_eq!(first, after_gc);
+        let after = header_localize_with(&mut space, s[0], &dag);
+        assert_eq!(first, after);
         assert_eq!(materialized(&dag), visited, "re-materialized other nodes");
         let fresh = RangeDag::build(&mut space, &ranges);
         assert_eq!(
             dag_structure(&mut space, &dag),
             dag_structure(&mut space, &fresh),
-            "a cached handle outlived the sweep"
+            "a cached handle outlived the compaction"
         );
-        space.manager.unprotect(s);
     }
 
     /// The clone invariant the benchmark's traced replay relies on: a
@@ -1459,7 +1634,6 @@ mod ddnf {
         for r in &ranges {
             let b = space.prefix_range_bdd(r);
             let s = space.manager.and(b, valid);
-            space.manager.protect(s);
             targets.push(s);
         }
         let mut clone_space = space.clone();
@@ -1477,9 +1651,6 @@ mod ddnf {
             let a = header_localize_with(&mut space, s, &dag);
             let b = header_localize_with(&mut clone_space, s, &clone_dag);
             assert_eq!(a, b);
-        }
-        for s in targets {
-            space.manager.unprotect(s);
         }
     }
 }

@@ -84,9 +84,10 @@ pub struct PairResources {
     pub bdd_nodes: u64,
     /// Peak live BDD nodes during the compare.
     pub peak_nodes: u64,
-    /// Live nodes right after the last sweep (0 if GC never ran).
+    /// Live nodes right after the pair's compaction (0 if it never
+    /// compacted).
     pub post_gc_nodes: u64,
-    /// Completed collections.
+    /// Completed collections: compactions, one per pair with differences.
     pub gc_runs: u64,
     /// GC pauses. Every collection is one pause, so the daemon writes
     /// `gc_runs` here; the field stays because store format v2 carries it.

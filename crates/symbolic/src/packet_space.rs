@@ -65,9 +65,7 @@ pub struct PacketSpace {
     /// The BDD manager (exposed so callers can run set operations).
     pub manager: Manager,
     /// Memoized rule-condition BDDs keyed by canonical match content.
-    /// Entries are GC-rooted at insert: the cache is consulted for the
-    /// space's whole lifetime, so they must survive any collection between
-    /// rules.
+    /// [`PacketSpace::compact`] clears it.
     rule_cache: HashMap<RuleKey, Bdd>,
     rule_cache_lookups: u64,
     rule_cache_hits: u64,
@@ -95,6 +93,14 @@ impl PacketSpace {
         Bdd::TRUE
     }
 
+    /// Compact the manager to what `roots` reach, rewriting them
+    /// ([`Manager::compact`]). The rule cache, whose handles that
+    /// invalidates, is cleared first; its counters carry on.
+    pub fn compact(&mut self, roots: &mut [Bdd]) {
+        self.rule_cache.clear();
+        self.manager.compact(roots);
+    }
+
     /// Rule-cache counters `(lookups, hits)` — one lookup per
     /// [`PacketSpace::rule_bdd`] call. The driver folds these into the
     /// report's [`campion_bdd::ManagerStats`].
@@ -114,7 +120,6 @@ impl PacketSpace {
             return b;
         }
         let b = self.rule_bdd_uncached(rule);
-        self.manager.protect(b);
         self.rule_cache.insert(key, b);
         b
     }

@@ -84,8 +84,8 @@ pub struct RouteSpace {
     /// policies of a pair share this space and near-identical pairs reuse
     /// the same prefix lists, and fall-through forks of [`policy_paths`]
     /// re-encode the same clause once per frame; each distinct matcher is
-    /// built once, by one [`bits::first_match`] pass. Entries are GC-rooted
-    /// at insert (cache lives as long as the space).
+    /// built once, by one [`bits::first_match`] pass.
+    /// [`RouteSpace::compact`] clears it.
     matcher_cache: HashMap<Vec<(bool, PrefixRange)>, Bdd>,
     matcher_cache_lookups: u64,
     matcher_cache_hits: u64,
@@ -183,6 +183,14 @@ impl RouteSpace {
             matcher_cache_lookups: 0,
             matcher_cache_hits: 0,
         }
+    }
+
+    /// Compact the manager to what `roots` reach, rewriting them
+    /// ([`Manager::compact`]). The matcher cache, whose handles that
+    /// invalidates, is cleared first; its counters carry on.
+    pub fn compact(&mut self, roots: &mut [Bdd]) {
+        self.matcher_cache.clear();
+        self.manager.compact(roots);
     }
 
     /// Rule-cache counters `(lookups, hits)` — one lookup per
@@ -367,7 +375,6 @@ impl RouteSpace {
             return b;
         }
         let result = self.first_match_bdd(&key);
-        self.manager.protect(result);
         self.matcher_cache.insert(key, result);
         result
     }

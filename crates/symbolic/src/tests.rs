@@ -444,6 +444,24 @@ mod properties {
             prop_assert_eq!(space.prefix_matcher_bdd(&pm), got);
             prop_assert_eq!(space.rule_cache_stats(), (2, 1));
         }
+
+        /// A compaction clears the matcher cache: the next lookup misses
+        /// and returns the fold built fresh in the compacted arena.
+        #[test]
+        fn prefix_matcher_bdd_after_compaction_is_a_fresh_build(
+            entries in proptest::collection::vec(arb_entry(), 0..10)
+        ) {
+            let dummy = campion_ir::RoutePolicy::permit_all("x");
+            let mut space = RouteSpace::for_policies(&[&dummy]);
+            let pm = campion_ir::PrefixMatcher { entries, name: String::new() };
+            let _ = space.prefix_matcher_bdd(&pm);
+            let mut roots = [space.universe()];
+            space.compact(&mut roots);
+            let got = space.prefix_matcher_bdd(&pm);
+            let want = crate::route_space::oracle::prefix_matcher_fold(&mut space, &pm);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(space.rule_cache_stats(), (2, 0));
+        }
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! ```text
 //! campion compare <config1> <config2> [--no-acls] [--no-route-maps]
 //!                 [--no-structural] [--exhaustive-communities] [--jobs N]
-//!                 [--gc off|auto|aggressive]
 //!                 [--stats] [--stats-json] [--metrics] [--trace <file>]
 //!                 [--log <file|->] [--format text|json]
 //! campion translate <config>            # emit the JunOS rewrite
@@ -34,14 +33,13 @@ use std::io::{self, StdoutLock, Write};
 use std::process::ExitCode;
 
 use campion::cfg::parse_config;
-use campion::core::{compare_routers, CampionOptions, GcMode};
+use campion::core::{compare_routers, CampionOptions};
 use campion::ir::{lower, to_junos, RouterIr};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  campion compare <config1> <config2> [--no-acls] [--no-route-maps]\n\
          \x20                 [--no-structural] [--exhaustive-communities] [--jobs N]\n\
-         \x20                 [--gc off|auto|aggressive]\n\
          \x20                 [--stats] [--stats-json] [--metrics] [--trace <file>]\n\
          \x20                 [--log <file|->] [--format text|json]\n\
          \x20 campion translate <config>\n\
@@ -113,15 +111,6 @@ fn cmd_compare(args: &[String]) -> ExitCode {
                 Some(p) => log_dest = Some(p.clone()),
                 None => {
                     eprintln!("--log requires an output file path (or - for stderr)");
-                    return usage();
-                }
-            },
-            "--gc" => match it.next().map(String::as_str) {
-                Some("off") => opts.gc = GcMode::Off,
-                Some("auto") => opts.gc = GcMode::Auto,
-                Some("aggressive") => opts.gc = GcMode::Aggressive,
-                _ => {
-                    eprintln!("--gc requires one of: off, auto, aggressive");
                     return usage();
                 }
             },

@@ -10,7 +10,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use campion::cfg::parse_config;
-use campion::core::{compare_routers, CampionOptions, CampionReport, GcMode};
+use campion::core::{compare_routers, CampionOptions, CampionReport};
 use campion::gen::{capirca_acl_pair, scenario2};
 use campion::ir::{lower, RouterIr};
 use campion::trace;
@@ -32,10 +32,9 @@ fn load(text: &str) -> RouterIr {
     lower(&parse_config(text).expect("config parses")).expect("config lowers")
 }
 
-fn opts(jobs: usize, gc: GcMode) -> CampionOptions {
+fn opts(jobs: usize) -> CampionOptions {
     CampionOptions {
         jobs,
-        gc,
         ..CampionOptions::default()
     }
 }
@@ -54,16 +53,11 @@ fn multi_acl_pair(pairs: usize, rules: usize, seed: u64) -> (RouterIr, RouterIr)
     (load(&cisco), load(&juniper))
 }
 
-fn render_scenarios(
-    pairs: &[campion::gen::ScenarioPair],
-    jobs: usize,
-    gc: GcMode,
-    traced: bool,
-) -> String {
+fn render_scenarios(pairs: &[campion::gen::ScenarioPair], jobs: usize, traced: bool) -> String {
     if traced {
         trace::enable();
     }
-    let o = opts(jobs, gc);
+    let o = opts(jobs);
     let mut out = String::new();
     for p in pairs {
         let report = compare_routers(&load(&p.cisco), &load(&p.juniper), &o);
@@ -80,20 +74,18 @@ fn render_scenarios(
 #[test]
 fn reports_byte_identical_with_tracing_on_or_off() {
     let _g = collector();
-    // The full matrix: tracing {off,on} × jobs {1,4} × gc
-    // {Off,Auto,Aggressive} — every cell renders the same bytes.
+    // The full matrix: tracing {off,on} × jobs {1,4} — every cell renders
+    // the same bytes.
     let pairs = scenario2(4, 17);
-    let baseline = render_scenarios(&pairs, 1, GcMode::Off, false);
+    let baseline = render_scenarios(&pairs, 1, false);
     assert!(!baseline.is_empty());
     for traced in [false, true] {
         for jobs in [1, 4] {
-            for gc in [GcMode::Off, GcMode::Auto, GcMode::Aggressive] {
-                assert_eq!(
-                    baseline,
-                    render_scenarios(&pairs, jobs, gc, traced),
-                    "report diverged under traced={traced} jobs={jobs} gc={gc:?}"
-                );
-            }
+            assert_eq!(
+                baseline,
+                render_scenarios(&pairs, jobs, traced),
+                "report diverged under traced={traced} jobs={jobs}"
+            );
         }
     }
 }
@@ -102,7 +94,7 @@ fn reports_byte_identical_with_tracing_on_or_off() {
 fn tracing_keeps_tracks_and_utilization_sane() {
     let _g = collector();
     let (r1, r2) = multi_acl_pair(6, 50, 0xC0DE);
-    let o = opts(4, GcMode::Auto);
+    let o = opts(4);
     let untraced = compare_routers(&r1, &r2, &o).to_string();
     trace::enable();
     let report = compare_routers(&r1, &r2, &o);
@@ -145,7 +137,7 @@ fn top_level_spans_cover_the_wall_clock() {
     let _g = collector();
     let (r1, r2) = multi_acl_pair(2, 120, 0xACE);
     trace::enable();
-    let report = compare_routers(&r1, &r2, &opts(1, GcMode::default()));
+    let report = compare_routers(&r1, &r2, &opts(1));
     trace::disable();
     let t = trace::drain();
     assert!(
@@ -168,7 +160,7 @@ fn chrome_export_is_valid_with_one_track_per_worker() {
     let _g = collector();
     let (r1, r2) = multi_acl_pair(8, 60, 0xD1CE);
     trace::enable();
-    let report = compare_routers(&r1, &r2, &opts(4, GcMode::Aggressive));
+    let report = compare_routers(&r1, &r2, &opts(4));
     trace::disable();
     let t = trace::drain();
     let json = t.chrome_json();
@@ -196,7 +188,7 @@ fn chrome_export_is_valid_with_one_track_per_worker() {
     // track and no pool worker starts.
     let (r1, r2) = multi_acl_pair(1, 60, 0xD1CE);
     trace::enable();
-    let report = compare_routers(&r1, &r2, &opts(4, GcMode::Aggressive));
+    let report = compare_routers(&r1, &r2, &opts(4));
     trace::disable();
     let t = trace::drain();
     let json = t.chrome_json();
@@ -214,7 +206,7 @@ fn phase_stats_explain_item_spans() {
     let _g = collector();
     let (r1, r2) = multi_acl_pair(3, 40, 0xFEED);
     trace::enable();
-    let _ = compare_routers(&r1, &r2, &opts(1, GcMode::default()));
+    let _ = compare_routers(&r1, &r2, &opts(1));
     trace::disable();
     let t = trace::drain();
     let stats = t.phase_stats();
@@ -245,7 +237,7 @@ fn phase_stats_explain_item_spans() {
 fn disabled_collector_stays_empty_through_a_compare() {
     let _g = collector();
     let (r1, r2) = multi_acl_pair(1, 30, 0xB0B);
-    let report: CampionReport = compare_routers(&r1, &r2, &opts(2, GcMode::Aggressive));
+    let report: CampionReport = compare_routers(&r1, &r2, &opts(2));
     let t = trace::drain();
     assert!(
         t.is_empty(),
