@@ -12,7 +12,8 @@
 //!
 //! A route-map row times one pair at the `rmap-10k` shape (10 000
 //! prefix-list entries behind a 60-clause route map): SemanticDiff's path
-//! enumeration, localization, peak nodes and GC activity, with its
+//! enumeration, localization, peak nodes and GC activity, how many clauses
+//! alignment matched and how many the range screen skipped, with its
 //! per-phase breakdown.
 //!
 //! A further section measures the parallel driver: one router pair holding
@@ -160,6 +161,11 @@ struct RmapResult {
     gc_runs: u64,
     gc_pause_us: u64,
     diffs_found: usize,
+    /// Clauses of one side aligned with the other (`semdiff.align`'s
+    /// `aligned` counter).
+    clauses_aligned: i64,
+    /// Clauses of both sides the range screen skipped without encoding.
+    clauses_screened: i64,
     /// Per-phase breakdown (`Trace::phases_json`).
     phases: String,
 }
@@ -181,6 +187,13 @@ fn rmap_row() -> RmapResult {
             .find(|s| s.name == name)
             .map_or(0.0, |s| s.total_ns as f64 / 1e9)
     };
+    let align_counter = |name: &str| {
+        stats
+            .iter()
+            .find(|s| s.name == "semdiff.align")
+            .and_then(|s| s.counters.iter().find(|(n, _)| *n == name))
+            .map_or(0, |(_, v)| *v)
+    };
     let s = &report.bdd_stats;
     RmapResult {
         compare_s: total_s("core.compare"),
@@ -190,6 +203,8 @@ fn rmap_row() -> RmapResult {
         gc_runs: s.gc_runs,
         gc_pause_us: s.gc_pause_us,
         diffs_found: report.route_map_diffs.len(),
+        clauses_aligned: align_counter("aligned"),
+        clauses_screened: align_counter("screened"),
         phases: trace.phases_json(),
     }
 }
@@ -337,6 +352,8 @@ fn main() {
             "peak nodes",
             "GC runs",
             "GC pause (µs)",
+            "clauses aligned",
+            "clauses screened",
         ],
         &[vec![
             format!("{:.3}", rmap.compare_s),
@@ -346,6 +363,8 @@ fn main() {
             rmap.peak_nodes.to_string(),
             rmap.gc_runs.to_string(),
             rmap.gc_pause_us.to_string(),
+            rmap.clauses_aligned.to_string(),
+            rmap.clauses_screened.to_string(),
         ]],
     );
 
@@ -536,14 +555,17 @@ fn main() {
              \"lists\": 100, \"entries\": 100, \"clauses\": 60, \"comms\": 30, \
              \"seed\": {RMAP_SEED}, \"compare_s\": {:.6}, \"policy_paths_s\": {:.6}, \
              \"localize_s\": {:.6}, \"peak_nodes\": {}, \"gc_runs\": {}, \
-             \"gc_pause_us\": {}, \"diffs_found\": {}\n  }},\n",
+             \"gc_pause_us\": {}, \"diffs_found\": {}, \"clauses_aligned\": {}, \
+             \"clauses_screened\": {}\n  }},\n",
             rmap.compare_s,
             rmap.policy_paths_s,
             rmap.localize_s,
             rmap.peak_nodes,
             rmap.gc_runs,
             rmap.gc_pause_us,
-            rmap.diffs_found
+            rmap.diffs_found,
+            rmap.clauses_aligned,
+            rmap.clauses_screened
         );
         let _ = write!(
             out,

@@ -13,6 +13,7 @@
 //! differences' inputs: localization reads nothing else, and builds what
 //! it needs in what is left.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use campion_bdd::{Bdd, ManagerStats};
@@ -25,7 +26,8 @@ use crate::headerloc::{self, DstAddrSpace, SrcAddrSpace};
 use crate::matching::{match_policies, PolicyPair};
 use crate::report::{CampionReport, PolicyDiffReport, StructuralFinding};
 use crate::semantic::{
-    acl_diff_paths, policy_paths, semantic_diff_jobs, DiffPruneStats, SemanticDifference,
+    acl_diff_paths, acls_identical, policies_identical, policy_diff_paths, semantic_diff_jobs,
+    DiffPruneStats, SemanticDifference,
 };
 use crate::structural;
 
@@ -105,6 +107,29 @@ fn run_item(
     match item {
         WorkItem::Policy(pair) => diff_policy_pair(r1, r2, pair, opts),
         WorkItem::Acl(name) => diff_acl_pair(r1, r2, &r1.acls[*name], &r2.acls[*name]),
+    }
+}
+
+/// Whether alignment alone proves the item's two components identical:
+/// such an item yields no report row, so it is never dispatched.
+fn proven_identical(r1: &RouterIr, r2: &RouterIr, item: &WorkItem<'_>) -> bool {
+    match item {
+        WorkItem::Policy(pair) => {
+            policies_identical(&resolve(r1, &pair.name1), &resolve(r2, &pair.name2))
+        }
+        WorkItem::Acl(name) => acls_identical(&r1.acls[*name], &r2.acls[*name]),
+    }
+}
+
+/// The policy a pair side names, or the permit-all policy it compares as
+/// when the name is absent or undefined.
+fn resolve<'a>(router: &'a RouterIr, name: &Option<String>) -> Cow<'a, RoutePolicy> {
+    match name {
+        Some(n) => router.policies.get(n).map_or_else(
+            || Cow::Owned(RoutePolicy::permit_all(n.as_str())),
+            Cow::Borrowed,
+        ),
+        None => Cow::Owned(RoutePolicy::permit_all("(no policy)")),
     }
 }
 
@@ -249,6 +274,7 @@ pub fn compare_routers(r1: &RouterIr, r2: &RouterIr, opts: &CampionOptions) -> C
     if opts.check_acls {
         items.extend(matched.acl_pairs.iter().map(|n| WorkItem::Acl(n)));
     }
+    items.retain(|item| !proven_identical(r1, r2, item));
 
     let jobs = opts.effective_jobs().min(items.len()).max(1);
     let outputs = if jobs <= 1 {
@@ -337,19 +363,12 @@ fn diff_policy_pair(
     opts: &CampionOptions,
 ) -> (Vec<PolicyDiffReport>, ManagerStats) {
     let mut item_span = campion_trace::span("item.policy_pair");
-    let p1 = match &pair.name1 {
-        Some(n) => r1.policy_or_permit(n),
-        None => RoutePolicy::permit_all("(no policy)"),
-    };
-    let p2 = match &pair.name2 {
-        Some(n) => r2.policy_or_permit(n),
-        None => RoutePolicy::permit_all("(no policy)"),
-    };
+    let (p1, p2) = (resolve(r1, &pair.name1), resolve(r2, &pair.name2));
     let mut space = RouteSpace::for_policies(&[&p1, &p2]);
     let stats_at_entry = space.manager.stats();
-    let universe = space.universe();
-    let paths1 = policy_paths(&mut space, &p1, universe);
-    let paths2 = policy_paths(&mut space, &p2, universe);
+    // Pair-aware enumeration, as for ACLs: both sides' classes inside the
+    // union of the unaligned clauses' conditions.
+    let (paths1, paths2) = policy_diff_paths(&mut space, &p1, &p2);
     let mut prune = DiffPruneStats::default();
     let mut diffs = semantic_diff_jobs(&mut space.manager, &paths1, &paths2, &mut prune, 1);
     drop((paths1, paths2));

@@ -60,7 +60,7 @@ impl PrefixMatcher {
 
 /// One community atom: a literal community or a regex over community
 /// strings.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CommAtom {
     /// An exact community value.
     Literal(Community),
@@ -177,7 +177,7 @@ impl Match {
 }
 
 /// An attribute rewrite applied by a firing clause.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SetAction {
     /// Set LOCAL_PREF.
     LocalPref(u32),
@@ -257,7 +257,7 @@ impl fmt::Display for SetAction {
 }
 
 /// How a firing clause disposes of the route.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Terminal {
     /// Accept the route (with all accumulated sets applied).
     Accept,

@@ -33,7 +33,8 @@ mod route_space;
 pub use action::ActionEffect;
 pub use packet_space::{FlowExample, PacketSpace, RuleKey, DST_VARS, SRC_VARS};
 pub use route_space::{
-    AtomKey, FieldState, RouteExample, RouteSpace, SymbolicRoute, LEN_VARS, PREFIX_VARS, PROTO_VARS,
+    AtomKey, ClauseKey, FieldState, RouteExample, RouteSpace, SymbolicRoute, LEN_VARS, PREFIX_VARS,
+    PROTO_VARS,
 };
 
 /// The destination-port variable run of the packet space.

@@ -6,7 +6,8 @@ use std::fmt;
 
 use campion_bdd::{bits, Assignment, Bdd, Manager};
 use campion_ir::{
-    CommAtom, CommunityDialect, Match, PrefixMatcher, RoutePolicy, RouteProtocol, SetAction,
+    Clause, CommAtom, CommunityDialect, Match, PrefixMatcher, RoutePolicy, RouteProtocol,
+    SetAction, Terminal,
 };
 use campion_net::regex::Regex;
 use campion_net::{Community, Prefix, PrefixRange};
@@ -89,6 +90,100 @@ pub struct RouteSpace {
     matcher_cache: HashMap<Vec<(bool, PrefixRange)>, Bdd>,
     matcher_cache_lookups: u64,
     matcher_cache_hits: u64,
+}
+
+/// A prefix matcher's canonical content: its `(permit, range)` entries in
+/// match order. The matcher cache keys on it, and so does [`ClauseKey`].
+fn matcher_entries(pm: &PrefixMatcher) -> Vec<(bool, PrefixRange)> {
+    pm.entries.iter().map(|e| (e.permit, e.range)).collect()
+}
+
+/// Canonical identity of a route-policy clause: every field that feeds its
+/// condition ([`RouteSpace::match_bdd`] from the initial state) or its
+/// effect, and nothing else — labels, spans and list names shape neither.
+/// Two clauses with equal keys encode to the same condition handle and
+/// apply the same sets and terminal, so the semantic layer aligns clause
+/// lists on this key before building any BDD, as it does ACL rules on
+/// [`crate::RuleKey`].
+///
+/// Community matchers are normalized across dialects: a JunOS `members`
+/// conjunction is keyed as the one-permit Cisco list it encodes like.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ClauseKey {
+    matches: Vec<MatchKey>,
+    sets: Vec<SetAction>,
+    terminal: Terminal,
+}
+
+/// One condition of a [`ClauseKey`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum MatchKey {
+    /// Each matcher's canonical entry list.
+    Prefix(Vec<Vec<(bool, PrefixRange)>>),
+    /// Each community matcher as ordered `(permit, conjunction)` entries.
+    Community(Vec<Vec<(bool, Vec<CommAtom>)>>),
+    Tag(u32),
+    Metric(u32),
+    Protocol(Vec<RouteProtocol>),
+}
+
+impl ClauseKey {
+    /// The canonical content of `clause`.
+    pub fn of(clause: &Clause) -> Self {
+        let matches = clause
+            .matches
+            .iter()
+            .map(|m| match m {
+                Match::Prefix(pms) => MatchKey::Prefix(pms.iter().map(matcher_entries).collect()),
+                Match::Community(cms) => MatchKey::Community(
+                    cms.iter()
+                        .map(|cm| match &cm.dialect {
+                            CommunityDialect::CiscoList(entries) => entries
+                                .iter()
+                                .map(|(permit, atoms, _)| (*permit, atoms.clone()))
+                                .collect(),
+                            CommunityDialect::JunosMembers(atoms) => vec![(true, atoms.clone())],
+                        })
+                        .collect(),
+                ),
+                Match::Tag(t) => MatchKey::Tag(*t),
+                Match::Metric(v) => MatchKey::Metric(*v),
+                Match::Protocol(ps) => MatchKey::Protocol(ps.clone()),
+            })
+            .collect();
+        ClauseKey {
+            matches,
+            sets: clause.sets.clone(),
+            terminal: clause.terminal,
+        }
+    }
+
+    /// Whether the clause has no condition, so it fires on every route
+    /// that reaches it.
+    pub fn matches_all(&self) -> bool {
+        self.matches.is_empty()
+    }
+
+    /// The clause's disposition.
+    pub fn terminal(&self) -> Terminal {
+        self.terminal
+    }
+
+    /// The ranges of the clause's permit entries, over all its prefix
+    /// conditions, or `None` when it has no prefix condition. The clause's
+    /// condition lies inside their union.
+    pub fn permit_ranges(&self) -> Option<Vec<PrefixRange>> {
+        let mut out = None;
+        for m in &self.matches {
+            if let MatchKey::Prefix(lists) = m {
+                let ranges = out.get_or_insert_with(Vec::new);
+                for list in lists {
+                    ranges.extend(list.iter().filter(|(permit, _)| *permit).map(|(_, r)| *r));
+                }
+            }
+        }
+        out
+    }
 }
 
 /// First variable of the prefix-address run.
@@ -367,8 +462,7 @@ impl RouteSpace {
     /// Memoized on the matcher's canonical entry list (see
     /// `matcher_cache`).
     pub fn prefix_matcher_bdd(&mut self, pm: &PrefixMatcher) -> Bdd {
-        let key: Vec<(bool, PrefixRange)> =
-            pm.entries.iter().map(|e| (e.permit, e.range)).collect();
+        let key = matcher_entries(pm);
         self.matcher_cache_lookups += 1;
         if let Some(&b) = self.matcher_cache.get(&key) {
             self.matcher_cache_hits += 1;
