@@ -1,6 +1,7 @@
 //! Bit-vector constants: equality, prefix, wildcard and interval
-//! constraints over big-endian variable runs, and the canonical first-match
-//! set of an ordered prefix-range list ([`first_match`]).
+//! constraints over big-endian variable runs, the addresses under a prefix
+//! outside a set of sub-prefixes ([`prefix_minus`]), and the canonical
+//! first-match set of an ordered prefix-range list ([`first_match`]).
 //!
 //! Every encoder builds its result bottom-up with the manager's `mk`: one
 //! unique-table lookup per node and no computed-table traffic. `mk`
@@ -18,9 +19,9 @@ fn assert_ascending(vars: &[u32]) {
     );
 }
 
-/// The conjunction of literals `(var, value)`, listed top variable first.
-fn cube(m: &mut Manager, lits: impl DoubleEndedIterator<Item = (u32, bool)>) -> Bdd {
-    let mut acc = Bdd::TRUE;
+/// The conjunction of literals `(var, value)`, listed top variable first,
+/// above `acc`.
+fn cube(m: &mut Manager, lits: impl DoubleEndedIterator<Item = (u32, bool)>, mut acc: Bdd) -> Bdd {
     for (v, bit) in lits.rev() {
         acc = if bit {
             m.mk(v, Bdd::FALSE, acc)
@@ -41,21 +42,77 @@ pub fn eq_const(m: &mut Manager, vars: &[u32], value: u64) -> Bdd {
         vars.iter()
             .enumerate()
             .map(|(i, &v)| (v, (value >> (n - 1 - i)) & 1 == 1)),
+        Bdd::TRUE,
     )
 }
 
 /// Constrain the first `prefix_len` of the 32 `vars` to equal the top bits
 /// of `bits` (a prefix-address constraint).
 pub fn prefix_const(m: &mut Manager, vars: &[u32], bits: u32, prefix_len: u8) -> Bdd {
+    prefix_minus(m, vars, bits, prefix_len, &[])
+}
+
+/// The addresses over the 32 `vars` whose first `prefix_len` bits equal
+/// those of `bits` and that lie under none of the prefixes `holes`, each a
+/// `(bits, len)` pair no shorter than the base prefix and under it. Holes
+/// may nest, repeat and come in any order.
+///
+/// Sorted by `(bits, len)`, the holes under one address-trie node are
+/// contiguous and a hole ending at that node comes first, so one recursion
+/// over the sorted list builds the set bottom-up: a node holding no hole
+/// keeps every address below it, a node a hole ends at keeps none, and
+/// any other node splits the list on its bit.
+pub fn prefix_minus(
+    m: &mut Manager,
+    vars: &[u32],
+    bits: u32,
+    prefix_len: u8,
+    holes: &[(u32, u8)],
+) -> Bdd {
     debug_assert_eq!(vars.len(), 32);
     assert_ascending(vars);
+    assert!(
+        holes
+            .iter()
+            .all(|&(b, len)| (prefix_len..=32).contains(&len)
+                && (b ^ bits) & high_bits(prefix_len) == 0),
+        "every hole must lie under the base prefix"
+    );
+    let mut sorted: Vec<(u32, u8)> = holes
+        .iter()
+        .map(|&(b, len)| (b & high_bits(len), len))
+        .collect();
+    sorted.sort_unstable();
+    let top = usize::from(prefix_len);
+    let below = outside_holes(m, vars, top, &sorted);
     cube(
         m,
-        vars[..usize::from(prefix_len)]
+        vars[..top]
             .iter()
             .enumerate()
             .map(|(i, &v)| (v, (bits >> (31 - i)) & 1 == 1)),
+        below,
     )
+}
+
+/// The mask of an address's first `len` bits.
+fn high_bits(len: u8) -> u32 {
+    u32::MAX.checked_shl(32 - u32::from(len)).unwrap_or(0)
+}
+
+/// The addresses below an address-trie node at `depth` outside `holes`:
+/// the sorted holes that share the node's path, none ending above it.
+fn outside_holes(m: &mut Manager, vars: &[u32], depth: usize, holes: &[(u32, u8)]) -> Bdd {
+    match holes.first() {
+        None => Bdd::TRUE,
+        Some(&(_, len)) if usize::from(len) == depth => Bdd::FALSE,
+        Some(_) => {
+            let split = holes.partition_point(|&(b, _)| (b >> (31 - depth)) & 1 == 0);
+            let low = outside_holes(m, vars, depth + 1, &holes[..split]);
+            let high = outside_holes(m, vars, depth + 1, &holes[split..]);
+            m.mk(vars[depth], low, high)
+        }
+    }
 }
 
 /// Constrain 32 address variables by a wildcard mask: every *care* bit must
@@ -69,6 +126,7 @@ pub fn wildcard_const(m: &mut Manager, vars: &[u32], addr: u32, wildcard: u32) -
             .enumerate()
             .filter(|&(i, _)| (wildcard >> (31 - i)) & 1 == 0)
             .map(|(i, &v)| (v, (addr >> (31 - i)) & 1 == 1)),
+        Bdd::TRUE,
     )
 }
 
@@ -469,6 +527,84 @@ mod tests {
                 prop_assert_eq!(m.eval(wild, &asg), (bits ^ addr) & care == 0);
             }
         }
+    }
+
+    /// A hole's length: /32 on purpose, else any length from the base's
+    /// to /32.
+    fn hole_len(base_len: u8, draw: u8) -> u8 {
+        if draw == 32 {
+            32
+        } else {
+            base_len + draw % (33 - base_len)
+        }
+    }
+
+    proptest! {
+        /// The hole encoder is the same handle as the base prefix with each
+        /// hole's prefix `diff`ed away, and touches no computed table. The
+        /// base is /0 or /32 on purpose, holes are /32 on purpose, nest
+        /// often (half keep only a few bits below the base) and may repeat,
+        /// and the list may be empty.
+        #[test]
+        fn prefix_minus_matches_the_diff_fold(
+            base in any::<u32>(),
+            base_len in prop_oneof![Just(0u8), Just(32u8), 0u8..=32],
+            holes in proptest::collection::vec(
+                (
+                    prop_oneof![any::<u32>(), any::<u32>().prop_map(|b| b & 0xF0F0_0000)],
+                    prop_oneof![Just(32u8), 0u8..=32],
+                ),
+                0..8,
+            ),
+        ) {
+            let mut m = Manager::new(32);
+            let vars: Vec<u32> = (0..32).collect();
+            let keep = high_bits(base_len);
+            let holes: Vec<(u32, u8)> = holes
+                .iter()
+                .map(|&(b, draw)| {
+                    // The draw's high bits go right below the base.
+                    let bits = (base & keep) | ((b >> base_len.min(31)) & !keep);
+                    (bits, hole_len(base_len, draw))
+                })
+                .collect();
+            let lookups = m.stats().apply_lookups;
+            let got = prefix_minus(&mut m, &vars, base, base_len, &holes);
+            prop_assert_eq!(m.stats().apply_lookups, lookups, "the encoder used apply");
+            let mut want = prefix_const(&mut m, &vars, base, base_len);
+            for &(b, len) in &holes {
+                let hole = prefix_const(&mut m, &vars, b, len);
+                want = m.diff(want, hole);
+            }
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn prefix_minus_corners() {
+        let mut m = Manager::new(32);
+        let vars: Vec<u32> = (0..32).collect();
+        let everything = prefix_minus(&mut m, &vars, 0, 0, &[]);
+        assert!(m.is_true(everything));
+        assert_eq!(prefix_minus(&mut m, &vars, 0, 0, &[(0, 0)]), Bdd::FALSE);
+        let host = 0x0A01_0203;
+        let one = prefix_minus(&mut m, &vars, host, 32, &[]);
+        assert_eq!(one, prefix_const(&mut m, &vars, host, 32));
+        assert_eq!(m.sat_count(one), 1);
+        assert_eq!(
+            prefix_minus(&mut m, &vars, host, 32, &[(host, 32)]),
+            Bdd::FALSE
+        );
+        let all_but_one = prefix_minus(&mut m, &vars, 0, 0, &[(host, 32), (host, 32)]);
+        assert_eq!(m.sat_count(all_but_one), (1 << 32) - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "every hole must lie under the base prefix")]
+    fn prefix_minus_rejects_a_hole_outside_the_base() {
+        let mut m = Manager::new(32);
+        let vars: Vec<u32> = (0..32).collect();
+        prefix_minus(&mut m, &vars, 0x0A00_0000, 8, &[(0x0B00_0000, 16)]);
     }
 
     /// The route layout the builder is written for: the address run

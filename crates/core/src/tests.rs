@@ -1673,8 +1673,9 @@ mod ddnf {
         Ok(())
     }
 
-    /// Route-space ranges from proptest seeds: arbitrary length intervals,
-    /// including empty member sets and truncation chains.
+    /// Ranges with arbitrary length intervals from proptest seeds: a route
+    /// space reads empty member sets and truncation chains among them, an
+    /// address space only their prefixes.
     fn member_ranges(seeds: &[(u32, u8, u8, u8)]) -> Vec<PrefixRange> {
         seeds
             .iter()
@@ -1761,6 +1762,93 @@ mod ddnf {
             assert_pruned_matches_eager(&mut DstAddrSpace(&mut space), &addr_ranges(&seeds))?;
             assert_pruned_matches_eager(&mut SrcAddrSpace(&mut space), &addr_ranges(&seeds))?;
         }
+    }
+
+    /// Require the address DAG over `ranges` to be the Hasse diagram of
+    /// the encoded address sets: one node per distinct set of the input
+    /// and the universe, a cover edge exactly where one set strictly
+    /// contains another with no node strictly between, and cells that are
+    /// pairwise disjoint and together make up the universe.
+    fn assert_address_hasse_diagram<E: RangeEncoder>(
+        space: &mut E,
+        ranges: &[PrefixRange],
+    ) -> Result<(), TestCaseError> {
+        let dag = RangeDag::build(space, ranges);
+        let (_, sets, children, cells, root) = dag_structure(space, &dag);
+        let n = sets.len();
+        let mut want: Vec<Bdd> = vec![space.encode(&PrefixRange::universe())];
+        for r in ranges {
+            let b = space.encode(r);
+            if !want.contains(&b) {
+                want.push(b);
+            }
+        }
+        prop_assert_eq!(&sets, &want, "nodes are not the distinct input sets");
+        // below[a][b]: set a ⊂ set b, strictly.
+        let mut below = vec![vec![false; n]; n];
+        for a in 0..n {
+            for b in 0..n {
+                below[a][b] = a != b && space.manager().diff(sets[a], sets[b]).is_const_false();
+            }
+        }
+        for m in 0..n {
+            for c in 0..n {
+                let cover = below[c][m] && !(0..n).any(|k| below[c][k] && below[k][m]);
+                prop_assert_eq!(
+                    children[m].contains(&c),
+                    cover,
+                    "edge {} -> {} disagrees with the cover relation",
+                    m,
+                    c
+                );
+            }
+        }
+        let mut union = Bdd::FALSE;
+        for a in 0..n {
+            for b in a + 1..n {
+                let meet = space.manager().and(cells[a], cells[b]);
+                prop_assert!(meet.is_const_false(), "cells {} and {} overlap", a, b);
+            }
+            union = space.manager().or(union, cells[a]);
+        }
+        prop_assert_eq!(union, sets[root], "the cells do not cover the universe");
+        Ok(())
+    }
+
+    proptest! {
+        /// The address DAG is the Hasse diagram of the address sets for
+        /// arbitrary length bounds, which decide nothing there.
+        #[test]
+        fn address_dag_is_the_hasse_diagram_of_address_sets(
+            seeds in proptest::collection::vec(
+                (crowded_bits(), 0u8..=32, 0u8..=32, 0u8..=32), 1..10)
+        ) {
+            let ranges = member_ranges(&seeds);
+            let mut space = PacketSpace::new();
+            assert_address_hasse_diagram(&mut DstAddrSpace(&mut space), &ranges)?;
+            assert_address_hasse_diagram(&mut SrcAddrSpace(&mut space), &ranges)?;
+        }
+    }
+
+    /// A node's parent is its deepest ancestor prefix even when their
+    /// length intervals miss: `/8:20-32` sits between the universe and
+    /// `/16:10-12`, so the chain is U ⊃ /8 ⊃ /16 ⊃ /24 and the cell of
+    /// `/8` excludes `/16`.
+    #[test]
+    fn address_parents_ignore_length_bounds() {
+        let r = |s: &str| s.parse::<PrefixRange>().unwrap();
+        let ranges = [
+            r("10.1.1.0/24:10-32"),
+            r("10.1.0.0/16:10-12"),
+            r("10.0.0.0/8:20-32"),
+        ];
+        let mut space = PacketSpace::new();
+        let dag = RangeDag::build(&mut DstAddrSpace(&mut space), &ranges);
+        let (nodes, children, root) = skeleton(&dag);
+        assert_eq!(nodes[1..], ranges);
+        assert_eq!(root, 0);
+        assert_eq!(children, [vec![3], vec![], vec![1], vec![2]]);
+        assert_address_hasse_diagram(&mut DstAddrSpace(&mut space), &ranges).unwrap();
     }
 
     /// `n` `or_longer` ranges (/10–/26) from a fixed-seed LCG, crowded
