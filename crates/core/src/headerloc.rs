@@ -392,14 +392,12 @@ impl RangeDag {
     }
 }
 
-type Ddnf = RangeDag;
-
 /// The address-set ddNF: nodes are the distinct prefixes in input order,
 /// the universe first, and each node hangs under its deepest ancestor
 /// prefix, whatever either range's length bounds. Two address sets nest
 /// or are disjoint, so this is the whole Hasse diagram, and no
 /// intersection is a new set.
-fn build_address_ddnf(ranges: &[PrefixRange]) -> Ddnf {
+fn build_address_ddnf(ranges: &[PrefixRange]) -> RangeDag {
     let mut seen = HashSet::new();
     let nodes: Vec<PrefixRange> = std::iter::once(PrefixRange::universe())
         .chain(ranges.iter().copied())
@@ -479,7 +477,7 @@ fn closed_member_ranges(
 
 /// The member-set ddNF: the closed range set, with containment decided on
 /// the canonical member ranges.
-fn build_member_ddnf(ranges: &[PrefixRange]) -> Ddnf {
+fn build_member_ddnf(ranges: &[PrefixRange]) -> RangeDag {
     let (ranges, keys, trie) = {
         campion_trace::span!("headerloc.ddnf.close");
         closed_member_ranges(ranges)
@@ -534,7 +532,7 @@ struct NestedTerm {
 /// on recursion since `λ(root) − (λ(root) − s) = s` for `s ⊆ λ(root)`.
 fn get_match<E: RangeEncoder>(
     space: &mut E,
-    ddnf: &Ddnf,
+    ddnf: &RangeDag,
     s: Bdd,
     not_s: Bdd,
     node: usize,

@@ -58,7 +58,7 @@ pub fn policy_paths(
     universe: Bdd,
 ) -> Vec<PolicyPath> {
     campion_trace::span!("semdiff.policy_paths");
-    policy_paths_within(space, policy, universe, None)
+    policy_paths_within(space, policy, universe, None).0
 }
 
 /// The condition of `clause` under the symbolic `state`: the conjunction of
@@ -73,15 +73,18 @@ fn clause_cond(space: &mut RouteSpace, clause: &Clause, state: &SymbolicRoute) -
 }
 
 /// The route-policy enumeration behind [`policy_paths`] and
-/// [`policy_diff_paths`]: classes of inputs inside `within`. A clause whose
-/// `skip` flag is set is passed over without being encoded; the caller sets
-/// it only where the clause provably fires on nothing inside `within`.
-fn policy_paths_within(
+/// [`policy_diff_paths`]: classes of inputs inside `within`, and how many
+/// clauses `skip` passed over. A frame asks `skip` about its clause only
+/// when it reaches it with inputs left, and on `true` passes the clause
+/// over without encoding it; `skip` answers `true` only for a clause that
+/// provably fires on nothing inside `within`. With no fall-through clause
+/// one frame at most reaches each clause.
+pub(crate) fn policy_paths_within(
     space: &mut RouteSpace,
     policy: &RoutePolicy,
     within: Bdd,
-    skip: Option<&[bool]>,
-) -> Vec<PolicyPath> {
+    skip: Option<&dyn Fn(usize) -> bool>,
+) -> (Vec<PolicyPath>, usize) {
     struct Frame {
         idx: usize,
         predicate: Bdd,
@@ -91,6 +94,7 @@ fn policy_paths_within(
         non_prefix: bool,
     }
     let mut out = Vec::new();
+    let mut skipped = 0;
     let initial = space.initial_state();
     let mut stack = vec![Frame {
         idx: 0,
@@ -119,8 +123,9 @@ fn policy_paths_within(
                 is_default: true,
                 non_prefix_match: f.non_prefix,
             });
-        } else if skip.is_some_and(|s| s[f.idx]) {
+        } else if skip.is_some_and(|skip| skip(f.idx)) {
             // Fires on nothing here: the whole frame skips the clause.
+            skipped += 1;
             stack.push(Frame {
                 idx: f.idx + 1,
                 ..f
@@ -179,14 +184,14 @@ fn policy_paths_within(
             }
         }
     }
-    out
+    (out, skipped)
 }
 
 /// Enumerate the path equivalence classes of an ACL (rules are always
 /// terminal, so this is linear: one class per reachable rule plus the
 /// implicit trailing deny).
 pub fn acl_paths(space: &mut PacketSpace, acl: &AclIr, universe: Bdd) -> Vec<PolicyPath> {
-    acl_paths_within(space, acl, universe, None)
+    acl_paths_within(space, acl, universe, None).0
 }
 
 // ------------------------------------------------------------- alignment
@@ -200,8 +205,8 @@ pub fn acl_paths(space: &mut PacketSpace, acl: &AclIr, universe: Bdd) -> Vec<Pol
 // and an order-preserving alignment makes it the same pair of equal items:
 // the sides agree there, unless the input reaches both defaults and they
 // differ, or a fall-through clause carried state into the match. Both sides
-// are therefore enumerated inside `R` only, and items that provably miss
-// `R` are screened off without being encoded.
+// are therefore enumerated inside `R` only, and an item the enumeration
+// reaches is skipped unencoded when a screen proves it misses `R`.
 
 /// Why a pair was enumerated over the whole universe instead of inside `R`.
 /// Each `semdiff.align` span counts its pair under one of these names.
@@ -283,113 +288,56 @@ pub(crate) fn acls_identical(a1: &AclIr, a2: &AclIr) -> bool {
             .all(|(x, y)| x.permit == y.permit && RuleKey::of(x) == RuleKey::of(y))
 }
 
-/// One pair's alignment: per-side aligned flags, the enumeration scope,
-/// and the per-side screen flags (items skipped without being encoded).
-struct Alignment {
-    common: [Vec<bool>; 2],
-    scope: Scope,
-    skip: Option<[Vec<bool>; 2]>,
-}
-
-impl Alignment {
-    /// Align two key sequences and choose the scope. `defaults_agree` gets
-    /// side 0's aligned flags; `fallthrough` says some item carries state
-    /// to later ones.
-    fn new<K: Eq + std::hash::Hash>(
-        k1: &[K],
-        k2: &[K],
-        fallthrough: bool,
-        defaults_agree: impl FnOnce(&[bool]) -> bool,
-    ) -> Self {
-        let (common1, common2) = align_common(k1, k2);
-        let scope = if fallthrough {
-            Scope::Universe(Fallback::Fallthrough)
-        } else if !defaults_agree(&common1) {
-            Scope::Universe(Fallback::Defaults)
+/// Align two key sequences, choose the pair's scope and record the
+/// alignment's counters on `span`: `aligned` (one side's aligned items),
+/// `unaligned` (both sides' others) and one `fallback.*`. `defaults_agree`
+/// gets side 0's aligned flags; `fallthrough` says some item carries state
+/// to later ones.
+fn align<K: Eq + std::hash::Hash>(
+    k1: &[K],
+    k2: &[K],
+    fallthrough: bool,
+    defaults_agree: impl FnOnce(&[bool]) -> bool,
+    span: &mut campion_trace::SpanGuard,
+) -> Scope {
+    let (common1, common2) = align_common(k1, k2);
+    let scope = if fallthrough {
+        Scope::Universe(Fallback::Fallthrough)
+    } else if !defaults_agree(&common1) {
+        Scope::Universe(Fallback::Defaults)
+    } else {
+        let mut seen = std::collections::HashSet::new();
+        let mut gens = Vec::new();
+        for (side, (keys, common)) in [(k1, &common1), (k2, &common2)].into_iter().enumerate() {
+            for (i, key) in keys.iter().enumerate() {
+                if !common[i] && seen.insert(key) {
+                    gens.push((side, i));
+                }
+            }
+        }
+        if gens.len() * 4 > k1.len() + k2.len() {
+            Scope::Universe(Fallback::Wide)
         } else {
-            let mut seen = std::collections::HashSet::new();
-            let mut gens = Vec::new();
-            for (side, (keys, common)) in [(k1, &common1), (k2, &common2)].into_iter().enumerate() {
-                for (i, key) in keys.iter().enumerate() {
-                    if !common[i] && seen.insert(key) {
-                        gens.push((side, i));
-                    }
-                }
-            }
-            if gens.len() * 4 > k1.len() + k2.len() {
-                Scope::Universe(Fallback::Wide)
-            } else {
-                Scope::Within(gens)
-            }
-        };
-        Alignment {
-            common: [common1, common2],
-            scope,
-            skip: None,
+            Scope::Within(gens)
         }
-    }
-
-    /// Set both sides' screen flags with `skip(side, index)`. An aligned
-    /// item of the second side has the key of its partner on the first, so
-    /// it copies the partner's flag instead of deciding it again.
-    fn screen(&mut self, mut skip: impl FnMut(usize, usize) -> bool) {
-        let [common1, common2] = &self.common;
-        let flags1: Vec<bool> = (0..common1.len()).map(|i| skip(0, i)).collect();
-        let mut partner = common1
-            .iter()
-            .zip(&flags1)
-            .filter_map(|(&c, &f)| c.then_some(f));
-        let flags2 = common2
-            .iter()
-            .enumerate()
-            .map(|(j, &c)| {
-                if c {
-                    partner.next().expect("both sides align the same count")
-                } else {
-                    skip(1, j)
-                }
-            })
-            .collect();
-        self.skip = Some([flags1, flags2]);
-    }
-
-    /// Attach the alignment's counters to its `semdiff.align` span.
-    fn record(&self, span: &mut campion_trace::SpanGuard) {
-        if !span.is_active() {
-            return;
-        }
-        let [common1, common2] = &self.common;
+    };
+    if span.is_active() {
         let aligned = common1.iter().filter(|&&c| c).count();
-        let unaligned = common1.len() + common2.len() - 2 * aligned;
-        let screened = self.skip.iter().flatten().flatten().filter(|&&s| s).count();
         span.counter("aligned", aligned as i64);
-        span.counter("unaligned", unaligned as i64);
-        span.counter("screened", screened as i64);
-        let fallback = match self.scope {
+        span.counter("unaligned", (k1.len() + k2.len() - 2 * aligned) as i64);
+        let fallback = match scope {
             Scope::Universe(reason) => reason,
             Scope::Within(_) => Fallback::None,
         };
         span.counter(fallback.counter(), 1);
     }
+    scope
+}
 
-    /// `R`: the union of the generators' conditions `conds`, inside
-    /// `universe`; or the universe itself when the scope is not restricted.
-    fn within(manager: &mut Manager, universe: Bdd, conds: Option<Vec<Bdd>>) -> Bdd {
-        match conds {
-            Some(conds) => {
-                let mut seen = std::collections::HashSet::new();
-                let distinct: Vec<Bdd> = conds.into_iter().filter(|c| seen.insert(*c)).collect();
-                let union = manager.or_all(&distinct);
-                manager.and(universe, union)
-            }
-            None => universe,
-        }
-    }
-
-    /// Side `side`'s screen flags, if screened.
-    fn skip(&self, side: usize) -> Option<&[bool]> {
-        self.skip.as_ref().map(|s| s[side].as_slice())
-    }
+/// `R`: the union of the generators' conditions `conds`, inside `universe`.
+fn restriction(manager: &mut Manager, universe: Bdd, conds: &[Bdd]) -> Bdd {
+    let union = manager.or_all(conds);
+    manager.and(universe, union)
 }
 
 /// The generators' permit ranges, for the route-policy range screen. Two
@@ -428,6 +376,13 @@ impl RangeScreen {
             .iter()
             .any(|&id| self.lens[id] & want != 0)
     }
+
+    /// Whether a clause keyed `key` provably fires on nothing inside `R`:
+    /// it has permit ranges and none meets a generator range.
+    fn misses(&self, key: &ClauseKey) -> bool {
+        key.permit_ranges()
+            .is_some_and(|rs| !rs.iter().any(|r| self.meets(r)))
+    }
 }
 
 /// Difference-restricted path enumeration for an ACL *pair* — the fast
@@ -438,9 +393,9 @@ impl RangeScreen {
 /// ACL — the dominant cost at 10k rules, even though the diff only ever
 /// consumes the sliver of each class where the two sides disagree. This
 /// variant aligns the two rule lists on [`RuleKey`] plus action (see the
-/// alignment notes above) and enumerates both sides inside `R`; rules
-/// structurally disjoint from every generator are screened off without
-/// being encoded.
+/// alignment notes above) and enumerates both sides inside `R`; a rule the
+/// enumeration reaches is skipped unencoded when it is structurally
+/// disjoint from every generator.
 ///
 /// Every difference reported by [`semantic_diff`] satisfies
 /// `input = p₁ ∧ p₂ ⊆ R`, and restricting both sides' predicates to `R`
@@ -461,44 +416,47 @@ pub fn acl_diff_paths(
 ) -> (Vec<PolicyPath>, Vec<PolicyPath>) {
     campion_trace::span!("semdiff.acl_paths");
     let acls = [a1, a2];
-    let alignment = {
+    let scope = {
         let mut span = campion_trace::span("semdiff.align");
-        let keys = |acl: &AclIr| -> Vec<(RuleKey, bool)> {
-            acl.rules
-                .iter()
-                .map(|r| (RuleKey::of(r), r.permit))
-                .collect()
-        };
-        let mut alignment = Alignment::new(&keys(a1), &keys(a2), false, |_| true);
-        // The structural screen is O(rules × generators): only worth it
-        // while the generator set is small.
-        if let Scope::Within(gens) = &alignment.scope {
-            if gens.len() <= SKIP_GEN_MAX {
-                let gens: Vec<&AclRuleIr> = gens.iter().map(|&(s, i)| &acls[s].rules[i]).collect();
-                alignment.screen(|s, i| {
-                    let rule = &acls[s].rules[i];
-                    !gens.iter().any(|g| rules_may_overlap(rule, g))
-                });
-            }
-        }
-        alignment.record(&mut span);
-        alignment
-    };
-    let conds = match &alignment.scope {
-        Scope::Universe(_) => None,
-        Scope::Within(gens) => Some(
-            gens.iter()
-                .map(|&(s, i)| space.rule_bdd(&acls[s].rules[i]))
-                .collect(),
-        ),
+        let [k1, k2] = acls.map(|acl| {
+            let keys = acl.rules.iter().map(|r| (RuleKey::of(r), r.permit));
+            keys.collect::<Vec<_>>()
+        });
+        align(&k1, &k2, false, |_| true, &mut span)
     };
     let universe = space.universe();
-    let within = Alignment::within(&mut space.manager, universe, conds);
-    campion_trace::span!("semdiff.enumerate");
-    (
-        acl_paths_within(space, a1, within, alignment.skip(0)),
-        acl_paths_within(space, a2, within, alignment.skip(1)),
-    )
+    let (within, screen) = match &scope {
+        Scope::Universe(_) => (universe, None),
+        Scope::Within(gens) => {
+            let gens: Vec<&AclRuleIr> = gens.iter().map(|&(s, i)| &acls[s].rules[i]).collect();
+            let conds: Vec<Bdd> = gens.iter().map(|r| space.rule_bdd(r)).collect();
+            let within = restriction(&mut space.manager, universe, &conds);
+            // The structural screen costs O(generators) per rule reached:
+            // only worth it while the generator set is small. It needs one
+            // generator per condition, and an action flip leaves two.
+            let screen = (gens.len() <= SKIP_GEN_MAX).then(|| {
+                let distinct = (0..gens.len()).filter(|&k| !conds[..k].contains(&conds[k]));
+                distinct.map(|k| gens[k]).collect::<Vec<_>>()
+            });
+            (within, screen)
+        }
+    };
+    let mut span = campion_trace::span("semdiff.enumerate");
+    let mut screened = 0;
+    let [paths1, paths2] = acls.map(|acl| {
+        let skip = |i: usize| {
+            let rule = &acl.rules[i];
+            screen
+                .as_ref()
+                .is_some_and(|gens| !gens.iter().any(|g| rules_may_overlap(rule, g)))
+        };
+        let (paths, skipped) =
+            acl_paths_within(space, acl, within, screen.is_some().then_some(&skip));
+        screened += skipped;
+        paths
+    });
+    span.counter("screened", screened as i64);
+    (paths1, paths2)
 }
 
 /// Difference-restricted path enumeration for a route-policy *pair*: the
@@ -510,77 +468,79 @@ pub fn acl_diff_paths(
 /// It enumerates over the universe instead when either side has a
 /// fall-through clause, when the default terminals differ and no aligned
 /// terminating match-all clause hides them, or when more than a quarter of
-/// the clauses are unaligned. Inside `R`, a clause whose permit ranges
-/// miss every generator's permit ranges fires on nothing and is screened
-/// off without being encoded; the screen is off when some generator has no
-/// prefix condition.
+/// the clauses are unaligned. Inside `R`, a clause the enumeration reaches
+/// whose permit ranges miss every generator's permit ranges fires on
+/// nothing and is skipped unencoded; the screen is off when some generator
+/// has no prefix condition.
 pub(crate) fn policy_diff_paths(
     space: &mut RouteSpace,
     p1: &RoutePolicy,
     p2: &RoutePolicy,
 ) -> (Vec<PolicyPath>, Vec<PolicyPath>) {
-    campion_trace::span!("semdiff.policy_paths");
+    let mut span = campion_trace::span("semdiff.policy_paths");
     let policies = [p1, p2];
-    let alignment = {
+    let (keys, scope) = {
         let mut span = campion_trace::span("semdiff.align");
-        let keys =
-            |p: &RoutePolicy| -> Vec<ClauseKey> { p.clauses.iter().map(ClauseKey::of).collect() };
-        let (k1, k2) = (keys(p1), keys(p2));
-        let fallthrough = k1
+        let keys = policies.map(|p| p.clauses.iter().map(ClauseKey::of).collect::<Vec<_>>());
+        let fallthrough = keys
             .iter()
-            .chain(&k2)
+            .flatten()
             .any(|k| k.terminal() == Terminal::Fallthrough);
-        let mut alignment = Alignment::new(&k1, &k2, fallthrough, |common1| {
-            defaults_agree(
-                p1,
-                p2,
-                k1.iter().zip(common1).filter(|(_, &c)| c).map(|(k, _)| k),
-            )
-        });
-        let keys = [&k1, &k2];
-        if let Scope::Within(gens) = &alignment.scope {
+        let scope = align(
+            &keys[0],
+            &keys[1],
+            fallthrough,
+            |common1| {
+                let aligned = keys[0].iter().zip(common1).filter(|(_, &c)| c);
+                defaults_agree(p1, p2, aligned.map(|(k, _)| k))
+            },
+            &mut span,
+        );
+        (keys, scope)
+    };
+    let universe = space.universe();
+    let (within, screen) = match &scope {
+        Scope::Universe(_) => (universe, None),
+        Scope::Within(gens) => {
+            let initial = space.initial_state();
+            let conds: Vec<Bdd> = gens
+                .iter()
+                .map(|&(s, i)| clause_cond(space, &policies[s].clauses[i], &initial))
+                .collect();
             let ranges: Option<Vec<Vec<PrefixRange>>> = gens
                 .iter()
                 .map(|&(s, i)| keys[s][i].permit_ranges())
                 .collect();
-            if let Some(ranges) = ranges {
-                let screen = RangeScreen::new(ranges.into_iter().flatten());
-                alignment.screen(|s, i| {
-                    keys[s][i]
-                        .permit_ranges()
-                        .is_some_and(|rs| !rs.iter().any(|r| screen.meets(r)))
-                });
-            }
-        }
-        alignment.record(&mut span);
-        alignment
-    };
-    let conds = match &alignment.scope {
-        Scope::Universe(_) => None,
-        Scope::Within(gens) => {
-            let initial = space.initial_state();
-            Some(
-                gens.iter()
-                    .map(|&(s, i)| clause_cond(space, &policies[s].clauses[i], &initial))
-                    .collect(),
+            let within = restriction(&mut space.manager, universe, &conds);
+            (
+                within,
+                ranges.map(|r| RangeScreen::new(r.into_iter().flatten())),
             )
         }
     };
-    let universe = space.universe();
-    let within = Alignment::within(&mut space.manager, universe, conds);
-    (
-        policy_paths_within(space, p1, within, alignment.skip(0)),
-        policy_paths_within(space, p2, within, alignment.skip(1)),
-    )
+    let mut screened = 0;
+    let [paths1, paths2] = [0, 1].map(|side| {
+        let skip = |i: usize| screen.as_ref().is_some_and(|s| s.misses(&keys[side][i]));
+        let (paths, skipped) = policy_paths_within(
+            space,
+            policies[side],
+            within,
+            screen.is_some().then_some(&skip),
+        );
+        screened += skipped;
+        paths
+    });
+    span.counter("screened", screened as i64);
+    (paths1, paths2)
 }
 
 /// Middle-segment size product under which the exact quadratic LCS runs
 /// directly (also the patience recursion's base case).
 const LCS_BASE: usize = 1 << 12;
 
-/// Generator-set cap for the structural-disjointness screen in
-/// [`acl_paths_within`]; past it the per-rule screen costs more than the
-/// BDD work it avoids.
+/// Generator-set cap for the structural-disjointness screen of
+/// [`acl_diff_paths`]; past it the per-rule screen costs more than the BDD
+/// work it avoids.
 const SKIP_GEN_MAX: usize = 64;
 
 /// Order-preserving alignment of two key sequences, as per-side
@@ -749,7 +709,8 @@ fn lis_chain(pairs: &[(usize, usize)]) -> Vec<(usize, usize)> {
 /// port-qualified rule carries.
 pub(crate) fn rules_may_overlap(a: &AclRuleIr, b: &AclRuleIr) -> bool {
     // The address test runs first: it allocates nothing and rejects most
-    // pairs, and alignment screens every rule against every generator.
+    // pairs, and the enumeration screens each rule it reaches against
+    // every generator.
     // Two wildcard terms overlap iff their fixed bits agree wherever both
     // care; empty alternative lists are unconstrained.
     fn addrs_overlap(xs: &[WildcardMask], ys: &[WildcardMask]) -> bool {
@@ -831,29 +792,33 @@ pub(crate) fn lcs_pairs<T: Eq>(a: &[T], b: &[T]) -> Vec<(usize, usize)> {
 
 /// The ACL enumeration behind [`acl_paths`] and [`acl_diff_paths`]: the
 /// chain restricted to `within`, so class predicates come out as
-/// `predicate ∧ within`. A rule whose condition already appeared is
-/// shadowed and fires on nothing, and once the restriction set is
-/// exhausted every later class would restrict to ∅, so both are skipped.
+/// `predicate ∧ within`, and how many rules `skip` passed over. A rule
+/// whose condition already appeared is shadowed and fires on nothing, and
+/// once the restriction set is exhausted every later class would restrict
+/// to ∅, so both are skipped.
 ///
-/// A rule whose `skip` flag is set is passed over without being encoded.
-/// [`acl_diff_paths`] sets it for a rule structurally disjoint from every
-/// generator of `within`: `remaining ⊆ within = ⋃ generators`, so such a
-/// rule's restricted fire set is empty and subtracting it is a no-op — the
-/// resulting paths (and `remaining` chain) are identical.
-fn acl_paths_within(
+/// The loop asks `skip` about a rule only when it reaches it with inputs
+/// left, and on `true` passes it over without encoding it.
+/// [`acl_diff_paths`] answers `true` for a rule structurally disjoint from
+/// every generator of `within`: `remaining ⊆ within = ⋃ generators`, so
+/// such a rule's restricted fire set is empty and subtracting it is a no-op
+/// — the resulting paths (and `remaining` chain) are identical.
+pub(crate) fn acl_paths_within(
     space: &mut PacketSpace,
     acl: &AclIr,
     within: Bdd,
-    skip: Option<&[bool]>,
-) -> Vec<PolicyPath> {
+    skip: Option<&dyn Fn(usize) -> bool>,
+) -> (Vec<PolicyPath>, usize) {
     let mut out = Vec::new();
+    let mut skipped = 0;
     let mut seen = std::collections::HashSet::new();
     let mut remaining = within;
     for (i, rule) in acl.rules.iter().enumerate() {
         if !space.manager.is_sat(remaining) {
             break;
         }
-        if skip.is_some_and(|s| s[i]) {
+        if skip.is_some_and(|skip| skip(i)) {
+            skipped += 1;
             continue;
         }
         let cond = space.rule_bdd(rule);
@@ -881,7 +846,7 @@ fn acl_paths_within(
             non_prefix_match: true,
         });
     }
-    out
+    (out, skipped)
 }
 
 /// One behavioral difference between two components: the paper's quintuple

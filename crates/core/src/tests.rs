@@ -1114,19 +1114,25 @@ mod prune_oracle {
 /// proves identical must have no difference at all. The policy pairs carry
 /// fall-through clauses, community matches in both dialects, differing
 /// defaults and an optional trailing match-all clause, so every fall-back
-/// and the range screen are exercised.
+/// and the range screen are exercised. Deterministic tests pin what the
+/// screens are for: the loops ask a screen only about items they reach
+/// with `R` nonempty, and a screened rule is never encoded.
 mod restriction {
     use super::prune_oracle::{
         acl_pair, assert_same, catch_all, defaults, mk_clause, policy_pair, sparse_clause_seeds,
-        sparse_rule_seeds,
+        sparse_rule_seeds, ClauseSeed, RuleSeed,
     };
     use super::*;
-    use crate::semantic::{acl_diff_paths, acls_identical, policies_identical, policy_diff_paths};
+    use crate::semantic::{
+        acl_diff_paths, acl_paths_within, acls_identical, policies_identical, policy_diff_paths,
+        policy_paths_within, rules_may_overlap,
+    };
     use campion_bdd::Bdd;
     use campion_cfg::Span;
     use campion_ir::{Clause, RoutePolicy, Terminal};
     use campion_symbolic::{ClauseKey, PacketSpace};
     use proptest::prelude::*;
+    use std::cell::RefCell;
 
     /// A clause's condition from the initial state, as the enumeration
     /// encodes it.
@@ -1138,6 +1144,103 @@ mod restriction {
             acc = space.manager.and(acc, b);
         }
         acc
+    }
+
+    /// `n` pairwise-disjoint permit rules, rule `i` matching the source
+    /// /24 `10.i.0/24` (`i` spread over the second and third octets), with
+    /// only rule `flip` flipped to deny on side 2.
+    fn disjoint_rule_seeds(n: u32, flip: u32) -> Vec<RuleSeed> {
+        (0..n)
+            .map(|i| {
+                (
+                    0x0A00_0000 | i << 8,
+                    24,
+                    0,
+                    0,
+                    (0, 0, true),
+                    5 * u8::from(i == flip),
+                )
+            })
+            .collect()
+    }
+
+    /// The ACL loop asks its screen about a rule only when it reaches the
+    /// rule with `R` nonempty. With only rule 0's action edited, `R` is
+    /// rule 0's condition and empties at rule 0 on both sides, so neither
+    /// loop asks about a later rule. With only the last rule edited, each
+    /// loop asks about every rule and skips all but that one.
+    #[test]
+    fn the_acl_loop_asks_the_screen_only_while_r_is_nonempty() {
+        for (flip, asked, skipped) in [(0, vec![0], 0), (999, (0..1000).collect(), 999)] {
+            let (a1, a2) = acl_pair(&disjoint_rule_seeds(1000, flip as u32));
+            let gens = [&a1.rules[flip], &a2.rules[flip]];
+            let mut space = PacketSpace::new();
+            let within = space.rule_bdd(gens[0]);
+            for acl in [&a1, &a2] {
+                let seen = RefCell::new(Vec::new());
+                let skip = |i: usize| {
+                    seen.borrow_mut().push(i);
+                    !gens.iter().any(|g| rules_may_overlap(&acl.rules[i], g))
+                };
+                let (paths, n) = acl_paths_within(&mut space, acl, within, Some(&skip));
+                assert_eq!(seen.into_inner(), asked, "rules asked about");
+                assert_eq!(n, skipped, "rules skipped");
+                assert_eq!(paths.len(), 1, "only the edited rule fires in R");
+            }
+        }
+    }
+
+    /// The route-policy loop likewise: 60 clauses on pairwise-disjoint
+    /// /16s, only clause 0's terminal flipped, so `R` is clause 0's
+    /// condition and each side's frame chain ends there.
+    #[test]
+    fn the_policy_loop_asks_the_screen_only_while_r_is_nonempty() {
+        let seeds: Vec<ClauseSeed> = (0..60)
+            .map(|i| {
+                (
+                    (0x0A00_0000 | i << 16, 16, 0),
+                    0,
+                    0,
+                    0,
+                    5 * u8::from(i == 0),
+                )
+            })
+            .collect();
+        let (p1, p2) = policy_pair(&seeds, (false, false), None);
+        let mut space = RouteSpace::for_policies(&[&p1, &p2]);
+        let within = cond(&mut space, &p1.clauses[0]);
+        for policy in [&p1, &p2] {
+            let seen = RefCell::new(Vec::new());
+            // The clauses are pairwise disjoint: all but clause 0 miss `R`.
+            let skip = |i: usize| {
+                seen.borrow_mut().push(i);
+                i != 0
+            };
+            let (paths, n) = policy_paths_within(&mut space, policy, within, Some(&skip));
+            assert_eq!(seen.into_inner(), [0], "clauses asked about");
+            assert_eq!(n, 0, "clauses skipped");
+            assert_eq!(paths.len(), 1, "only the edited clause fires in R");
+        }
+    }
+
+    /// What the ACL screen is for: on 1,000 pairwise-disjoint rules with
+    /// only the last one's action flipped, no rule disjoint from the
+    /// generators is encoded. The generators (the last rule of each side)
+    /// are encoded once each to build `R` and once per side by the loops:
+    /// four rule-cache lookups, where an unscreened enumeration makes
+    /// 2,002. The differences match the universe enumeration's.
+    #[test]
+    fn the_acl_screen_leaves_disjoint_rules_unencoded() {
+        let (a1, a2) = acl_pair(&disjoint_rule_seeds(1000, 999));
+        let mut space = PacketSpace::new();
+        let (r1, r2) = acl_diff_paths(&mut space, &a1, &a2, 1);
+        assert_eq!(space.rule_cache_stats().0, 4, "rule-cache lookups");
+        let restricted = semantic_diff(&mut space.manager, &r1, &r2);
+        let u = space.universe();
+        let (f1, f2) = (acl_paths(&mut space, &a1, u), acl_paths(&mut space, &a2, u));
+        let full = semantic_diff(&mut space.manager, &f1, &f2);
+        assert_eq!(full.len(), 1);
+        assert_same(&restricted, &full).expect("restricted differences match");
     }
 
     /// A match-all clause that falls through hides neither default: this

@@ -24,12 +24,7 @@ use crate::RouterIr;
 /// 64-bit FNV-1a (offset basis 0xcbf29ce484222325, prime 0x100000001b3):
 /// tiny, dependency-free, and stable across platforms.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
+    fnv1a64_with(0xcbf2_9ce4_8422_2325, bytes)
 }
 
 /// Fold another already-computed hash into `acc` (order-sensitive).

@@ -22,7 +22,7 @@ use crate::prefix::{mask, ParseNetError, Prefix};
 /// let r: PrefixRange = "10.9.0.0/16:16-32".parse().unwrap();
 /// assert!(r.member(&"10.9.1.0/24".parse::<Prefix>().unwrap()));
 /// assert!(!r.member(&"10.9.0.0/8".parse::<Prefix>().unwrap()));
-/// assert!(PrefixRange::universe().contains(&r));
+/// assert!(PrefixRange::universe().member_superset(&r));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PrefixRange {
@@ -70,22 +70,6 @@ impl PrefixRange {
     pub fn member(&self, p: &Prefix) -> bool {
         let addr_matches = p.bits() & mask(self.prefix.len()) == self.prefix.bits();
         addr_matches && self.min_len <= p.len() && p.len() <= self.max_len
-    }
-
-    /// Is every member of `other` a member of `self`? (`other ⊆ self`,
-    /// the paper's `R₁ ⊂ R₂` relation plus equality.)
-    ///
-    /// Membership constrains a member's *first `prefix.len()` address bits*
-    /// and its length — exactly how the symbolic layer encodes a range over
-    /// `(32 address bits, length)`. Under that semantics containment is
-    /// purely structural: `self`'s length interval must cover `other`'s, and
-    /// `self`'s (necessarily no longer) address constraint must be implied
-    /// by `other`'s.
-    pub fn contains(&self, other: &PrefixRange) -> bool {
-        self.min_len <= other.min_len
-            && self.max_len >= other.max_len
-            && self.prefix.len() <= other.prefix.len()
-            && other.prefix.bits() & mask(self.prefix.len()) == self.prefix.bits()
     }
 
     /// Intersection of two ranges, or `None` when empty.
@@ -142,10 +126,11 @@ impl PrefixRange {
         Some(PrefixRange::new(prefix, min_len, self.max_len))
     }
 
-    /// Exact member-set containment: is every member of `other` a member
-    /// of `self`? Unlike [`PrefixRange::contains`] — which is sound but
-    /// incomplete on non-canonical ranges — this decides the relation
-    /// exactly, by comparing canonical representatives.
+    /// Member-set containment: is every member of `other` a member of
+    /// `self`? (`other ⊆ self`, the paper's `R₁ ⊂ R₂` relation plus
+    /// equality.) Structurally different ranges can denote the same set, so
+    /// this compares canonical representatives and decides the relation
+    /// exactly.
     pub fn member_superset(&self, other: &PrefixRange) -> bool {
         let Some(a) = other.canonical_members() else {
             return true; // ∅ ⊆ anything

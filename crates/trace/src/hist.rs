@@ -105,15 +105,6 @@ impl Histogram {
         self.max
     }
 
-    /// Mean of recorded samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Estimate the `q`-quantile (`0.0 ..= 1.0`) by cumulative bucket walk
     /// with linear interpolation inside the target bucket. Returns 0 for an
     /// empty histogram; `q >= 1.0` returns the exact maximum.
