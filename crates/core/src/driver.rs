@@ -24,7 +24,7 @@ use campion_symbolic::{PacketSpace, RouteSpace};
 
 use crate::headerloc::{self, DstAddrSpace, SrcAddrSpace};
 use crate::matching::{match_policies, PolicyPair};
-use crate::report::{CampionReport, PolicyDiffReport, StructuralFinding};
+use crate::report::{CampionReport, PolicyDiffReport};
 use crate::semantic::{
     acl_diff_paths, acls_identical, policies_identical, policy_diff_paths, semantic_diff_jobs,
     DiffPruneStats, SemanticDifference,
@@ -34,14 +34,9 @@ use crate::structural;
 /// Options controlling a comparison run.
 #[derive(Debug, Clone)]
 pub struct CampionOptions {
-    /// Compare static routes structurally.
-    pub check_static_routes: bool,
-    /// Compare connected routes structurally.
-    pub check_connected_routes: bool,
-    /// Compare BGP properties structurally.
-    pub check_bgp_properties: bool,
-    /// Compare OSPF attributes structurally.
-    pub check_ospf: bool,
+    /// Run StructuralDiff: compare static routes, connected routes, BGP
+    /// properties and OSPF attributes structurally.
+    pub check_structural: bool,
     /// Compare route maps semantically.
     pub check_route_maps: bool,
     /// Compare ACLs semantically.
@@ -58,10 +53,7 @@ pub struct CampionOptions {
 impl Default for CampionOptions {
     fn default() -> Self {
         CampionOptions {
-            check_static_routes: true,
-            check_connected_routes: true,
-            check_bgp_properties: true,
-            check_ospf: true,
+            check_structural: true,
             check_route_maps: true,
             check_acls: true,
             exhaustive_communities: false,
@@ -92,9 +84,6 @@ enum WorkItem<'a> {
     Policy(&'a PolicyPair),
     Acl(&'a str),
 }
-
-/// One StructuralDiff family (§3.3): an exact walk over both routers' IR.
-type StructuralFamily = fn(&RouterIr, &RouterIr) -> Vec<StructuralFinding>;
 
 /// Diff, localize and present one pair; returns its report rows and the
 /// pair's BDD-engine counters.
@@ -299,18 +288,15 @@ pub fn compare_routers(r1: &RouterIr, r2: &RouterIr, opts: &CampionOptions) -> C
         report.bdd_stats.merge(&stats);
     }
 
-    // StructuralDiff, on this thread in its traditional family order.
-    let families: [(bool, StructuralFamily); 4] = [
-        (opts.check_static_routes, structural::diff_static_routes),
-        (
-            opts.check_connected_routes,
+    // StructuralDiff (§3.3), on this thread in its traditional family
+    // order: each family is an exact walk over both routers' IR.
+    if opts.check_structural {
+        for diff in [
+            structural::diff_static_routes,
             structural::diff_connected_routes,
-        ),
-        (opts.check_bgp_properties, structural::diff_bgp_properties),
-        (opts.check_ospf, structural::diff_ospf),
-    ];
-    for (enabled, diff) in families {
-        if enabled {
+            structural::diff_bgp_properties,
+            structural::diff_ospf,
+        ] {
             campion_trace::span!("item.structural");
             report.structural.extend(diff(r1, r2));
         }

@@ -63,8 +63,11 @@
 //!   range's set) holds on them already.
 //! * **Overlap pruning.** A node that misses `S` contributes no terms and
 //!   is not recursed into: its descendants are subsets of it, so they miss
-//!   `S` as well and cannot split a cell either. A query visits the root
-//!   and the children of the nodes that actually meet `S`.
+//!   `S` as well and cannot split a cell either. `GetMatch` tests overlap
+//!   first and stores nothing for a missed node, since the walk costs less
+//!   than a memo entry. A query visits the root and the children of the
+//!   nodes that actually meet `S`; those are memoized, so a missed node is
+//!   walked at most once per edge into it and target.
 //! * **Lazy cells.** A node's cell (`λ(n) − children`, its remainder) is
 //!   encoded the first time a query finds the node meets `S`, in the space
 //!   that is localizing ([`RangeEncoder::cell`]), bottom-up with `mk` and
@@ -73,10 +76,12 @@
 //!   `λ(n)` as a permit; an address space in one [`bits::prefix_minus`]
 //!   pass over the address trie of the children's prefixes.
 //! * **Reuse across queries.** A pair's DAG serves ~10 difference queries,
-//!   which overlap heavily: cells stay for the next query, `GetMatch`
-//!   results are memoized per `(node, S)` on the DAG (`¬S` recursions hit
-//!   the same table), and `¬S` itself is computed once per localize call,
-//!   not once per included node.
+//!   which overlap heavily: cells stay for the next query, and the
+//!   `GetMatch` result of every node that meets its target is memoized per
+//!   `(node, S)` on the DAG (`¬S` recursions hit the same table). `¬S`
+//!   itself is `diff(cell(universe, []), S)`, computed once per localize
+//!   call, not once per included node. The universe is always node 0, where
+//!   every query starts.
 //! * **One validity rule.** Every handle the DAG caches — cells and the
 //!   memo's `S` keys — is valid until its space is next compacted
 //!   ([`Manager::compact`]), and a query that finds the manager's
@@ -84,11 +89,11 @@
 //!   compacts a pair's space once, before it builds the DAG, and never
 //!   after, so there the caches live for the whole pair.
 //!
-//! The eager, unpruned `GetMatch` (every node set encoded with
-//! [`RangeEncoder::encode`] and every cell folded with `diff` up front,
-//! every node visited, overlap tested with `and`) is kept under
-//! `#[cfg(test)]` as `oracle::header_localize_eager`; a property suite
-//! asserts both return the same terms and `exact` flag.
+//! The eager, unpruned `GetMatch` (every node set encoded up front as a
+//! cell with no children, every cell folded with `diff`, every node
+//! visited, overlap tested with `and`) is kept under `#[cfg(test)]` as
+//! `oracle::header_localize_eager`; a property suite asserts both return
+//! the same terms and `exact` flag.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
@@ -116,12 +121,10 @@ pub enum RangeSemantics {
 pub trait RangeEncoder {
     /// The underlying manager.
     fn manager(&mut self) -> &mut Manager;
-    /// The set denoted by a prefix range in this space.
-    fn encode(&mut self, r: &PrefixRange) -> Bdd;
-    /// Which structural reading of a range [`RangeEncoder::encode`]
-    /// implements. Must agree with `encode`: two ranges with equal set keys
-    /// must encode to the same BDD, and key containment must match BDD
-    /// containment.
+    /// Which structural reading of a range [`RangeEncoder::cell`]
+    /// implements. Must agree with it: two ranges with equal set keys must
+    /// have the same `cell(r, &[])`, the range's own set, and key
+    /// containment must match set containment.
     fn semantics(&self) -> RangeSemantics;
     /// The variables a range's set is decided on: the space's 32 address
     /// variables, most significant bit first, then (route spaces) the
@@ -135,7 +138,8 @@ pub trait RangeEncoder {
         !walk(self.manager(), s, start, &r.prefix).is_const_false()
     }
     /// The cell `range − ⋃ children`, built in one structural pass; each
-    /// child's set lies inside `range`'s.
+    /// child's set lies inside `range`'s. With no children it is the set
+    /// the range denotes in this space.
     fn cell(&mut self, range: &PrefixRange, children: &[PrefixRange]) -> Bdd;
 }
 
@@ -152,9 +156,6 @@ fn walk(m: &Manager, s: Bdd, start: u32, p: &Prefix) -> Bdd {
 impl RangeEncoder for RouteSpace {
     fn manager(&mut self) -> &mut Manager {
         &mut self.manager
-    }
-    fn encode(&mut self, r: &PrefixRange) -> Bdd {
-        self.prefix_range_bdd(r)
     }
     fn semantics(&self) -> RangeSemantics {
         RangeSemantics::Members
@@ -200,9 +201,6 @@ impl RangeEncoder for DstAddrSpace<'_> {
     fn manager(&mut self) -> &mut Manager {
         &mut self.0.manager
     }
-    fn encode(&mut self, r: &PrefixRange) -> Bdd {
-        self.0.dst_prefix_bdd(&r.prefix)
-    }
     fn semantics(&self) -> RangeSemantics {
         RangeSemantics::Addresses
     }
@@ -220,9 +218,6 @@ pub struct SrcAddrSpace<'a>(pub &'a mut PacketSpace);
 impl RangeEncoder for SrcAddrSpace<'_> {
     fn manager(&mut self) -> &mut Manager {
         &mut self.0.manager
-    }
-    fn encode(&mut self, r: &PrefixRange) -> Bdd {
-        self.0.src_prefix_bdd(&r.prefix)
     }
     fn semantics(&self) -> RangeSemantics {
         RangeSemantics::Addresses
@@ -329,9 +324,8 @@ pub struct RangeDag {
     children: Vec<Vec<usize>>,
     /// Per-node remainders (`λ(n) − children`), once encoded.
     remainders: Vec<Cell<Option<Bdd>>>,
-    /// Index of the universe node.
-    root: usize,
-    /// `GetMatch` memo: `(node, S) → (terms, exact)`.
+    /// `GetMatch` memo: `(node, S) → (terms, exact)`, for nodes that meet
+    /// `S` only.
     memo: RefCell<GetMatchMemo>,
     /// The manager's `gc_runs` when `remainders` and `memo` were last known
     /// valid. A compaction renumbers the nodes they name, so both are
@@ -351,19 +345,18 @@ impl RangeDag {
         }
     }
 
-    /// A DAG over closed, deduplicated `ranges` with the given cover edges;
-    /// no cell encoded yet.
+    /// A DAG over closed, deduplicated `ranges`, the universe first, with
+    /// the given cover edges; no cell encoded yet.
     fn from_parts(ranges: Vec<PrefixRange>, children: Vec<Vec<usize>>) -> RangeDag {
+        debug_assert!(
+            ranges.first() == Some(&PrefixRange::universe()),
+            "node 0 must be the universe"
+        );
         let n = ranges.len();
-        let root = ranges
-            .iter()
-            .position(|r| *r == PrefixRange::universe())
-            .expect("universe inserted first");
         RangeDag {
             ranges,
             children,
             remainders: vec![Cell::new(None); n],
-            root,
             memo: RefCell::new(HashMap::new()),
             gen: Cell::new(0),
         }
@@ -526,10 +519,12 @@ struct NestedTerm {
     minus: Vec<NestedTerm>,
 }
 
-/// One `GetMatch` node visit, memoized per `(node, s)` on the DAG. `not_s`
-/// is `¬s = λ(root) − s`, threaded down so the include-branch recursion
-/// (which queries the complement) computes no complement; the roles swap
-/// on recursion since `λ(root) − (λ(root) − s) = s` for `s ⊆ λ(root)`.
+/// One `GetMatch` node visit. A node that meets `s` is memoized per
+/// `(node, s)` on the DAG; one that misses it returns at once and stores
+/// nothing. `not_s` is `¬s = λ(root) − s`, threaded down so the
+/// include-branch recursion (which queries the complement) computes no
+/// complement; the roles swap on recursion since
+/// `λ(root) − (λ(root) − s) = s` for `s ⊆ λ(root)`.
 fn get_match<E: RangeEncoder>(
     space: &mut E,
     ddnf: &RangeDag,
@@ -538,17 +533,16 @@ fn get_match<E: RangeEncoder>(
     node: usize,
     exact: &mut bool,
 ) -> Vec<NestedTerm> {
+    if !space.meets(&ddnf.ranges[node], s) {
+        // λ(n) misses S, and every descendant is a subset of λ(n): the
+        // whole subtree contributes no term and splits no cell.
+        return Vec::new();
+    }
     if let Some((terms, sub_exact)) = ddnf.memo.borrow().get(&(node, s)).cloned() {
         if !sub_exact {
             *exact = false;
         }
         return terms;
-    }
-    if !space.meets(&ddnf.ranges[node], s) {
-        // λ(n) misses S, and every descendant is a subset of λ(n): the
-        // whole subtree contributes no term and splits no cell.
-        ddnf.memo.borrow_mut().insert((node, s), (Vec::new(), true));
-        return Vec::new();
     }
     let kids = &ddnf.children[node];
     let remainder = ddnf.remainder(space, node);
@@ -658,7 +652,7 @@ pub fn header_localize_with<E: RangeEncoder>(
             cell.set(None);
         }
     }
-    let universe = space.encode(&PrefixRange::universe());
+    let universe = space.cell(&PrefixRange::universe(), &[]);
     debug_assert!(
         {
             let vars = space.range_vars();
@@ -669,7 +663,7 @@ pub fn header_localize_with<E: RangeEncoder>(
     );
     let mut exact = true;
     let not_s = space.manager().diff(universe, s);
-    let nested = get_match(space, ddnf, s, not_s, ddnf.root, &mut exact);
+    let nested = get_match(space, ddnf, s, not_s, 0, &mut exact);
     let loc = localization(nested, exact);
     debug_assert!(
         !loc.exact || reencode(space, &loc) == s,
@@ -684,11 +678,11 @@ pub fn header_localize_with<E: RangeEncoder>(
 /// route spaces.
 pub fn reencode<E: RangeEncoder>(space: &mut E, loc: &HeaderLocalization) -> Bdd {
     let mut acc = Bdd::FALSE;
-    let valid = space.encode(&PrefixRange::universe());
+    let valid = space.cell(&PrefixRange::universe(), &[]);
     for t in &loc.terms {
-        let mut b = space.encode(&t.base);
+        let mut b = space.cell(&t.base, &[]);
         for m in &t.minus {
-            let mb = space.encode(m);
+            let mb = space.cell(m, &[]);
             b = space.manager().diff(b, mb);
         }
         acc = space.manager().or(acc, b);
@@ -722,7 +716,7 @@ pub(crate) mod oracle {
         let mut seen: std::collections::HashSet<Bdd> = std::collections::HashSet::new();
         let mut push =
             |space: &mut E, out: &mut Vec<PrefixRange>, bdds: &mut Vec<Bdd>, r: PrefixRange| {
-                let b = space.encode(&r);
+                let b = space.cell(&r, &[]);
                 if space.manager().is_false(b) {
                     return;
                 }
@@ -794,7 +788,7 @@ pub(crate) mod oracle {
 
     /// Every node set of `dag`, encoded in `space`, in node order.
     fn node_sets<E: RangeEncoder>(space: &mut E, dag: &RangeDag) -> Vec<Bdd> {
-        dag.ranges.iter().map(|r| space.encode(r)).collect()
+        dag.ranges.iter().map(|r| space.cell(r, &[])).collect()
     }
 
     /// Every cell of `dag` as the `diff` chain `λ(n) − λ(k₁) − …` over
@@ -813,30 +807,31 @@ pub(crate) mod oracle {
             .collect()
     }
 
-    /// The DAG's full skeleton `(ranges, sets, children, remainders,
-    /// root)`: node sets encoded with [`RangeEncoder::encode`], every
-    /// remainder through the DAG's own lazy cell, for the differential
-    /// suite's node-order-included equality assertions (two builds in one
-    /// manager must agree on every node handle too).
+    /// The DAG's full skeleton `(ranges, sets, children, remainders)`:
+    /// node sets encoded as cells with no children, every remainder through
+    /// the DAG's own lazy cell, for the differential suite's
+    /// node-order-included equality assertions (two builds in one manager
+    /// must agree on every node handle too). The root is node 0.
     #[allow(clippy::type_complexity)]
     pub(crate) fn dag_structure<E: RangeEncoder>(
         space: &mut E,
         dag: &RangeDag,
-    ) -> (Vec<PrefixRange>, Vec<Bdd>, Vec<Vec<usize>>, Vec<Bdd>, usize) {
+    ) -> (Vec<PrefixRange>, Vec<Bdd>, Vec<Vec<usize>>, Vec<Bdd>) {
         let sets = node_sets(space, dag);
         let remainders = (0..dag.len()).map(|n| dag.remainder(space, n)).collect();
-        (
-            dag.ranges.clone(),
-            sets,
-            dag.children.clone(),
-            remainders,
-            dag.root,
-        )
+        (dag.ranges.clone(), sets, dag.children.clone(), remainders)
     }
 
-    /// The cover edges and root, without encoding anything.
-    pub(crate) fn skeleton(dag: &RangeDag) -> (&[PrefixRange], &[Vec<usize>], usize) {
-        (&dag.ranges, &dag.children, dag.root)
+    /// The node ranges and cover edges, without encoding anything.
+    pub(crate) fn skeleton(dag: &RangeDag) -> (&[PrefixRange], &[Vec<usize>]) {
+        (&dag.ranges, &dag.children)
+    }
+
+    /// The `(node, S)` keys of the `GetMatch` memo, sorted.
+    pub(crate) fn memo_keys(dag: &RangeDag) -> Vec<(usize, Bdd)> {
+        let mut keys: Vec<(usize, Bdd)> = dag.memo.borrow().keys().copied().collect();
+        keys.sort_unstable();
+        keys
     }
 
     /// The nodes whose remainder has been encoded so far, ascending.
@@ -866,7 +861,7 @@ pub(crate) mod oracle {
         };
         let mut exact = true;
         let not_s = space.manager().not(s);
-        let nested = eager.get_match(space, s, not_s, dag.root, &mut exact);
+        let nested = eager.get_match(space, s, not_s, 0, &mut exact);
         localization(nested, exact)
     }
 

@@ -1646,7 +1646,7 @@ mod ddnf {
     use super::*;
     use crate::headerloc::oracle::{
         build_ddnf_oracle, dag_structure, diff_chain_cells, header_localize_eager, materialized,
-        skeleton,
+        memo_keys, skeleton,
     };
     use crate::headerloc::{
         header_localize_with, DstAddrSpace, HeaderLocalization, RangeDag, RangeEncoder,
@@ -1668,13 +1668,13 @@ mod ddnf {
         let mut targets = Vec::new();
         let mut union = campion_bdd::Bdd::FALSE;
         for r in ranges {
-            let b = space.encode(r);
+            let b = space.cell(r, &[]);
             targets.push(b);
             union = space.manager().or(union, b);
         }
         targets.push(union);
         targets.push(campion_bdd::Bdd::FALSE);
-        let valid = space.encode(&PrefixRange::universe());
+        let valid = space.cell(&PrefixRange::universe(), &[]);
         for t in targets {
             let s = space.manager().and(t, valid);
             let a = header_localize_with(space, s, &oracle);
@@ -1732,27 +1732,27 @@ mod ddnf {
         ranges: &[PrefixRange],
     ) -> Result<(), TestCaseError> {
         let cells = RangeDag::build(space, ranges);
-        let (nodes, bdds, children, remainders, _) = dag_structure(space, &cells);
+        let (nodes, bdds, children, remainders) = dag_structure(space, &cells);
         prop_assert_eq!(
             &remainders,
             &diff_chain_cells(space, &cells),
             "a cell is not the diff chain"
         );
-        let valid = space.encode(&PrefixRange::universe());
+        let valid = space.cell(&PrefixRange::universe(), &[]);
         let mut targets: Vec<(Bdd, bool)> = vec![(Bdd::FALSE, true), (valid, true)];
         targets.extend(remainders.iter().map(|&r| (r, true)));
         let mut union = Bdd::FALSE;
         for r in ranges {
-            let b = space.encode(r);
+            let b = space.cell(r, &[]);
             union = space.manager().or(union, b);
         }
         targets.push((space.manager().and(union, valid), true));
         if let Some((leaf, sub)) = splitting_subrange(space.semantics(), &nodes, &children) {
-            let b = space.encode(&sub);
+            let b = space.cell(&sub, &[]);
             let sub = space.manager().and(b, valid);
             let mut apart = sub;
             for r in ranges {
-                let b = space.encode(r);
+                let b = space.cell(r, &[]);
                 let meet = space.manager().and(b, bdds[leaf]);
                 if space.manager().is_false(meet) {
                     apart = space.manager().or(apart, b);
@@ -1877,11 +1877,11 @@ mod ddnf {
         ranges: &[PrefixRange],
     ) -> Result<(), TestCaseError> {
         let dag = RangeDag::build(space, ranges);
-        let (_, sets, children, cells, root) = dag_structure(space, &dag);
+        let (_, sets, children, cells) = dag_structure(space, &dag);
         let n = sets.len();
-        let mut want: Vec<Bdd> = vec![space.encode(&PrefixRange::universe())];
+        let mut want: Vec<Bdd> = vec![space.cell(&PrefixRange::universe(), &[])];
         for r in ranges {
-            let b = space.encode(r);
+            let b = space.cell(r, &[]);
             if !want.contains(&b) {
                 want.push(b);
             }
@@ -1914,7 +1914,7 @@ mod ddnf {
             }
             union = space.manager().or(union, cells[a]);
         }
-        prop_assert_eq!(union, sets[root], "the cells do not cover the universe");
+        prop_assert_eq!(union, sets[0], "the cells do not cover the universe");
         Ok(())
     }
 
@@ -1947,9 +1947,9 @@ mod ddnf {
         ];
         let mut space = PacketSpace::new();
         let dag = RangeDag::build(&mut DstAddrSpace(&mut space), &ranges);
-        let (nodes, children, root) = skeleton(&dag);
+        let (nodes, children) = skeleton(&dag);
+        assert_eq!(nodes[0], PrefixRange::universe());
         assert_eq!(nodes[1..], ranges);
-        assert_eq!(root, 0);
         assert_eq!(children, [vec![3], vec![], vec![1], vec![2]]);
         assert_address_hasse_diagram(&mut DstAddrSpace(&mut space), &ranges).unwrap();
     }
@@ -1975,10 +1975,10 @@ mod ddnf {
     /// remainders for the path nodes only (overlap tests walk the target
     /// and encode nothing).
     fn assert_localizes_one_leaf_lazily<E: RangeEncoder>(space: &mut E) {
-        let valid = space.encode(&PrefixRange::universe());
+        let valid = space.cell(&PrefixRange::universe(), &[]);
         let dag = RangeDag::build(space, &lcg_ranges(1000));
         let snapshot = dag.clone();
-        let (nodes, children, root) = skeleton(&dag);
+        let (nodes, children) = skeleton(&dag);
         let (nodes, children) = (nodes.to_vec(), children.to_vec());
         // Or-longer ranges nest or are disjoint, so the DAG is a tree.
         let mut parent = vec![None; nodes.len()];
@@ -2010,9 +2010,9 @@ mod ddnf {
             .expect("a leaf below no tiled node");
         assert!(path.len() >= 3, "the test DAG should be deep: {path:?}");
         let leaf = *path.last().unwrap();
-        assert_eq!(path[0], root);
+        assert_eq!(path[0], 0, "the root is node 0");
 
-        let b = space.encode(&nodes[leaf]);
+        let b = space.cell(&nodes[leaf], &[]);
         let s = space.manager().and(b, valid);
         let loc = header_localize_with(space, s, &dag);
         assert_eq!(
@@ -2045,6 +2045,87 @@ mod ddnf {
         let mut space = PacketSpace::new();
         assert_localizes_one_leaf_lazily(&mut DstAddrSpace(&mut space));
         assert_localizes_one_leaf_lazily(&mut SrcAddrSpace(&mut space));
+    }
+
+    /// Localize a target equal to one of `ranges`, which must be pairwise
+    /// disjoint, and require the memo to hold entries only for nodes that
+    /// meet the target they were asked about: the root and that range's
+    /// node, not the other root children the query walked past.
+    fn assert_memo_holds_hits_only<E: RangeEncoder>(space: &mut E, ranges: &[PrefixRange]) {
+        let dag = RangeDag::build(space, ranges);
+        let (nodes, children) = skeleton(&dag);
+        let nodes = nodes.to_vec();
+        assert_eq!(
+            children[0].len(),
+            ranges.len(),
+            "every range is a root child"
+        );
+        let hit = ranges[ranges.len() / 2];
+        let valid = space.cell(&PrefixRange::universe(), &[]);
+        let b = space.cell(&hit, &[]);
+        let s = space.manager().and(b, valid);
+        let loc = header_localize_with(space, s, &dag);
+        assert_eq!(loc.included(), [hit]);
+        let keys = memo_keys(&dag);
+        for &(n, target) in &keys {
+            let set = space.cell(&nodes[n], &[]);
+            let meet = space.manager().and(set, target);
+            assert!(
+                !meet.is_const_false(),
+                "memo entry for {}, which misses its target",
+                nodes[n]
+            );
+        }
+        assert_eq!(keys.len(), 2, "the root and the hit child: {keys:?}");
+    }
+
+    /// `GetMatch` stores results, not misses: 64 disjoint `/8` root
+    /// children and a target inside one of them leave two memo entries.
+    #[test]
+    fn getmatch_memoizes_only_nodes_that_meet_their_target() {
+        let ranges: Vec<PrefixRange> = (1..=64u8)
+            .map(|i| PrefixRange::or_longer(Prefix::new(Ipv4Addr::new(i, 0, 0, 0), 8)))
+            .collect();
+        assert_memo_holds_hits_only(&mut route_space(), &ranges);
+        let mut space = PacketSpace::new();
+        assert_memo_holds_hits_only(&mut DstAddrSpace(&mut space), &ranges);
+        assert_memo_holds_hits_only(&mut SrcAddrSpace(&mut space), &ranges);
+    }
+
+    /// The route-space overlap test reads a node's length interval, not
+    /// only its address bits. `240.0.0.0/31:15-29` is covered exactly by
+    /// its children `15-25` and `20-29`, so its cell is empty, and the
+    /// target `240.0.0.0/31:30-31` sits at its address bits with lengths
+    /// outside its interval. Walking the address bits alone finds the two
+    /// meeting, and `GetMatch` then includes the empty term
+    /// `240.0.0.0/31:15-29 − (240.0.0.0/31:15-25, 240.0.0.0/31:20-29)`.
+    #[test]
+    fn route_space_overlap_reads_length_bounds() {
+        let r = |s: &str| s.parse::<PrefixRange>().unwrap();
+        let (covered, target) = (r("240.0.0.0/31:15-29"), r("240.0.0.0/31:30-31"));
+        let ranges = [
+            covered,
+            r("240.0.0.0/31:15-25"),
+            r("240.0.0.0/31:20-29"),
+            target,
+        ];
+        let mut space = route_space();
+        let s = space.cell(&target, &[]);
+        let dag = RangeDag::build(&mut space, &ranges);
+        let got = header_localize_with(&mut space, s, &dag);
+        assert_eq!(
+            got,
+            HeaderLocalization {
+                terms: vec![RangeTerm {
+                    base: target,
+                    minus: Vec::new(),
+                }],
+                exact: true,
+            }
+        );
+        let eager = RangeDag::build(&mut space, &ranges);
+        assert_eq!(got, header_localize_eager(&mut space, s, &eager));
+        assert!(!space.meets(&covered, s));
     }
 
     /// The IPv4 corners: /0, /32, adjacent blocks, duplicates, and

@@ -1,5 +1,6 @@
 //! The symbolic packet space for ACL analysis: the classic 5-tuple.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -18,24 +19,38 @@ use campion_net::{Flow, IpProtocol, PortRange, Prefix, WildcardMask};
 /// Public because the semantic layer aligns rule lists *syntactically* by
 /// this same canonical content (plus action) before building any BDDs —
 /// two rules with equal keys denote equal match sets by construction.
+///
+/// A key borrows the rule it keys; the rule cache stores an owned copy
+/// only when it misses.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct RuleKey {
-    protocols: Vec<IpProtocol>,
-    src: Vec<WildcardMask>,
-    dst: Vec<WildcardMask>,
-    src_ports: Vec<PortRange>,
-    dst_ports: Vec<PortRange>,
+pub struct RuleKey<'a> {
+    protocols: Cow<'a, [IpProtocol]>,
+    src: Cow<'a, [WildcardMask]>,
+    dst: Cow<'a, [WildcardMask]>,
+    src_ports: Cow<'a, [PortRange]>,
+    dst_ports: Cow<'a, [PortRange]>,
 }
 
-impl RuleKey {
-    /// The canonical match content of `rule`.
-    pub fn of(rule: &AclRuleIr) -> Self {
+impl<'a> RuleKey<'a> {
+    /// The canonical match content of `rule`, borrowed from it.
+    pub fn of(rule: &'a AclRuleIr) -> Self {
         RuleKey {
-            protocols: rule.protocols.clone(),
-            src: rule.src.clone(),
-            dst: rule.dst.clone(),
-            src_ports: rule.src_ports.clone(),
-            dst_ports: rule.dst_ports.clone(),
+            protocols: Cow::Borrowed(&rule.protocols),
+            src: Cow::Borrowed(&rule.src),
+            dst: Cow::Borrowed(&rule.dst),
+            src_ports: Cow::Borrowed(&rule.src_ports),
+            dst_ports: Cow::Borrowed(&rule.dst_ports),
+        }
+    }
+
+    /// The same key, owning its content.
+    fn into_owned(self) -> RuleKey<'static> {
+        RuleKey {
+            protocols: Cow::Owned(self.protocols.into_owned()),
+            src: Cow::Owned(self.src.into_owned()),
+            dst: Cow::Owned(self.dst.into_owned()),
+            src_ports: Cow::Owned(self.src_ports.into_owned()),
+            dst_ports: Cow::Owned(self.dst_ports.into_owned()),
         }
     }
 }
@@ -66,7 +81,7 @@ pub struct PacketSpace {
     pub manager: Manager,
     /// Memoized rule-condition BDDs keyed by canonical match content.
     /// [`PacketSpace::compact`] clears it.
-    rule_cache: HashMap<RuleKey, Bdd>,
+    rule_cache: HashMap<RuleKey<'static>, Bdd>,
     rule_cache_lookups: u64,
     rule_cache_hits: u64,
 }
@@ -115,12 +130,15 @@ impl PacketSpace {
     pub fn rule_bdd(&mut self, rule: &AclRuleIr) -> Bdd {
         let key = RuleKey::of(rule);
         self.rule_cache_lookups += 1;
-        if let Some(&b) = self.rule_cache.get(&key) {
+        // `HashMap` is covariant in its key, so the owned-key cache can be
+        // read through a borrowed key.
+        let cache: &HashMap<RuleKey<'_>, Bdd> = &self.rule_cache;
+        if let Some(&b) = cache.get(&key) {
             self.rule_cache_hits += 1;
             return b;
         }
         let b = self.rule_bdd_uncached(rule);
-        self.rule_cache.insert(key, b);
+        self.rule_cache.insert(key.into_owned(), b);
         b
     }
 

@@ -82,12 +82,7 @@ fn cmd_compare(args: &[String]) -> ExitCode {
         match a.as_str() {
             "--no-acls" => opts.check_acls = false,
             "--no-route-maps" => opts.check_route_maps = false,
-            "--no-structural" => {
-                opts.check_static_routes = false;
-                opts.check_connected_routes = false;
-                opts.check_bgp_properties = false;
-                opts.check_ospf = false;
-            }
+            "--no-structural" => opts.check_structural = false,
             "--exhaustive-communities" => opts.exhaustive_communities = true,
             "--stats" => show_stats = true,
             "--stats-json" => stats_json = true,

@@ -84,10 +84,7 @@ fn single_pair_intra_parallelism_is_deterministic() {
                 jobs,
                 check_acls: acls,
                 check_route_maps: !acls,
-                check_static_routes: false,
-                check_connected_routes: false,
-                check_bgp_properties: false,
-                check_ospf: false,
+                check_structural: false,
                 ..CampionOptions::default()
             };
             compare_routers(r1, r2, &opts).to_string()
@@ -113,10 +110,7 @@ fn pair_stats_count_presentation() {
     let (r1, r2) = (load(&c), load(&j));
     let opts = CampionOptions {
         check_route_maps: false,
-        check_static_routes: false,
-        check_connected_routes: false,
-        check_bgp_properties: false,
-        check_ospf: false,
+        check_structural: false,
         ..CampionOptions::default()
     };
     let report = compare_routers(&r1, &r2, &opts);

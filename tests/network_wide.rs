@@ -109,15 +109,25 @@ fn core_replacement_with_translation_preserves_network() {
     let junos_text = to_junos(&original).expect("translatable");
     let mut translated = load(&junos_text);
 
-    // Campion certifies the replacement (route maps, ACLs, statics, BGP
-    // properties; OSPF interface naming differs by vendor convention and is
-    // remapped below for the physical topology).
-    let opts = CampionOptions {
-        check_ospf: false,
-        ..CampionOptions::default()
-    };
-    let report = compare_routers(&original, &translated, &opts);
-    assert!(report.is_equivalent(), "{report}");
+    // Campion certifies the replacement: route maps, ACLs, statics and BGP
+    // properties agree. OSPF interface naming differs by vendor convention
+    // and is remapped below for the physical topology, so every structural
+    // finding must be an OSPF one.
+    let report = compare_routers(&original, &translated, &CampionOptions::default());
+    assert!(
+        report.route_map_diffs.is_empty()
+            && report.acl_diffs.is_empty()
+            && report.unmatched.is_empty(),
+        "{report}"
+    );
+    assert!(
+        !report.structural.is_empty()
+            && report
+                .structural
+                .iter()
+                .all(|f| f.component == "OSPF Properties"),
+        "{report}"
+    );
 
     // Align interface names with the physical links (the simulator keys
     // links by name; JunOS flattens to name.unit).

@@ -162,10 +162,7 @@ fn options_gate_each_check_independently() {
     let c = load(FIGURE1_CISCO);
     let j = load(FIGURE1_JUNIPER);
     let all_off = CampionOptions {
-        check_static_routes: false,
-        check_connected_routes: false,
-        check_bgp_properties: false,
-        check_ospf: false,
+        check_structural: false,
         check_route_maps: false,
         check_acls: false,
         ..CampionOptions::default()
