@@ -69,7 +69,11 @@ pub fn detect_vendor(text: &str) -> Vendor {
 /// Parse a configuration, auto-detecting the vendor.
 pub fn parse_config(text: &str) -> Result<VendorConfig, ParseError> {
     campion_trace::span!("cfg.parse");
-    match detect_vendor(text) {
+    let vendor = {
+        campion_trace::span!("cfg.detect");
+        detect_vendor(text)
+    };
+    match vendor {
         Vendor::CiscoIos => parse_cisco(text).map(VendorConfig::Cisco),
         Vendor::JuniperJunos => parse_juniper(text).map(VendorConfig::Juniper),
     }

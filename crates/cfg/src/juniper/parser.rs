@@ -6,6 +6,7 @@ use std::net::Ipv4Addr;
 use campion_net::{Community, IpProtocol, PortRange, Prefix};
 
 use super::ast::*;
+use super::setstyle::{looks_like_set_style, parse_set_style};
 use super::tree::{parse_tree, Stmt};
 use crate::error::ParseError;
 use crate::span::{SourceText, Span};
@@ -13,10 +14,13 @@ use crate::span::{SourceText, Span};
 /// Parse a Juniper JunOS configuration, in either the hierarchical brace
 /// form or the `set`-style flattened form (`| display set` output).
 pub fn parse_juniper(text: &str) -> Result<JuniperConfig, ParseError> {
-    let stmts = if super::setstyle::looks_like_set_style(text) {
-        super::setstyle::parse_set_style(text)?
-    } else {
-        parse_tree(text)?
+    let tree = {
+        campion_trace::span!("cfg.tree");
+        if looks_like_set_style(text) {
+            parse_set_style(text)?
+        } else {
+            parse_tree(text)?
+        }
     };
     let mut cfg = JuniperConfig {
         hostname: String::new(),
@@ -32,7 +36,7 @@ pub fn parse_juniper(text: &str) -> Result<JuniperConfig, ParseError> {
         interfaces: BTreeMap::new(),
         source: SourceText::new(text),
     };
-    for stmt in &stmts {
+    for stmt in tree.roots() {
         match stmt.keyword() {
             Some("system") => {
                 if let Some(hn) = stmt.find("host-name") {
@@ -50,27 +54,27 @@ pub fn parse_juniper(text: &str) -> Result<JuniperConfig, ParseError> {
     Ok(cfg)
 }
 
-fn err(stmt: &Stmt, msg: impl Into<String>) -> ParseError {
-    ParseError::at(stmt.span.start, msg.into())
+fn err(stmt: Stmt<'_>, msg: impl Into<String>) -> ParseError {
+    ParseError::at(stmt.span().start, msg.into())
 }
 
-fn parse_prefix(tok: &str, stmt: &Stmt) -> Result<Prefix, ParseError> {
+fn parse_prefix(tok: &str, stmt: Stmt<'_>) -> Result<Prefix, ParseError> {
     tok.parse()
         .map_err(|e: campion_net::ParseNetError| err(stmt, e.message))
 }
 
-fn parse_ip(tok: &str, stmt: &Stmt) -> Result<Ipv4Addr, ParseError> {
+fn parse_ip(tok: &str, stmt: Stmt<'_>) -> Result<Ipv4Addr, ParseError> {
     tok.parse()
         .map_err(|_| err(stmt, format!("bad IPv4 address {tok:?}")))
 }
 
-fn parse_u32(tok: &str, stmt: &Stmt, what: &str) -> Result<u32, ParseError> {
+fn parse_u32(tok: &str, stmt: Stmt<'_>, what: &str) -> Result<u32, ParseError> {
     tok.parse()
         .map_err(|_| err(stmt, format!("bad {what}: {tok:?}")))
 }
 
-fn extract_policy_options(po: &Stmt, cfg: &mut JuniperConfig) -> Result<(), ParseError> {
-    for child in &po.children {
+fn extract_policy_options(po: Stmt<'_>, cfg: &mut JuniperConfig) -> Result<(), ParseError> {
+    for child in po.children() {
         match child.keyword() {
             Some("prefix-list") => {
                 let name = child
@@ -80,18 +84,18 @@ fn extract_policy_options(po: &Stmt, cfg: &mut JuniperConfig) -> Result<(), Pars
                     .to_string();
                 let mut pl = JuniperPrefixList {
                     prefixes: Vec::new(),
-                    span: child.span,
+                    span: child.span(),
                 };
                 // Children are bare prefixes: `10.9.0.0/16;`
-                for p in &child.children {
+                for p in child.children() {
                     let tok = p
                         .keyword()
                         .ok_or_else(|| err(p, "empty prefix-list entry"))?;
-                    pl.prefixes.push((parse_prefix(tok, p)?, p.span));
+                    pl.prefixes.push((parse_prefix(tok, p)?, p.span()));
                 }
                 // Inline form: `prefix-list NETS [ 1.0.0.0/8 2.0.0.0/8 ];`
                 for tok in &child.args()[1..] {
-                    pl.prefixes.push((parse_prefix(tok, child)?, child.span));
+                    pl.prefixes.push((parse_prefix(tok, child)?, child.span()));
                 }
                 cfg.prefix_lists.insert(name, pl);
             }
@@ -125,7 +129,7 @@ fn extract_policy_options(po: &Stmt, cfg: &mut JuniperConfig) -> Result<(), Pars
                     JuniperCommunity {
                         members,
                         regexes,
-                        span: child.span,
+                        span: child.span(),
                     },
                 );
             }
@@ -144,13 +148,13 @@ fn extract_policy_options(po: &Stmt, cfg: &mut JuniperConfig) -> Result<(), Pars
     Ok(())
 }
 
-fn extract_policy_statement(ps: &Stmt) -> Result<PolicyStatement, ParseError> {
+fn extract_policy_statement(ps: Stmt<'_>) -> Result<PolicyStatement, ParseError> {
     let mut out = PolicyStatement {
         terms: Vec::new(),
-        span: ps.span,
+        span: ps.span(),
     };
-    let mut anonymous = Vec::new();
-    for child in &ps.children {
+    let mut anonymous: Option<Span> = None;
+    for child in ps.children() {
         match child.keyword() {
             Some("term") => {
                 let name = child
@@ -159,47 +163,49 @@ fn extract_policy_statement(ps: &Stmt) -> Result<PolicyStatement, ParseError> {
                     .copied()
                     .unwrap_or("__anonymous")
                     .to_string();
-                out.terms.push(extract_policy_term(child, name)?);
+                out.terms
+                    .push(extract_policy_term(child.children(), name, child.span())?);
             }
             // A policy-statement may have top-level from/then (an unnamed
             // single term).
-            Some("from") | Some("then") => anonymous.push(child.clone()),
+            Some("from") | Some("then") => {
+                anonymous = Some(anonymous.map_or(child.span(), |s| s.merge(child.span())));
+            }
             _ => {}
         }
     }
-    if !anonymous.is_empty() {
-        let span = anonymous
-            .iter()
-            .map(|s| s.span)
-            .reduce(Span::merge)
-            .expect("nonempty");
-        let wrapper = Stmt {
-            words: vec!["term", "__unnamed"],
-            children: anonymous,
+    if let Some(span) = anonymous {
+        // A term reads only its from/then children, so the statement's own
+        // children are the unnamed term's.
+        out.terms.push(extract_policy_term(
+            ps.children(),
+            "__unnamed".to_string(),
             span,
-        };
-        out.terms
-            .push(extract_policy_term(&wrapper, "__unnamed".to_string())?);
+        )?);
     }
     Ok(out)
 }
 
-fn extract_policy_term(term: &Stmt, name: String) -> Result<PolicyTerm, ParseError> {
+fn extract_policy_term<'t>(
+    clauses: impl Iterator<Item = Stmt<'t>>,
+    name: String,
+    span: Span,
+) -> Result<PolicyTerm, ParseError> {
     let mut t = PolicyTerm {
         name,
         from: Vec::new(),
         then: Vec::new(),
-        span: term.span,
+        span,
     };
-    for child in &term.children {
+    for child in clauses {
         match child.keyword() {
             Some("from") => {
                 if child.is_leaf() {
                     // Inline: `from prefix-list NETS;`
                     t.from.push(from_clause_words(child, child.args())?);
                 } else {
-                    for f in &child.children {
-                        t.from.push(from_clause_words(f, &f.words)?);
+                    for f in child.children() {
+                        t.from.push(from_clause_words(f, f.words())?);
                     }
                 }
             }
@@ -207,8 +213,8 @@ fn extract_policy_term(term: &Stmt, name: String) -> Result<PolicyTerm, ParseErr
                 if child.is_leaf() {
                     t.then.push(then_clause_words(child, child.args())?);
                 } else {
-                    for a in &child.children {
-                        t.then.push(then_clause_words(a, &a.words)?);
+                    for a in child.children() {
+                        t.then.push(then_clause_words(a, a.words())?);
                     }
                 }
             }
@@ -218,7 +224,10 @@ fn extract_policy_term(term: &Stmt, name: String) -> Result<PolicyTerm, ParseErr
     Ok(t)
 }
 
-fn route_filter_modifier(words: &[&str], stmt: &Stmt) -> Result<RouteFilterModifier, ParseError> {
+fn route_filter_modifier(
+    words: &[&str],
+    stmt: Stmt<'_>,
+) -> Result<RouteFilterModifier, ParseError> {
     match words.first().copied() {
         Some("exact") | None => Ok(RouteFilterModifier::Exact),
         Some("orlonger") => Ok(RouteFilterModifier::OrLonger),
@@ -255,7 +264,7 @@ fn route_filter_modifier(words: &[&str], stmt: &Stmt) -> Result<RouteFilterModif
     }
 }
 
-fn from_clause_words(stmt: &Stmt, words: &[&str]) -> Result<FromClause, ParseError> {
+fn from_clause_words(stmt: Stmt<'_>, words: &[&str]) -> Result<FromClause, ParseError> {
     match words.first().copied() {
         Some("prefix-list") => {
             let name = words
@@ -303,7 +312,7 @@ fn from_clause_words(stmt: &Stmt, words: &[&str]) -> Result<FromClause, ParseErr
     }
 }
 
-fn then_clause_words(stmt: &Stmt, words: &[&str]) -> Result<ThenClause, ParseError> {
+fn then_clause_words(stmt: Stmt<'_>, words: &[&str]) -> Result<ThenClause, ParseError> {
     match words.first().copied() {
         Some("accept") => Ok(ThenClause::Accept),
         Some("reject") => Ok(ThenClause::Reject),
@@ -361,11 +370,11 @@ fn then_clause_words(stmt: &Stmt, words: &[&str]) -> Result<ThenClause, ParseErr
     }
 }
 
-fn extract_firewall(fw: &Stmt, cfg: &mut JuniperConfig) -> Result<(), ParseError> {
+fn extract_firewall(fw: Stmt<'_>, cfg: &mut JuniperConfig) -> Result<(), ParseError> {
     // firewall { family inet { filter NAME { term ... } } }
     // Also accept `firewall { filter NAME {...} }` (older syntax).
-    let mut filters: Vec<&Stmt> = Vec::new();
-    for child in &fw.children {
+    let mut filters: Vec<Stmt<'_>> = Vec::new();
+    for child in fw.children() {
         match child.keyword() {
             Some("family") if child.args().first().copied() == Some("inet") => {
                 filters.extend(child.find_all("filter"));
@@ -382,7 +391,7 @@ fn extract_firewall(fw: &Stmt, cfg: &mut JuniperConfig) -> Result<(), ParseError
             .to_string();
         let mut filter = FirewallFilter {
             terms: Vec::new(),
-            span: f.span,
+            span: f.span(),
         };
         for term in f.find_all("term") {
             let tname = term
@@ -398,87 +407,81 @@ fn extract_firewall(fw: &Stmt, cfg: &mut JuniperConfig) -> Result<(), ParseError
     Ok(())
 }
 
-fn extract_filter_term(term: &Stmt, name: String) -> Result<FilterTerm, ParseError> {
+fn extract_filter_term(term: Stmt<'_>, name: String) -> Result<FilterTerm, ParseError> {
     let mut from = FilterFrom::default();
+    // Terms with only counters default to accept.
     let mut action = FilterAction::Accept;
-    let mut saw_action = false;
-    for child in &term.children {
+    for child in term.children() {
         match child.keyword() {
             Some("from") => {
-                for cond in &child.children {
-                    filter_condition(cond, &mut from)?;
+                for cond in child.children() {
+                    filter_condition(cond, cond.words(), &mut from)?;
                 }
                 if child.is_leaf() && !child.args().is_empty() {
-                    // Inline single condition.
-                    let wrapper = Stmt {
-                        words: child.args().to_vec(),
-                        children: vec![],
-                        span: child.span,
-                    };
-                    filter_condition(&wrapper, &mut from)?;
+                    // Inline single condition: `from <cond>;`.
+                    filter_condition(child, child.args(), &mut from)?;
                 }
             }
             Some("then") => {
-                let words: Vec<&str> = if child.is_leaf() {
-                    child.args().to_vec()
+                if child.is_leaf() {
+                    for w in child.args() {
+                        filter_action(w, child, &mut action)?;
+                    }
                 } else {
-                    child.children.iter().filter_map(|c| c.keyword()).collect()
-                };
-                for w in words {
-                    match w {
-                        "accept" => {
-                            action = FilterAction::Accept;
-                            saw_action = true;
-                        }
-                        "discard" | "reject" => {
-                            action = FilterAction::Discard;
-                            saw_action = true;
-                        }
-                        "count" | "log" | "syslog" | "sample" => {}
-                        other => {
-                            return Err(err(child, format!("unsupported filter action {other:?}")))
-                        }
+                    for w in child.children().filter_map(Stmt::keyword) {
+                        filter_action(w, child, &mut action)?;
                     }
                 }
             }
             _ => {}
         }
     }
-    let _ = saw_action; // terms with only counters default to accept
     Ok(FilterTerm {
         name,
         from,
         action,
-        span: term.span,
+        span: term.span(),
     })
 }
 
-fn filter_condition(cond: &Stmt, from: &mut FilterFrom) -> Result<(), ParseError> {
-    let kw = cond.keyword().ok_or_else(|| err(cond, "empty condition"))?;
-    match kw {
-        "source-address" => {
-            for a in addr_args(cond)? {
-                from.src_addrs.push(a);
-            }
-        }
-        "destination-address" => {
-            for a in addr_args(cond)? {
-                from.dst_addrs.push(a);
-            }
-        }
+/// Apply one word of a term's `then` to its action.
+fn filter_action(word: &str, then: Stmt<'_>, action: &mut FilterAction) -> Result<(), ParseError> {
+    match word {
+        "accept" => *action = FilterAction::Accept,
+        "discard" | "reject" => *action = FilterAction::Discard,
+        "count" | "log" | "syslog" | "sample" => {}
+        other => return Err(err(then, format!("unsupported filter action {other:?}"))),
+    }
+    Ok(())
+}
+
+/// One match condition, `words` with its keyword first, of statement
+/// `cond`: its own words, or those after `from` in the inline form (a
+/// leaf, so its children are none).
+fn filter_condition(
+    cond: Stmt<'_>,
+    words: &[&str],
+    from: &mut FilterFrom,
+) -> Result<(), ParseError> {
+    let (kw, args) = words
+        .split_first()
+        .ok_or_else(|| err(cond, "empty condition"))?;
+    match *kw {
+        "source-address" => addr_args(cond, args, &mut from.src_addrs)?,
+        "destination-address" => addr_args(cond, args, &mut from.dst_addrs)?,
         "protocol" => {
-            for p in cond.args() {
+            for p in args {
                 from.protocols
                     .push(p.parse::<IpProtocol>().map_err(|e| err(cond, e.message))?);
             }
         }
         "source-port" => {
-            for r in cond.args() {
+            for r in args {
                 from.src_ports.push(port_range(r, cond)?);
             }
         }
         "destination-port" => {
-            for r in cond.args() {
+            for r in args {
                 from.dst_ports.push(port_range(r, cond)?);
             }
         }
@@ -488,22 +491,22 @@ fn filter_condition(cond: &Stmt, from: &mut FilterFrom) -> Result<(), ParseError
 }
 
 /// Addresses can be inline args or child statements (one per line).
-fn addr_args(cond: &Stmt) -> Result<Vec<Prefix>, ParseError> {
-    let mut out = Vec::new();
-    for a in cond.args() {
+fn addr_args(cond: Stmt<'_>, args: &[&str], out: &mut Vec<Prefix>) -> Result<(), ParseError> {
+    let before = out.len();
+    for a in args {
         out.push(parse_prefix(a, cond)?);
     }
-    for c in &cond.children {
+    for c in cond.children() {
         let tok = c.keyword().ok_or_else(|| err(c, "empty address entry"))?;
         out.push(parse_prefix(tok, c)?);
     }
-    if out.is_empty() {
+    if out.len() == before {
         return Err(err(cond, "address condition without addresses"));
     }
-    Ok(out)
+    Ok(())
 }
 
-fn port_range(tok: &str, stmt: &Stmt) -> Result<PortRange, ParseError> {
+fn port_range(tok: &str, stmt: Stmt<'_>) -> Result<PortRange, ParseError> {
     if let Some((a, b)) = tok.split_once('-') {
         let lo: u16 = a
             .parse()
@@ -536,7 +539,7 @@ fn port_range(tok: &str, stmt: &Stmt) -> Result<PortRange, ParseError> {
     }
 }
 
-fn extract_routing_options(ro: &Stmt, cfg: &mut JuniperConfig) -> Result<(), ParseError> {
+fn extract_routing_options(ro: Stmt<'_>, cfg: &mut JuniperConfig) -> Result<(), ParseError> {
     if let Some(asys) = ro.find("autonomous-system") {
         if let Some(v) = asys.args().first() {
             cfg.autonomous_system = Some(parse_u32(v, asys, "autonomous-system")?);
@@ -555,7 +558,7 @@ fn extract_routing_options(ro: &Stmt, cfg: &mut JuniperConfig) -> Result<(), Par
     Ok(())
 }
 
-fn extract_static_route(route: &Stmt) -> Result<JuniperStaticRoute, ParseError> {
+fn extract_static_route(route: Stmt<'_>) -> Result<JuniperStaticRoute, ParseError> {
     let args = route.args();
     let p = args
         .first()
@@ -567,7 +570,7 @@ fn extract_static_route(route: &Stmt) -> Result<JuniperStaticRoute, ParseError> 
         preference: 5,
         tag: None,
         discard: false,
-        span: route.span,
+        span: route.span(),
     };
     // Inline form: route P next-hop X; or route P discard;
     let mut i = 1;
@@ -605,7 +608,7 @@ fn extract_static_route(route: &Stmt) -> Result<JuniperStaticRoute, ParseError> 
         }
     }
     // Block form children.
-    for c in &route.children {
+    for c in route.children() {
         match c.keyword() {
             Some("next-hop") => {
                 r.next_hop = Some(parse_ip(
@@ -641,14 +644,14 @@ fn extract_static_route(route: &Stmt) -> Result<JuniperStaticRoute, ParseError> 
     Ok(r)
 }
 
-fn extract_protocols(protos: &Stmt, cfg: &mut JuniperConfig) -> Result<(), ParseError> {
-    for child in &protos.children {
+fn extract_protocols(protos: Stmt<'_>, cfg: &mut JuniperConfig) -> Result<(), ParseError> {
+    for child in protos.children() {
         match child.keyword() {
             Some("bgp") => {
                 let mut bgp = JuniperBgp {
                     local_as: cfg.autonomous_system,
                     groups: BTreeMap::new(),
-                    span: child.span,
+                    span: child.span(),
                 };
                 for g in child.find_all("group") {
                     let name = g
@@ -674,7 +677,7 @@ fn owned(words: &[&str]) -> Vec<String> {
     words.iter().map(|w| w.to_string()).collect()
 }
 
-fn extract_bgp_group(g: &Stmt) -> Result<JuniperBgpGroup, ParseError> {
+fn extract_bgp_group(g: Stmt<'_>) -> Result<JuniperBgpGroup, ParseError> {
     let mut group = JuniperBgpGroup {
         internal: false,
         cluster: None,
@@ -682,9 +685,9 @@ fn extract_bgp_group(g: &Stmt) -> Result<JuniperBgpGroup, ParseError> {
         export: Vec::new(),
         peer_as: None,
         neighbors: BTreeMap::new(),
-        span: g.span,
+        span: g.span(),
     };
-    for c in &g.children {
+    for c in g.children() {
         match c.keyword() {
             Some("type") => {
                 group.internal = c.args().first().copied() == Some("internal");
@@ -718,9 +721,9 @@ fn extract_bgp_group(g: &Stmt) -> Result<JuniperBgpGroup, ParseError> {
                     peer_as: None,
                     import: Vec::new(),
                     export: Vec::new(),
-                    span: c.span,
+                    span: c.span(),
                 };
-                for nc in &c.children {
+                for nc in c.children() {
                     match nc.keyword() {
                         Some("import") => nb.import = owned(nc.args()),
                         Some("export") => nb.export = owned(nc.args()),
@@ -744,14 +747,14 @@ fn extract_bgp_group(g: &Stmt) -> Result<JuniperBgpGroup, ParseError> {
     Ok(group)
 }
 
-fn extract_ospf(o: &Stmt) -> Result<JuniperOspf, ParseError> {
+fn extract_ospf(o: Stmt<'_>) -> Result<JuniperOspf, ParseError> {
     let mut ospf = JuniperOspf {
         reference_bandwidth: None,
         export: Vec::new(),
         areas: BTreeMap::new(),
-        span: o.span,
+        span: o.span(),
     };
-    for c in &o.children {
+    for c in o.children() {
         match c.keyword() {
             Some("reference-bandwidth") => {
                 let v = c
@@ -775,12 +778,12 @@ fn extract_ospf(o: &Stmt) -> Result<JuniperOspf, ParseError> {
                         name,
                         metric: None,
                         passive: false,
-                        span: i.span,
+                        span: i.span(),
                     };
                     if i.args().get(1).copied() == Some("passive") {
                         oi.passive = true;
                     }
-                    for ic in &i.children {
+                    for ic in i.children() {
                         match ic.keyword() {
                             Some("metric") => {
                                 oi.metric = Some(parse_u32(
@@ -806,7 +809,7 @@ fn extract_ospf(o: &Stmt) -> Result<JuniperOspf, ParseError> {
 }
 
 /// Areas may be integers or dotted quads.
-fn parse_area(tok: &str, stmt: &Stmt) -> Result<u32, ParseError> {
+fn parse_area(tok: &str, stmt: Stmt<'_>) -> Result<u32, ParseError> {
     if let Ok(v) = tok.parse::<u32>() {
         return Ok(v);
     }
@@ -817,7 +820,7 @@ fn parse_area(tok: &str, stmt: &Stmt) -> Result<u32, ParseError> {
 }
 
 /// Bandwidths accept `1g`, `100m`, `10k` suffixes; plain numbers are bps.
-fn parse_bandwidth(tok: &str, stmt: &Stmt) -> Result<u64, ParseError> {
+fn parse_bandwidth(tok: &str, stmt: Stmt<'_>) -> Result<u64, ParseError> {
     let (digits, mult) = match tok.chars().last() {
         Some('g') | Some('G') => (&tok[..tok.len() - 1], 1_000_000_000),
         Some('m') | Some('M') => (&tok[..tok.len() - 1], 1_000_000),
@@ -830,17 +833,17 @@ fn parse_bandwidth(tok: &str, stmt: &Stmt) -> Result<u64, ParseError> {
         .map_err(|_| err(stmt, format!("bad bandwidth {tok:?}")))
 }
 
-fn extract_interfaces(ifs: &Stmt, cfg: &mut JuniperConfig) -> Result<(), ParseError> {
-    for i in &ifs.children {
+fn extract_interfaces(ifs: Stmt<'_>, cfg: &mut JuniperConfig) -> Result<(), ParseError> {
+    for i in ifs.children() {
         let Some(name) = i.keyword() else { continue };
         let mut iface = JuniperInterface {
             name: name.to_string(),
             disabled: false,
             description: None,
             units: BTreeMap::new(),
-            span: i.span,
+            span: i.span(),
         };
-        for c in &i.children {
+        for c in i.children() {
             match c.keyword() {
                 Some("disable") => iface.disabled = true,
                 Some("description") => {
@@ -857,11 +860,11 @@ fn extract_interfaces(ifs: &Stmt, cfg: &mut JuniperConfig) -> Result<(), ParseEr
                         address: None,
                         filter_in: None,
                         filter_out: None,
-                        span: c.span,
+                        span: c.span(),
                     };
                     if let Some(fam) = c.find("family") {
                         if fam.args().first().copied() == Some("inet") {
-                            for fc in &fam.children {
+                            for fc in fam.children() {
                                 match fc.keyword() {
                                     Some("address") => {
                                         let a = fc
@@ -878,7 +881,7 @@ fn extract_interfaces(ifs: &Stmt, cfg: &mut JuniperConfig) -> Result<(), ParseEr
                                         unit.address = Some((ip, Prefix::new(ip, len)));
                                     }
                                     Some("filter") => {
-                                        for f in &fc.children {
+                                        for f in fc.children() {
                                             match f.keyword() {
                                                 Some("input") => {
                                                     unit.filter_in =

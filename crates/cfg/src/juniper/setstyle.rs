@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use crate::error::ParseError;
 use crate::span::Span;
 
-use super::tree::Stmt;
+use super::tree::{check_size, index, Entry, Tree};
 
 /// Containers that take `n` name arguments (at most one) and then nest
 /// further.
@@ -91,8 +91,9 @@ pub fn looks_like_set_style(text: &str) -> bool {
 
 /// Convert `set`-style lines into a statement tree whose words borrow
 /// from `text`.
-pub fn parse_set_style(text: &str) -> Result<Vec<Stmt<'_>>, ParseError> {
-    let mut tree = SetTree::default();
+pub fn parse_set_style(text: &str) -> Result<Tree<'_>, ParseError> {
+    check_size(text)?;
+    let mut fold = Fold::default();
     let mut tokens = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let line_no = i as u32 + 1;
@@ -104,9 +105,9 @@ pub fn parse_set_style(text: &str) -> Result<Vec<Stmt<'_>>, ParseError> {
             return Err(ParseError::at(line_no, "expected a `set` command"));
         };
         tokenize(rest, line_no, &mut tokens)?;
-        tree.insert_path(&tokens, line_no);
+        fold.insert_path(&tokens, line_no);
     }
-    Ok(tree.roots)
+    Ok(fold.finish())
 }
 
 /// Split on whitespace into `out`, honoring quoted strings and `[ ... ]`
@@ -141,30 +142,32 @@ fn tokenize<'a>(rest: &'a str, line: u32, out: &mut Vec<&'a str>) -> Result<(), 
     Ok(())
 }
 
-/// A container's identity among its siblings: its parent's id, then its
-/// head words (a keyword and at most one name, see [`container_arity`]).
-type ContainerKey<'a> = (usize, &'a str, Option<&'a str>);
+/// A container's identity among its siblings: its parent (see
+/// [`Fold::stmts`]), then its head words (a keyword and at most one name,
+/// see [`container_arity`]).
+type ContainerKey<'a> = (u32, &'a str, Option<&'a str>);
 
 /// The tree under construction, with an index of its containers.
 ///
 /// Finding the container a `set` line continues is a hash lookup rather
 /// than a scan of its siblings, so folding a flattened config stays
-/// linear in its size. The index exists only while folding: the finished
-/// statements are the same plain [`Stmt`]s, in the same order.
+/// linear in its size. The index exists only while folding: [`Fold::finish`]
+/// lays the statements out as a plain [`Tree`], children in order.
 #[derive(Default)]
-struct SetTree<'a> {
-    roots: Vec<Stmt<'a>>,
-    /// Each container's position among its siblings, and its own id (the
-    /// roots' parent id is 0).
-    containers: HashMap<ContainerKey<'a>, (usize, usize)>,
+struct Fold<'a> {
+    words: Vec<&'a str>,
+    /// Every statement in creation order, with its parent: 0 for a root,
+    /// `k + 1` for the statement at `k`.
+    stmts: Vec<(Entry, u32)>,
+    /// Each container's position in `stmts`.
+    containers: HashMap<ContainerKey<'a>, u32>,
 }
 
-impl<'a> SetTree<'a> {
+impl<'a> Fold<'a> {
     /// Walk the token path, descending through known containers and
     /// attaching the remainder as one leaf statement.
     fn insert_path(&mut self, tokens: &[&'a str], line: u32) {
-        let containers = &mut self.containers;
-        let mut current = (&mut self.roots, 0);
+        let mut parent = 0;
         let mut idx = 0;
         while idx < tokens.len() {
             let kw = tokens[idx];
@@ -173,13 +176,12 @@ impl<'a> SetTree<'a> {
             }
             match container_arity(kw) {
                 Some(arity) if idx + arity < tokens.len() => {
-                    let head = &tokens[idx..=idx + arity];
-                    current = descend(containers, current, head, line);
+                    parent = self.descend(parent, &tokens[idx..=idx + arity], line);
                     idx += arity + 1;
                     // Inside `interfaces`, the next token is the interface
                     // name (a container with no keyword of its own).
                     if kw == "interfaces" && idx < tokens.len() {
-                        current = descend(containers, current, &tokens[idx..=idx], line);
+                        parent = self.descend(parent, &tokens[idx..=idx], line);
                         idx += 1;
                     }
                 }
@@ -187,43 +189,89 @@ impl<'a> SetTree<'a> {
             }
         }
         if idx < tokens.len() {
-            current.0.push(Stmt {
-                words: tokens[idx..].to_vec(),
-                children: Vec::new(),
-                span: Span::line(line),
-            });
+            push(
+                &mut self.words,
+                &mut self.stmts,
+                parent,
+                &tokens[idx..],
+                line,
+            );
+        }
+    }
+
+    /// Find or create the child container of `parent` whose words are
+    /// `head`, stretch its span over `line`, and return it as a parent.
+    fn descend(&mut self, parent: u32, head: &[&'a str], line: u32) -> u32 {
+        debug_assert!(
+            head.len() <= 2,
+            "container heads are a keyword and at most one name"
+        );
+        let Fold {
+            words,
+            stmts,
+            containers,
+        } = self;
+        let pos = *containers
+            .entry((parent, head[0], head.get(1).copied()))
+            .or_insert_with(|| push(words, stmts, parent, head, line));
+        // Containers created by earlier lines keep their original span
+        // start; extend the end to cover this line.
+        let span = &mut stmts[pos as usize].0.span;
+        *span = span.merge(Span::line(line));
+        pos + 1
+    }
+
+    /// Lay the statements out as a [`Tree`]: a counting sort by parent,
+    /// stable in creation order, makes each statement's children one
+    /// contiguous run, in the order the lines introduced them.
+    fn finish(self) -> Tree<'a> {
+        let n = self.stmts.len();
+        // `first[p]` is where parent `p`'s children start; `first[p + 1]`,
+        // where they end.
+        let mut first = vec![0; n + 2];
+        for &(_, parent) in &self.stmts {
+            first[parent as usize + 1] += 1;
+        }
+        for p in 1..first.len() {
+            first[p] += first[p - 1];
+        }
+        let mut next = first[..=n].to_vec();
+        let mut entries = vec![Entry::default(); n];
+        for (k, &(entry, parent)) in self.stmts.iter().enumerate() {
+            let at = &mut next[parent as usize];
+            entries[*at as usize] = Entry {
+                children: [first[k + 1], first[k + 2]],
+                ..entry
+            };
+            *at += 1;
+        }
+        Tree {
+            words: self.words,
+            entries,
+            roots: [first[0], first[1]],
         }
     }
 }
 
-/// Find or create the child container of `(level, parent)` whose words are
-/// `head`, stretch its span over `line`, and return its children and id.
-fn descend<'t, 'a>(
-    containers: &mut HashMap<ContainerKey<'a>, (usize, usize)>,
-    (level, parent): (&'t mut Vec<Stmt<'a>>, usize),
-    head: &[&'a str],
+/// Append a statement of `words` under `parent` and return its position.
+fn push<'a>(
+    words: &mut Vec<&'a str>,
+    stmts: &mut Vec<(Entry, u32)>,
+    parent: u32,
+    stmt_words: &[&'a str],
     line: u32,
-) -> (&'t mut Vec<Stmt<'a>>, usize) {
-    debug_assert!(
-        head.len() <= 2,
-        "container heads are a keyword and at most one name"
-    );
-    let next_id = containers.len() + 1;
-    let &mut (pos, id) = containers
-        .entry((parent, head[0], head.get(1).copied()))
-        .or_insert_with(|| {
-            level.push(Stmt {
-                words: head.to_vec(),
-                children: Vec::new(),
-                span: Span::line(line),
-            });
-            (level.len() - 1, next_id)
-        });
-    // Containers created by earlier lines keep their original span start;
-    // extend the end to cover this line.
-    let container = &mut level[pos];
-    container.span = container.span.merge(Span::line(line));
-    (&mut container.children, id)
+) -> u32 {
+    let start = index(words.len());
+    words.extend_from_slice(stmt_words);
+    stmts.push((
+        Entry {
+            words: [start, index(words.len())],
+            children: [0, 0],
+            span: Span::line(line),
+        },
+        parent,
+    ));
+    index(stmts.len() - 1)
 }
 
 /// The owned-token, sibling-scanning fold this module replaced, kept as a
@@ -391,7 +439,11 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        // At least 256 cases; honor a larger PROPTEST_CASES from the
+        // environment.
+        #![proptest_config(ProptestConfig::with_cases(
+            ProptestConfig::default().cases.max(256)
+        ))]
 
         /// The indexed fold builds the sibling-scanning fold's tree, or
         /// fails with its error.

@@ -112,7 +112,11 @@ pub(crate) fn mutated(base: &'static str) -> impl Strategy<Value = String> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    // At least 256 cases; honor a larger PROPTEST_CASES from the
+    // environment.
+    #![proptest_config(ProptestConfig::with_cases(
+        ProptestConfig::default().cases.max(256)
+    ))]
 
     #[test]
     fn cisco_parser_never_panics_on_word_soup(input in soup(CISCO_WORDS)) {

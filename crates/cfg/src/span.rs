@@ -281,7 +281,11 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        // At least 256 cases; honor a larger PROPTEST_CASES from the
+        // environment.
+        #![proptest_config(ProptestConfig::with_cases(
+            ProptestConfig::default().cases.max(256)
+        ))]
 
         #[test]
         fn lines_follow_str_lines_on_arbitrary_text(text in "\\PC*") {

@@ -1,10 +1,11 @@
 //! Allocation budget of the configuration front end.
 //!
-//! The JunOS parser borrows every token from the input text and copies out
-//! only the names the typed AST keeps, and a lowered model shares its
-//! config's source buffer instead of copying it line by line. These
-//! assertions pin that: an owned-token parser allocates several times per
-//! statement, and a line-by-line copy allocates once per line.
+//! The JunOS parser borrows every token from the input text into one flat
+//! statement tree and copies out only the names the typed AST keeps, and a
+//! lowered model shares its config's source buffer instead of copying it
+//! line by line. These assertions pin that: a tree that allocates per
+//! statement makes more than two allocations each, and a line-by-line copy
+//! allocates once per line.
 //!
 //! The counting allocator sees every thread of the process, so this file
 //! holds a single test and runs alone in its own binary.
@@ -57,17 +58,18 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
 }
 
-fn count_statements(stmts: &[Stmt<'_>]) -> usize {
-    stmts
-        .iter()
-        .map(|s| 1 + count_statements(&s.children))
-        .sum()
+fn count_statements<'t>(stmts: impl Iterator<Item = Stmt<'t>>) -> usize {
+    stmts.map(|s| 1 + count_statements(s.children())).sum()
 }
 
 #[test]
 fn front_end_allocates_per_statement_and_line_within_budget() {
     let (_, juniper) = capirca_acl_pair(2000, 10, 0x5EED_2000);
-    let statements = count_statements(&parse_tree(&juniper).expect("generated JunOS parses"));
+    let statements = count_statements(
+        parse_tree(&juniper)
+            .expect("generated JunOS parses")
+            .roots(),
+    );
     let lines = juniper.lines().count();
 
     let (cfg, parse_allocs) =
@@ -75,11 +77,15 @@ fn front_end_allocates_per_statement_and_line_within_budget() {
     let (router, lower_allocs) = allocations_during(|| lower(&cfg).expect("lowerable"));
     assert_eq!(router.acls["ACL-GEN"].rules.len(), 2001);
 
+    // The flat tree allocates only as its two vectors grow, so nearly all
+    // of the 0.65 per statement measured here are the typed AST's names and
+    // lists; the budget leaves about 20 % headroom over that. A tree that
+    // allocates per statement (2.43 each) fails it.
     let per_statement = parse_allocs as f64 / statements as f64;
     assert!(
-        per_statement < 3.0,
+        per_statement < 0.8,
         "parse made {parse_allocs} allocations for {statements} statements \
-         ({per_statement:.2} each, budget < 3)"
+         ({per_statement:.2} each, budget < 0.8)"
     );
     assert!(
         lower_allocs < lines,

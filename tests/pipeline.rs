@@ -174,10 +174,10 @@ fn options_gate_each_check_independently() {
 /// Render brace-form JunOS as the `set` commands `| display set` prints:
 /// one line per leaf, prefixed by the words of its enclosing stanzas.
 fn display_set(text: &str) -> String {
-    fn walk(stmts: &[Stmt<'_>], path: &mut Vec<String>, out: &mut String) {
+    fn walk<'t>(stmts: impl Iterator<Item = Stmt<'t>>, path: &mut Vec<String>, out: &mut String) {
         for s in stmts {
             let depth = path.len();
-            path.extend(s.words.iter().map(|w| {
+            path.extend(s.words().iter().map(|w| {
                 if w.contains(char::is_whitespace) {
                     format!("\"{w}\"")
                 } else {
@@ -189,14 +189,14 @@ fn display_set(text: &str) -> String {
                 out.push_str(&path.join(" "));
                 out.push('\n');
             } else {
-                walk(&s.children, path, out);
+                walk(s.children(), path, out);
             }
             path.truncate(depth);
         }
     }
     let mut out = String::new();
     walk(
-        &parse_tree(text).expect("brace form parses"),
+        parse_tree(text).expect("brace form parses").roots(),
         &mut Vec::new(),
         &mut out,
     );
