@@ -1,9 +1,12 @@
 //! The Cisco IOS parser: a single pass over the configuration lines.
 
 use std::collections::BTreeMap;
+use std::iter::{Peekable, Zip};
 use std::net::Ipv4Addr;
+use std::ops::RangeFrom;
+use std::str::Lines;
 
-use campion_net::{Community, IpProtocol, PortRange, Prefix, WildcardMask};
+use campion_net::{service_port, Community, IpProtocol, PortRange, Prefix, WildcardMask};
 
 use super::ast::*;
 use crate::error::ParseError;
@@ -19,10 +22,8 @@ pub fn parse_cisco(text: &str) -> Result<CiscoConfig, ParseError> {
 }
 
 struct Parser<'a> {
-    /// (1-based line number, raw text) for every line.
-    lines: Vec<(u32, &'a str)>,
-    /// Cursor into `lines`.
-    pos: usize,
+    /// (1-based line number, raw text) for each line not yet read.
+    lines: Peekable<Zip<RangeFrom<u32>, Lines<'a>>>,
     cfg: CiscoConfig,
 }
 
@@ -62,42 +63,17 @@ fn parse_action(tok: &str, line: u32) -> Result<LineAction, ParseError> {
     }
 }
 
-/// Well-known service names accepted in `eq`/`range` port specs.
+/// A port in an `eq`/`range` spec: a number or a well-known service name.
 fn parse_port(tok: &str, line: u32) -> Result<u16, ParseError> {
-    let named = match tok {
-        "ftp-data" => Some(20),
-        "ftp" => Some(21),
-        "ssh" => Some(22),
-        "telnet" => Some(23),
-        "smtp" => Some(25),
-        "domain" => Some(53),
-        "tftp" => Some(69),
-        "www" | "http" => Some(80),
-        "pop3" => Some(110),
-        "ntp" => Some(123),
-        "snmp" => Some(161),
-        "bgp" => Some(179),
-        "https" => Some(443),
-        "syslog" => Some(514),
-        _ => None,
-    };
-    if let Some(p) = named {
-        return Ok(p);
-    }
-    tok.parse()
-        .map_err(|_| ParseError::at(line, format!("bad port: {tok:?}")))
+    service_port(tok)
+        .or_else(|| tok.parse().ok())
+        .ok_or_else(|| ParseError::at(line, format!("bad port: {tok:?}")))
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        let lines = text
-            .lines()
-            .enumerate()
-            .map(|(i, l)| (i as u32 + 1, l))
-            .collect();
         Parser {
-            lines,
-            pos: 0,
+            lines: (1..).zip(text.lines()).peekable(),
             cfg: CiscoConfig {
                 hostname: String::new(),
                 prefix_lists: BTreeMap::new(),
@@ -113,42 +89,22 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<(u32, &'a str)> {
-        self.lines.get(self.pos).copied()
+    /// The next line, if it is a stanza-body line: indented and not blank.
+    fn body_line(&mut self) -> Option<(u32, &'a str)> {
+        self.lines
+            .next_if(|(_, l)| is_indented(l) && !l.trim().is_empty())
     }
 
-    fn bump(&mut self) -> Option<(u32, &'a str)> {
-        let l = self.peek();
-        if l.is_some() {
-            self.pos += 1;
-        }
-        l
-    }
-
-    /// Skip blank lines and pure comments at the cursor.
-    fn skip_trivia(&mut self) {
-        while let Some((_, l)) = self.peek() {
-            let t = l.trim();
-            if t.is_empty() || t == "!" || t.starts_with("! ") {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
+    /// Each top-level command's handler reads its own stanza body.
     fn parse(mut self) -> Result<CiscoConfig, ParseError> {
-        loop {
-            self.skip_trivia();
-            let Some((num, line)) = self.peek() else {
-                break;
-            };
+        while let Some((num, line)) = self.lines.next() {
+            let t = line.trim();
+            if t.is_empty() || t == "!" || t.starts_with("! ") {
+                continue; // blank line or pure comment
+            }
             let toks = tokens(line);
             match toks.as_slice() {
-                ["hostname", name, ..] => {
-                    self.cfg.hostname = (*name).to_string();
-                    self.bump();
-                }
+                ["hostname", name, ..] => self.cfg.hostname = (*name).to_string(),
                 ["ip", "prefix-list", ..] => self.prefix_list_line(num, &toks)?,
                 ["ip", "community-list", ..] => self.community_list_line(num, &toks)?,
                 ["ip", "route", ..] => self.static_route_line(num, &toks)?,
@@ -158,25 +114,22 @@ impl<'a> Parser<'a> {
                 ["interface", ..] => self.interface(num, &toks)?,
                 ["router", "bgp", ..] => self.router_bgp(num, &toks)?,
                 ["router", "ospf", ..] => self.router_ospf(num, &toks)?,
-                _ => {
-                    // Unmodeled top-level command: skip it and any body.
-                    self.bump();
-                    while let Some((_, l)) = self.peek() {
-                        if is_indented(l) && !l.trim().is_empty() {
-                            self.bump();
-                        } else {
-                            break;
-                        }
-                    }
-                }
+                // Unmodeled top-level command: skip its body.
+                _ => while self.body_line().is_some() {},
             }
+        }
+        // Entries sort by sequence number, ties in line order.
+        for list in self.cfg.prefix_lists.values_mut() {
+            list.entries.sort_by_key(|e| e.seq);
+        }
+        for map in self.cfg.route_maps.values_mut() {
+            map.entries.sort_by_key(|e| e.seq);
         }
         Ok(self.cfg)
     }
 
     fn prefix_list_line(&mut self, num: u32, toks: &[&str]) -> Result<(), ParseError> {
         // ip prefix-list NAME [seq N] permit|deny PFX [ge G] [le L]
-        self.bump();
         let mut it = toks[2..].iter();
         let name = *it
             .next()
@@ -252,13 +205,11 @@ impl<'a> Parser<'a> {
             le,
             span: Span::line(num),
         });
-        list.entries.sort_by_key(|e| e.seq);
         Ok(())
     }
 
     fn community_list_line(&mut self, num: u32, toks: &[&str]) -> Result<(), ParseError> {
         // ip community-list standard|expanded NAME permit|deny ...
-        self.bump();
         let kind = toks
             .get(2)
             .ok_or_else(|| ParseError::at(num, "community-list missing kind"))?;
@@ -328,7 +279,6 @@ impl<'a> Parser<'a> {
 
     fn static_route_line(&mut self, num: u32, toks: &[&str]) -> Result<(), ParseError> {
         // ip route PREFIX MASK (NEXTHOP | IFACE [NEXTHOP]) [AD] [tag T] [name N] [permanent]
-        self.bump();
         let addr = parse_ip(
             toks.get(2)
                 .ok_or_else(|| ParseError::at(num, "ip route missing prefix"))?,
@@ -406,13 +356,8 @@ impl<'a> Parser<'a> {
             .get(3)
             .ok_or_else(|| ParseError::at(num, "access-list missing name"))?
             .to_string();
-        self.bump();
         let mut acl = Acl::default();
-        while let Some((n, l)) = self.peek() {
-            if !is_indented(l) || l.trim().is_empty() {
-                break;
-            }
-            self.bump();
+        while let Some((n, l)) = self.body_line() {
             let t = tokens(l);
             if t.first() == Some(&"remark") {
                 continue;
@@ -426,7 +371,6 @@ impl<'a> Parser<'a> {
 
     fn numbered_acl_line(&mut self, num: u32, toks: &[&str]) -> Result<(), ParseError> {
         // access-list NUM permit|deny ... — standard for 1-99, extended 100+.
-        self.bump();
         let number = toks
             .get(1)
             .ok_or_else(|| ParseError::at(num, "access-list missing number"))?;
@@ -618,7 +562,6 @@ impl<'a> Parser<'a> {
 
     fn route_map_entry(&mut self, num: u32, toks: &[&str]) -> Result<(), ParseError> {
         // route-map NAME permit|deny SEQ, body indented (match/set lines).
-        self.bump();
         let name = toks
             .get(1)
             .ok_or_else(|| ParseError::at(num, "route-map missing name"))?
@@ -642,11 +585,7 @@ impl<'a> Parser<'a> {
             continue_seq: None,
             span: Span::line(num),
         };
-        while let Some((n, l)) = self.peek() {
-            if !is_indented(l) || l.trim().is_empty() {
-                break;
-            }
-            self.bump();
+        while let Some((n, l)) = self.body_line() {
             entry.span = entry.span.merge(Span::line(n));
             let t = tokens(l);
             match t.as_slice() {
@@ -750,7 +689,6 @@ impl<'a> Parser<'a> {
         }
         let map = self.cfg.route_maps.entry(name).or_default();
         map.entries.push(entry);
-        map.entries.sort_by_key(|e| e.seq);
         Ok(())
     }
 
@@ -759,7 +697,6 @@ impl<'a> Parser<'a> {
             .get(1)
             .ok_or_else(|| ParseError::at(num, "interface missing name"))?
             .to_string();
-        self.bump();
         let mut iface = Interface {
             name: name.clone(),
             address: None,
@@ -771,11 +708,7 @@ impl<'a> Parser<'a> {
             description: None,
             span: Span::line(num),
         };
-        while let Some((n, l)) = self.peek() {
-            if !is_indented(l) || l.trim().is_empty() {
-                break;
-            }
-            self.bump();
+        while let Some((n, l)) = self.body_line() {
             iface.span = iface.span.merge(Span::line(n));
             let t = tokens(l);
             match t.as_slice() {
@@ -807,7 +740,6 @@ impl<'a> Parser<'a> {
             num,
             "AS number",
         )?;
-        self.bump();
         let mut bgp = BgpConfig {
             asn,
             router_id: None,
@@ -817,11 +749,7 @@ impl<'a> Parser<'a> {
             distance: None,
             span: Span::line(num),
         };
-        while let Some((n, l)) = self.peek() {
-            if !is_indented(l) || l.trim().is_empty() {
-                break;
-            }
-            self.bump();
+        while let Some((n, l)) = self.body_line() {
             bgp.span = bgp.span.merge(Span::line(n));
             let t = tokens(l);
             match t.as_slice() {
@@ -951,7 +879,6 @@ impl<'a> Parser<'a> {
             num,
             "process id",
         )?;
-        self.bump();
         let mut ospf = OspfConfig {
             process_id: pid,
             router_id: None,
@@ -962,11 +889,7 @@ impl<'a> Parser<'a> {
             redistribute: Vec::new(),
             span: Span::line(num),
         };
-        while let Some((n, l)) = self.peek() {
-            if !is_indented(l) || l.trim().is_empty() {
-                break;
-            }
-            self.bump();
+        while let Some((n, l)) = self.body_line() {
             ospf.span = ospf.span.merge(Span::line(n));
             let t = tokens(l);
             match t.as_slice() {

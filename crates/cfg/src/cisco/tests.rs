@@ -213,6 +213,27 @@ fn route_map_entries_sorted_by_seq() {
 }
 
 #[test]
+fn prefix_list_entries_sorted_by_seq_then_line() {
+    let cfg = parse_cisco(
+        "ip prefix-list P seq 20 permit 10.0.2.0/24\n\
+         ip prefix-list P seq 10 permit 10.0.1.0/24\n\
+         ip prefix-list Q permit 10.9.0.0/16\n\
+         ip prefix-list P seq 10 deny 10.0.3.0/24\n\
+         ip prefix-list P permit 10.0.4.0/24\n\
+         ip prefix-list P seq 5 deny 10.0.5.0/24\n",
+    )
+    .unwrap();
+    // The implicit seq on line 5 counts P's three earlier entries: 20.
+    let order: Vec<(u32, u32)> = cfg.prefix_lists["P"]
+        .entries
+        .iter()
+        .map(|e| (e.seq, e.span.start))
+        .collect();
+    assert_eq!(order, vec![(5, 6), (10, 2), (10, 4), (20, 1), (20, 5)]);
+    assert_eq!(cfg.prefix_lists["Q"].entries[0].seq, 5);
+}
+
+#[test]
 fn interfaces_and_ospf_attributes() {
     let cfg = parse_cisco(
         "interface GigabitEthernet0/0\n\

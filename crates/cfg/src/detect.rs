@@ -2,8 +2,7 @@
 
 use crate::cisco::{parse_cisco, CiscoConfig};
 use crate::error::ParseError;
-use crate::juniper::setstyle::looks_like_set_style;
-use crate::juniper::{parse_juniper, JuniperConfig};
+use crate::juniper::{parse_juniper, parse_juniper_set, JuniperConfig};
 use crate::span::Vendor;
 
 /// A parsed configuration in either supported vendor format.
@@ -33,49 +32,73 @@ impl VendorConfig {
     }
 }
 
-/// Guess the vendor of a configuration from its syntax.
-///
-/// JunOS configs are brace-structured; IOS configs are flat command lines.
-/// The heuristic counts unambiguous markers of each style and is reliable
-/// for any non-trivial config. Text in which every command is a `set`
-/// line is JunOS `| display set` output, whatever the markers say.
-pub fn detect_vendor(text: &str) -> Vendor {
-    if looks_like_set_style(text) {
-        return Vendor::JuniperJunos;
-    }
-    let mut juniper_score = 0i32;
-    let mut cisco_score = 0i32;
+/// The syntax a configuration is written in: which parser reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Syntax {
+    /// Cisco IOS command lines.
+    Cisco,
+    /// Hierarchical JunOS braces.
+    Braces,
+    /// JunOS `| display set` output, one `set` command per line.
+    Set,
+}
+
+/// The syntax of `text`, as its first marked line says; a text with no
+/// marked line is Cisco. The Cisco words are asked before the JunOS line
+/// ends, so that a line marked both ways reads as Cisco.
+fn syntax(text: &str) -> Syntax {
     for line in text.lines() {
         let t = line.trim();
-        if t.ends_with('{') || t == "}" || (t.ends_with(';') && !t.starts_with('!')) {
-            juniper_score += 1;
+        if t.is_empty() || t.starts_with(['!', '#']) {
+            continue;
         }
-        let first = t.split_whitespace().next().unwrap_or("");
-        match first {
-            "route-map" | "access-list" | "hostname" => cisco_score += 2,
-            "ip" | "router" | "interface" => cisco_score += 1,
-            "policy-options" | "policy-statement" | "routing-options" | "protocols"
-            | "firewall" | "system" => juniper_score += 2,
+        if t.starts_with("set ") {
+            return Syntax::Set;
+        }
+        match t.split_whitespace().next() {
+            Some("route-map" | "access-list" | "hostname" | "ip" | "router" | "interface") => {
+                return Syntax::Cisco
+            }
+            Some(
+                "policy-options" | "policy-statement" | "routing-options" | "protocols"
+                | "firewall" | "system",
+            ) => return Syntax::Braces,
             _ => {}
         }
+        if t.ends_with(['{', ';']) || t == "}" {
+            return Syntax::Braces;
+        }
     }
-    if juniper_score > cisco_score {
-        Vendor::JuniperJunos
-    } else {
-        Vendor::CiscoIos
+    Syntax::Cisco
+}
+
+/// Guess the vendor of a configuration from its syntax.
+///
+/// JunOS configs are brace-structured or `set` commands; IOS configs are
+/// flat command lines. The first line that carries a marker of either
+/// style decides, so a text is read only as far as that line.
+pub fn detect_vendor(text: &str) -> Vendor {
+    match syntax(text) {
+        Syntax::Cisco => Vendor::CiscoIos,
+        Syntax::Braces | Syntax::Set => Vendor::JuniperJunos,
     }
 }
 
 /// Parse a configuration, auto-detecting the vendor.
+///
+/// The detected syntax picks one parser and nothing else reads the text
+/// first. A text whose first marked line is a `set` command goes to the
+/// set-style fold, which fails at the first line that is not one.
 pub fn parse_config(text: &str) -> Result<VendorConfig, ParseError> {
     campion_trace::span!("cfg.parse");
-    let vendor = {
+    let syntax = {
         campion_trace::span!("cfg.detect");
-        detect_vendor(text)
+        syntax(text)
     };
-    match vendor {
-        Vendor::CiscoIos => parse_cisco(text).map(VendorConfig::Cisco),
-        Vendor::JuniperJunos => parse_juniper(text).map(VendorConfig::Juniper),
+    match syntax {
+        Syntax::Cisco => parse_cisco(text).map(VendorConfig::Cisco),
+        Syntax::Braces => parse_juniper(text).map(VendorConfig::Juniper),
+        Syntax::Set => parse_juniper_set(text).map(VendorConfig::Juniper),
     }
 }
 
@@ -100,6 +123,7 @@ mod tests {
         assert_eq!(cfg.hostname(), "r2");
     }
 
+    /// Set style after a `#` comment line.
     #[test]
     fn detects_set_style_juniper() {
         let text = "\
@@ -108,6 +132,7 @@ set firewall family inet filter F term t1 from source-address 10.0.0.0/8
 set firewall family inet filter F term t1 then accept
 set firewall family inet filter F term t2 then discard
 ";
+        assert_eq!(syntax(text), Syntax::Set);
         assert_eq!(detect_vendor(text), Vendor::JuniperJunos);
         let cfg = parse_config(text).unwrap();
         let VendorConfig::Juniper(j) = cfg else {
@@ -126,5 +151,62 @@ set firewall family inet filter F term t2 then discard
             detect_vendor(crate::samples::FIGURE1_JUNIPER),
             Vendor::JuniperJunos
         );
+    }
+
+    #[test]
+    fn blank_and_comment_lines_do_not_decide() {
+        // `!` and `#` lines would be JunOS lines by their ends alone.
+        let lead = "\n   \n!\n! banner;\n# policy-options {\n#\n";
+        assert_eq!(syntax(&format!("{lead}hostname r1\n")), Syntax::Cisco);
+        assert_eq!(syntax(&format!("{lead}system {{\n}}\n")), Syntax::Braces);
+        assert_eq!(
+            syntax(&format!("{lead}set system host-name r\n")),
+            Syntax::Set
+        );
+        assert_eq!(syntax(lead), Syntax::Cisco);
+    }
+
+    #[test]
+    fn a_version_statement_marks_braces() {
+        let text = "version 20.4R1;\nsystem {\n    host-name r;\n}\n";
+        assert_eq!(syntax(text), Syntax::Braces);
+        assert_eq!(parse_config(text).unwrap().hostname(), "r");
+    }
+
+    #[test]
+    fn a_one_line_stanza_marks_braces() {
+        // It ends in `}`, not in a lone one: its first word decides.
+        assert_eq!(syntax("system { host-name r; }"), Syntax::Braces);
+        assert_eq!(
+            parse_config("system { host-name r; }").unwrap().hostname(),
+            "r"
+        );
+    }
+
+    #[test]
+    fn unmarked_cisco_lines_before_hostname() {
+        let text = "version 15.2\nservice timestamps debug uptime\nservice password-encryption\nhostname r1\n";
+        assert_eq!(syntax(text), Syntax::Cisco);
+        assert_eq!(parse_config(text).unwrap().hostname(), "r1");
+    }
+
+    #[test]
+    fn a_line_marked_both_ways_reads_as_cisco() {
+        assert_eq!(syntax("interface ge-0/0/0;\n"), Syntax::Cisco);
+    }
+
+    #[test]
+    fn an_empty_text_is_cisco() {
+        assert_eq!(syntax(""), Syntax::Cisco);
+        assert_eq!(detect_vendor(""), Vendor::CiscoIos);
+        assert!(matches!(parse_config(""), Ok(VendorConfig::Cisco(_))));
+    }
+
+    #[test]
+    fn set_first_then_braces_fails_at_the_first_other_line() {
+        let text = "set system host-name r\npolicy-options {\n}\n";
+        assert_eq!(syntax(text), Syntax::Set);
+        let err = parse_config(text).unwrap_err();
+        assert_eq!(err.line, 2);
     }
 }

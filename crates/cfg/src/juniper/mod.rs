@@ -12,6 +12,7 @@ pub mod tree;
 
 pub use ast::*;
 pub use parser::parse_juniper;
+pub(crate) use parser::parse_juniper_set;
 
 #[cfg(test)]
 mod tests;

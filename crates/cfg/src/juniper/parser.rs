@@ -3,24 +3,34 @@
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-use campion_net::{Community, IpProtocol, PortRange, Prefix};
+use campion_net::{service_port, Community, IpProtocol, PortRange, Prefix};
 
 use super::ast::*;
-use super::setstyle::{looks_like_set_style, parse_set_style};
-use super::tree::{parse_tree, Stmt};
+use super::setstyle::parse_set_style;
+use super::tree::{parse_tree, Stmt, Tree};
 use crate::error::ParseError;
 use crate::span::{SourceText, Span};
 
-/// Parse a Juniper JunOS configuration, in either the hierarchical brace
-/// form or the `set`-style flattened form (`| display set` output).
+/// Parse a Juniper JunOS configuration in the hierarchical brace form.
 pub fn parse_juniper(text: &str) -> Result<JuniperConfig, ParseError> {
+    extract(text, parse_tree)
+}
+
+/// Parse a Juniper JunOS configuration in the `set`-style flattened form
+/// (`| display set` output).
+pub(crate) fn parse_juniper_set(text: &str) -> Result<JuniperConfig, ParseError> {
+    extract(text, parse_set_style)
+}
+
+/// Build the statement tree of `text` with `build`, then extract the
+/// typed AST from it.
+fn extract<'a>(
+    text: &'a str,
+    build: fn(&'a str) -> Result<Tree<'a>, ParseError>,
+) -> Result<JuniperConfig, ParseError> {
     let tree = {
         campion_trace::span!("cfg.tree");
-        if looks_like_set_style(text) {
-            parse_set_style(text)?
-        } else {
-            parse_tree(text)?
-        }
+        build(text)?
     };
     let mut cfg = JuniperConfig {
         hostname: String::new(),
@@ -506,8 +516,12 @@ fn addr_args(cond: Stmt<'_>, args: &[&str], out: &mut Vec<Prefix>) -> Result<(),
     Ok(())
 }
 
+/// A port, a `lo-hi` range or a well-known service name (some of which,
+/// like `ftp-data`, contain a dash).
 fn port_range(tok: &str, stmt: Stmt<'_>) -> Result<PortRange, ParseError> {
-    if let Some((a, b)) = tok.split_once('-') {
+    if let Some(p) = service_port(tok) {
+        Ok(PortRange::exact(p))
+    } else if let Some((a, b)) = tok.split_once('-') {
         let lo: u16 = a
             .parse()
             .map_err(|_| err(stmt, format!("bad port {a:?}")))?;
@@ -519,23 +533,9 @@ fn port_range(tok: &str, stmt: Stmt<'_>) -> Result<PortRange, ParseError> {
         }
         Ok(PortRange::new(lo, hi))
     } else {
-        let named = match tok {
-            "bgp" => Some(179),
-            "ssh" => Some(22),
-            "telnet" => Some(23),
-            "http" => Some(80),
-            "https" => Some(443),
-            "domain" => Some(53),
-            "ntp" => Some(123),
-            _ => None,
-        };
-        let p: u16 = match named {
-            Some(p) => p,
-            None => tok
-                .parse()
-                .map_err(|_| err(stmt, format!("bad port {tok:?}")))?,
-        };
-        Ok(PortRange::exact(p))
+        tok.parse()
+            .map(PortRange::exact)
+            .map_err(|_| err(stmt, format!("bad port {tok:?}")))
     }
 }
 

@@ -72,25 +72,9 @@ fn is_leaf_keyword(keyword: &str) -> bool {
     )
 }
 
-/// Is this text in `set`-style form? (There is at least one command, and
-/// every line that is neither blank nor a `#` comment starts with `set `.)
-pub fn looks_like_set_style(text: &str) -> bool {
-    let mut any = false;
-    for line in text.lines() {
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') {
-            continue;
-        }
-        if !t.starts_with("set ") {
-            return false;
-        }
-        any = true;
-    }
-    any
-}
-
 /// Convert `set`-style lines into a statement tree whose words borrow
-/// from `text`.
+/// from `text`. Blank lines and `#` comments are skipped; any other line
+/// that is not a `set` command is an error.
 pub fn parse_set_style(text: &str) -> Result<Tree<'_>, ParseError> {
     check_size(text)?;
     let mut fold = Fold::default();
@@ -391,8 +375,8 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::juniper::parse_juniper;
     use crate::juniper::tree::oracle::owned;
+    use crate::juniper::{parse_juniper, parse_juniper_set};
     use proptest::prelude::*;
 
     /// Words for random `set` commands: containers, leaves, names that
@@ -473,15 +457,8 @@ set interfaces ge-0/0/0 unit 0 family inet address 10.0.1.2/24
 ";
 
     #[test]
-    fn detection() {
-        assert!(looks_like_set_style(SET_STYLE));
-        assert!(!looks_like_set_style("policy-options { }"));
-        assert!(!looks_like_set_style(""));
-    }
-
-    #[test]
     fn set_style_parses_like_braces() {
-        let cfg = parse_juniper(SET_STYLE).expect("set-style parses");
+        let cfg = parse_juniper_set(SET_STYLE).expect("set-style parses");
         assert_eq!(cfg.hostname, "core-set");
         assert_eq!(cfg.prefix_lists["NETS"].prefixes.len(), 2);
         let comm = &cfg.communities["COMM"];
@@ -519,7 +496,7 @@ set policy-options policy-statement POL term rule2 then reject
 set policy-options policy-statement POL term rule3 then local-preference 30
 set policy-options policy-statement POL term rule3 then accept
 ";
-        let set = parse_juniper(set_text).expect("set-style parses");
+        let set = parse_juniper_set(set_text).expect("set-style parses");
         assert_eq!(
             braces.prefix_lists["NETS"].prefixes.len(),
             set.prefix_lists["NETS"].prefixes.len()

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use crate::cisco::parse_cisco;
-use crate::juniper::parse_juniper;
+use crate::juniper::{parse_juniper, parse_juniper_set};
 use crate::{detect_vendor, parse_config, samples};
 
 /// Fragments that steer random inputs toward the interesting grammar.
@@ -132,6 +132,7 @@ proptest! {
     fn parsers_never_panic_on_arbitrary_bytes(input in "\\PC*") {
         let _ = parse_cisco(&input);
         let _ = parse_juniper(&input);
+        let _ = parse_juniper_set(&input);
         let _ = parse_config(&input);
         let _ = detect_vendor(&input);
     }

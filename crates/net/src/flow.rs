@@ -87,6 +87,28 @@ impl FromStr for IpProtocol {
     }
 }
 
+/// The port of a well-known service name, as ACLs and firewall filters
+/// may write it in place of a number (`eq www`, `destination-port ssh`).
+pub fn service_port(name: &str) -> Option<u16> {
+    Some(match name {
+        "ftp-data" => 20,
+        "ftp" => 21,
+        "ssh" => 22,
+        "telnet" => 23,
+        "smtp" => 25,
+        "domain" => 53,
+        "tftp" => 69,
+        "www" | "http" => 80,
+        "pop3" => 110,
+        "ntp" => 123,
+        "snmp" => 161,
+        "bgp" => 179,
+        "https" => 443,
+        "syslog" => 514,
+        _ => return None,
+    })
+}
+
 /// An inclusive TCP/UDP port interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PortRange {

@@ -19,7 +19,7 @@ mod trie;
 mod wildcard;
 
 pub use community::Community;
-pub use flow::{Flow, IpProtocol, PortRange};
+pub use flow::{service_port, Flow, IpProtocol, PortRange};
 pub use prefix::{ParseNetError, Prefix};
 pub use range::PrefixRange;
 pub use trie::PrefixTrie;

@@ -2,7 +2,7 @@
 
 use std::net::Ipv4Addr;
 
-use crate::{Community, IpProtocol, PortRange, Prefix, PrefixRange, WildcardMask};
+use crate::{service_port, Community, IpProtocol, PortRange, Prefix, PrefixRange, WildcardMask};
 
 #[test]
 fn prefix_parses_and_canonicalizes() {
@@ -126,6 +126,15 @@ fn port_ranges() {
     assert_eq!(PortRange::exact(443).to_string(), "443");
     assert_eq!(r.to_string(), "1000-2000");
     assert_eq!(PortRange::ANY.to_string(), "any");
+}
+
+#[test]
+fn service_names() {
+    assert_eq!(service_port("ftp-data"), Some(20));
+    assert_eq!(service_port("www"), service_port("http"));
+    assert_eq!(service_port("snmp"), Some(161));
+    assert_eq!(service_port("80"), None, "numbers are not names");
+    assert_eq!(service_port("gopher"), None);
 }
 
 #[test]

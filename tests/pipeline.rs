@@ -1,7 +1,8 @@
 //! End-to-end integration tests: raw configuration text → parse → lower →
 //! diff → present, across crates.
 
-use campion::cfg::juniper::tree::{parse_tree, Stmt};
+mod common;
+
 use campion::cfg::parse_config;
 use campion::cfg::samples::{FIGURE1_CISCO, FIGURE1_JUNIPER};
 use campion::core::{compare_routers, CampionOptions};
@@ -126,6 +127,61 @@ protocols {
     );
 }
 
+/// Both vendors read the same well-known service names as the same ports.
+#[test]
+fn service_names_compare_equal_across_vendors() {
+    let cisco = "\
+hostname edge
+ip access-list extended SVC
+ permit udp any host 10.0.0.1 eq snmp
+ permit tcp 10.1.0.0 0.0.255.255 any eq smtp
+ permit tcp any eq ftp-data any
+ deny ip any any
+";
+    let juniper = "\
+system { host-name edge; }
+firewall {
+    family inet {
+        filter SVC {
+            term snmp {
+                from {
+                    destination-address 10.0.0.1/32;
+                    protocol udp;
+                    destination-port snmp;
+                }
+                then accept;
+            }
+            term smtp {
+                from {
+                    source-address 10.1.0.0/16;
+                    protocol tcp;
+                    destination-port smtp;
+                }
+                then accept;
+            }
+            term ftp-data {
+                from {
+                    protocol tcp;
+                    source-port ftp-data;
+                }
+                then accept;
+            }
+            term rest {
+                then discard;
+            }
+        }
+    }
+}
+";
+    let c = load(cisco);
+    let report = compare_routers(&c, &load(juniper), &CampionOptions::default());
+    assert!(report.is_equivalent(), "service names differ:\n{report}");
+    // The names are ports, not wildcards: another port is a difference.
+    let other = juniper.replace("destination-port snmp", "destination-port 162");
+    let report = compare_routers(&c, &load(&other), &CampionOptions::default());
+    assert!(report.to_string().contains("dstPort: 161"), "{report}");
+}
+
 /// Campion and the Minesweeper baseline must agree on *whether* two route
 /// maps differ, and every baseline counterexample must be covered by some
 /// Campion difference.
@@ -171,45 +227,13 @@ fn options_gate_each_check_independently() {
     assert_eq!(report.total_differences(), 0);
 }
 
-/// Render brace-form JunOS as the `set` commands `| display set` prints:
-/// one line per leaf, prefixed by the words of its enclosing stanzas.
-fn display_set(text: &str) -> String {
-    fn walk<'t>(stmts: impl Iterator<Item = Stmt<'t>>, path: &mut Vec<String>, out: &mut String) {
-        for s in stmts {
-            let depth = path.len();
-            path.extend(s.words().iter().map(|w| {
-                if w.contains(char::is_whitespace) {
-                    format!("\"{w}\"")
-                } else {
-                    w.to_string()
-                }
-            }));
-            if s.is_leaf() {
-                out.push_str("set ");
-                out.push_str(&path.join(" "));
-                out.push('\n');
-            } else {
-                walk(s.children(), path, out);
-            }
-            path.truncate(depth);
-        }
-    }
-    let mut out = String::new();
-    walk(
-        parse_tree(text).expect("brace form parses").roots(),
-        &mut Vec::new(),
-        &mut out,
-    );
-    out
-}
-
 /// A large filter reads the same in brace and `set` form. The set form
 /// repeats every container path on every line, so this is also the input
 /// that made a sibling scan per container lookup quadratic.
 #[test]
 fn set_style_rendering_of_a_large_filter_is_equivalent() {
     let (_, brace) = capirca_acl_pair(2500, 10, 0x5E7_2500);
-    let set = display_set(&brace);
+    let set = common::display_set(&brace);
     assert!(
         set.lines().count() > 2 * 2500,
         "{} set lines",
