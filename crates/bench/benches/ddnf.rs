@@ -13,13 +13,16 @@
 //!   first-octet-bucketed prefix trie.
 //! * `ddnf_getmatch`: fixed targets localized against the 10⁴-range
 //!   address DAG, reported as GetMatch calls/s. Every sample starts from a
-//!   fresh snapshot of the DAG with no cell encoded, so it pays the lazy
-//!   cell encodes a pair's queries pay, not just memo hits.
+//!   fresh snapshot of the DAG with no witness found and an empty memo, so
+//!   it pays what a pair's queries pay, not just memo hits.
+//! * `ddnf_getmatch_route`: the same against the route-space DAG over
+//!   5·10³ member ranges, the size of an `rmap-10k` pair's, whose root has
+//!   thousands of children.
 //!
 //! Neither builder encodes a BDD, and no query encodes a node's set either:
-//! overlap is decided by walking the target, and cells are encoded later,
-//! by the queries that read them. A regression here is a builder
-//! regression and not a parser or SemanticDiff one.
+//! overlap is decided by walking the target, and "cell ⊆ S" by evaluating
+//! the target at a witness of the cell. A regression here is a builder or
+//! GetMatch regression and not a parser or SemanticDiff one.
 //!
 //! Inputs are generated with a fixed-seed LCG and squeezed into four first
 //! octets, so the address DAG is deep rather than a flat forest and the
@@ -150,5 +153,45 @@ fn ddnf_getmatch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, ddnf_build, ddnf_build_route, ddnf_getmatch);
+/// Targets: every 250th input range's member set, and their union.
+fn ddnf_getmatch_route(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ddnf_getmatch_route");
+    group.sample_size(10);
+    let size = 5_000;
+    let ranges = gen_member_ranges(size);
+    let policy = campion_ir::RoutePolicy::permit_all("bench");
+    let mut routes = RouteSpace::for_policies(&[&policy]);
+    let dag = RangeDag::build(&mut routes, &ranges);
+    let mut targets: Vec<Bdd> = ranges
+        .iter()
+        .step_by(250)
+        .map(|r| routes.prefix_range_bdd(r))
+        .collect();
+    let union = targets
+        .iter()
+        .fold(Bdd::FALSE, |acc, &t| routes.manager.or(acc, t));
+    targets.push(union);
+    group.throughput(Throughput::Elements(targets.len() as u64));
+    group.bench_function(BenchmarkId::from_parameter(size), |b| {
+        b.iter_batched(
+            || (routes.clone(), dag.clone()),
+            |(mut space, dag)| {
+                for &s in &targets {
+                    std::hint::black_box(header_localize_with(&mut space, s, &dag));
+                }
+                (space, dag)
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    ddnf_build,
+    ddnf_build_route,
+    ddnf_getmatch,
+    ddnf_getmatch_route
+);
 criterion_main!(benches);

@@ -68,26 +68,44 @@
 //!   than a memo entry. A query visits the root and the children of the
 //!   nodes that actually meet `S`; those are memoized, so a missed node is
 //!   walked at most once per edge into it and target.
-//! * **Lazy cells.** A node's cell (`λ(n) − children`, its remainder) is
-//!   encoded the first time a query finds the node meets `S`, in the space
-//!   that is localizing ([`RangeEncoder::cell`]), bottom-up with `mk` and
-//!   no computed-table traffic. A route space builds it in one
-//!   [`bits::first_match`] pass, the children as deny entries ahead of
-//!   `λ(n)` as a permit; an address space in one [`bits::prefix_minus`]
-//!   pass over the address trie of the children's prefixes.
+//! * **Witness points.** `GetMatch` never builds a cell to ask whether it
+//!   lies inside `S`. The DAG is closed under intersection, so its cells
+//!   are the atoms of the algebra the configurations' ranges generate,
+//!   and a target built from those ranges is a union of cells: one member
+//!   of a cell then answers for all of it. Each node reached gets one
+//!   member of its cell, its *witness* ([`PrefixRange::member_outside`]
+//!   over its children, every range read as `(P, 32, 32)` in an address
+//!   space), or none when the cell is empty, and `S` is evaluated there
+//!   ([`RangeEncoder::holds`], a walk over the range variables that
+//!   creates no node). An empty cell takes the include branch, as a cell
+//!   inside `S` does.
+//! * **An honest `exact` flag.** A target that is not a union of cells (a
+//!   caller-built set, or an ACL wildcard past the cover cap) can make a
+//!   witness stand for a cell that splits it. Every term is a union of
+//!   cells, so the terms re-encode to `S` exactly when `S` is one, and
+//!   every query the memo does not answer whole checks that: the union of
+//!   the minus-free terms in one structural pass
+//!   ([`RangeEncoder::union`]), one more per term with a minus list. On a
+//!   mismatch
+//!   the query clears the memo and runs again on cells: each node reached
+//!   builds its cell ([`RangeEncoder::cell`]) and tests it against `S` with
+//!   `diff` and `and`, which also finds the cells that split `S`. Either
+//!   way the terms and `exact` flag are those of the cell-deciding query.
+//!   The `headerloc.localize` span counts the nodes decided by a witness
+//!   (`points`), the cells built (`cells`) and the fallbacks (`fallback`).
 //! * **Reuse across queries.** A pair's DAG serves ~10 difference queries,
-//!   which overlap heavily: cells stay for the next query, and the
+//!   which overlap heavily: witnesses stay for the next query, and the
 //!   `GetMatch` result of every node that meets its target is memoized per
 //!   `(node, S)` on the DAG (`¬S` recursions hit the same table). `¬S`
 //!   itself is `diff(cell(universe, []), S)`, computed once per localize
 //!   call, not once per included node. The universe is always node 0, where
 //!   every query starts.
-//! * **One validity rule.** Every handle the DAG caches — cells and the
-//!   memo's `S` keys — is valid until its space is next compacted
-//!   ([`Manager::compact`]), and a query that finds the manager's
-//!   collection count moved clears both before it starts. The driver
-//!   compacts a pair's space once, before it builds the DAG, and never
-//!   after, so there the caches live for the whole pair.
+//! * **One validity rule.** Witnesses are plain data, but the memo's `S`
+//!   keys are handles, valid until their space is next compacted
+//!   ([`Manager::compact`]); a query that finds the manager's collection
+//!   count moved clears the memo before it starts. The driver compacts a
+//!   pair's space once, before it builds the DAG, and never after, so there
+//!   the memo lives for the whole pair.
 //!
 //! The eager, unpruned `GetMatch` (every node set encoded up front as a
 //! cell with no children, every cell folded with `diff`, every node
@@ -95,7 +113,7 @@
 //! `oracle::header_localize_eager`; a property suite asserts both return
 //! the same terms and `exact` flag.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
@@ -141,6 +159,22 @@ pub trait RangeEncoder {
     /// child's set lies inside `range`'s. With no children it is the set
     /// the range denotes in this space.
     fn cell(&mut self, range: &PrefixRange, children: &[PrefixRange]) -> Bdd;
+    /// The union of `ranges`' sets. Here the universe less the cell with
+    /// `ranges` for children, which an address space builds in one pass.
+    fn union(&mut self, ranges: &[PrefixRange]) -> Bdd {
+        let universe = self.cell(&PrefixRange::universe(), &[]);
+        let rest = self.cell(&PrefixRange::universe(), ranges);
+        self.manager().diff(universe, rest)
+    }
+    /// Does `s` hold at `point`, a witness ([`PrefixRange::member_outside`])
+    /// in this space's reading? `s` must depend on the range variables
+    /// only. Walks `s` over them, which creates no node: here the address
+    /// run, pinned to `point`'s 32 bits.
+    fn holds(&mut self, s: Bdd, point: &Prefix) -> bool {
+        let start = self.range_vars().start;
+        let at = self.manager().cofactor(s, pin(start, 32, point.bits()));
+        at.is_const_true()
+    }
 }
 
 /// `s` walked down `p`'s bits over the address run starting at variable
@@ -151,6 +185,12 @@ fn walk(m: &Manager, s: Bdd, start: u32, p: &Prefix) -> Bdd {
         s,
         (0..u32::from(p.len())).map(|i| (start + i, (bits >> (31 - i)) & 1 == 1)),
     )
+}
+
+/// The literals pinning the `width` variables from `start` on to the low
+/// `width` bits of `value`, most significant first.
+fn pin(start: u32, width: u32, value: u32) -> impl Iterator<Item = (u32, bool)> {
+    (0..width).map(move |i| (start + i, (value >> (width - 1 - i)) & 1 == 1))
 }
 
 impl RangeEncoder for RouteSpace {
@@ -189,6 +229,18 @@ impl RangeEncoder for RouteSpace {
             .chain([(true, *range)])
             .collect();
         self.first_match_bdd(&entries)
+    }
+    /// One first-match build with every range a permit entry.
+    fn union(&mut self, ranges: &[PrefixRange]) -> Bdd {
+        let entries: Vec<(bool, PrefixRange)> = ranges.iter().map(|&r| (true, r)).collect();
+        self.first_match_bdd(&entries)
+    }
+    /// The advertisement of `point`: its 32 address bits, zero past its
+    /// length, then its length in the 6 big-endian length variables.
+    fn holds(&mut self, s: Bdd, point: &Prefix) -> bool {
+        let addr = pin(PREFIX_VARS.start, 32, point.bits());
+        let len = pin(LEN_VARS.start, 6, point.len().into());
+        self.manager.cofactor(s, addr.chain(len)).is_const_true()
     }
 }
 
@@ -272,8 +324,9 @@ pub struct HeaderLocalization {
     /// The union of difference terms.
     pub terms: Vec<RangeTerm>,
     /// True when the ddNF decomposition was exact (every cell was fully
-    /// inside or outside `S`). Always true for sets built from the
-    /// configurations' own ranges; retained as a safety signal.
+    /// inside or outside `S`), so the terms re-encode to `S`. Always true
+    /// for sets built from the configurations' own ranges. Every query
+    /// checks it by re-encoding its terms, in every build.
     pub exact: bool,
 }
 
@@ -306,30 +359,32 @@ type GetMatchMemo = HashMap<(usize, Bdd), (Vec<NestedTerm>, bool)>;
 /// [`RangeDag::build`] and localize many difference sets against it.
 ///
 /// The build is structural, and no query encodes a node's set: overlap is
-/// decided by walking the target. Remainders (cells) are encoded on first
-/// use, in the space passed to [`header_localize_with`], so every query
-/// against one DAG value must pass that same space. The
-/// driver localizes all of a pair's differences in the pair's own space.
-/// Cloning a DAG alongside a clone of that space yields an independent
-/// snapshot whose cached remainders (and memo entries) remain valid in
-/// the cloned arena; the benchmark's traced replay localizes on such
-/// clones. Each snapshot encodes what its own queries read. A compaction
-/// of the space between two queries invalidates the cached handles, and
-/// the next query rebuilds what it reads.
+/// decided by walking the target, and whether a node's cell lies inside
+/// the target by evaluating it at a witness of the cell, found on first
+/// use and kept. Memo entries are keyed by handles in the space passed to
+/// [`header_localize_with`], so every query against one DAG value must
+/// pass that same space. The driver localizes all of a pair's differences
+/// in the pair's own space. Cloning a DAG alongside a clone of
+/// that space yields an independent snapshot whose witnesses and memo
+/// entries remain valid in the cloned arena; the benchmark's traced replay
+/// localizes on such clones. A compaction of the space between two queries
+/// invalidates the memo's handles, and the next query clears it.
 #[derive(Clone)]
 pub struct RangeDag {
     /// Node ranges (label function λ).
     ranges: Vec<PrefixRange>,
     /// Cover-edge children per node.
     children: Vec<Vec<usize>>,
-    /// Per-node remainders (`λ(n) − children`), once encoded.
-    remainders: Vec<Cell<Option<Bdd>>>,
+    /// The reading the DAG was built for, which its witnesses follow.
+    semantics: RangeSemantics,
+    /// Per-node cell witnesses (`None`: the cell is empty), once found.
+    witnesses: Vec<OnceCell<Option<Prefix>>>,
     /// `GetMatch` memo: `(node, S) → (terms, exact)`, for nodes that meet
     /// `S` only.
     memo: RefCell<GetMatchMemo>,
-    /// The manager's `gc_runs` when `remainders` and `memo` were last known
-    /// valid. A compaction renumbers the nodes they name, so both are
-    /// cleared once it moves.
+    /// The manager's `gc_runs` when `memo` was last known valid. A
+    /// compaction renumbers the nodes its keys name, so it is cleared once
+    /// this moves.
     gen: Cell<u64>,
 }
 
@@ -339,15 +394,20 @@ impl RangeDag {
     /// [`RangeEncoder::semantics`] is consulted: no BDD is encoded here.
     pub fn build<E: RangeEncoder>(space: &mut E, ranges: &[PrefixRange]) -> RangeDag {
         campion_trace::span!("headerloc.ddnf");
-        match space.semantics() {
+        let (ranges, children) = match space.semantics() {
             RangeSemantics::Members => build_member_ddnf(ranges),
             RangeSemantics::Addresses => build_address_ddnf(ranges),
-        }
+        };
+        RangeDag::from_parts(space.semantics(), ranges, children)
     }
 
-    /// A DAG over closed, deduplicated `ranges`, the universe first, with
-    /// the given cover edges; no cell encoded yet.
-    fn from_parts(ranges: Vec<PrefixRange>, children: Vec<Vec<usize>>) -> RangeDag {
+    /// A DAG in `semantics` over closed, deduplicated `ranges`, the
+    /// universe first, with the given cover edges; no witness found yet.
+    fn from_parts(
+        semantics: RangeSemantics,
+        ranges: Vec<PrefixRange>,
+        children: Vec<Vec<usize>>,
+    ) -> RangeDag {
         debug_assert!(
             ranges.first() == Some(&PrefixRange::universe()),
             "node 0 must be the universe"
@@ -356,7 +416,8 @@ impl RangeDag {
         RangeDag {
             ranges,
             children,
-            remainders: vec![Cell::new(None); n],
+            semantics,
+            witnesses: vec![OnceCell::new(); n],
             memo: RefCell::new(HashMap::new()),
             gen: Cell::new(0),
         }
@@ -372,16 +433,24 @@ impl RangeDag {
         self.ranges.len() <= 1
     }
 
-    /// `λ(n) − ⋃ children(n)` (the node's cell; `λ(n)` itself at leaves),
-    /// encoded in `space` on first use.
-    fn remainder<E: RangeEncoder>(&self, space: &mut E, n: usize) -> Bdd {
-        if let Some(r) = self.remainders[n].get() {
-            return r;
-        }
+    /// One member of node `n`'s cell `λ(n) − ⋃ children(n)`, or `None`
+    /// when the cell is empty; found on first use. An address space reads
+    /// each range as the addresses under its prefix, `(P, 32, 32)`.
+    fn witness(&self, n: usize) -> Option<Prefix> {
+        *self.witnesses[n].get_or_init(|| {
+            let read = |r: PrefixRange| match self.semantics {
+                RangeSemantics::Members => r,
+                RangeSemantics::Addresses => PrefixRange::new(r.prefix, 32, 32),
+            };
+            let kids = self.children[n].iter().map(|&k| read(self.ranges[k]));
+            read(self.ranges[n]).member_outside(kids)
+        })
+    }
+
+    /// Node `n`'s cell, built in `space`: the fallback's test.
+    fn cell<E: RangeEncoder>(&self, space: &mut E, n: usize) -> Bdd {
         let kids: Vec<PrefixRange> = self.children[n].iter().map(|&k| self.ranges[k]).collect();
-        let rem = space.cell(&self.ranges[n], &kids);
-        self.remainders[n].set(Some(rem));
-        rem
+        space.cell(&self.ranges[n], &kids)
     }
 }
 
@@ -390,7 +459,7 @@ impl RangeDag {
 /// prefix, whatever either range's length bounds. Two address sets nest
 /// or are disjoint, so this is the whole Hasse diagram, and no
 /// intersection is a new set.
-fn build_address_ddnf(ranges: &[PrefixRange]) -> RangeDag {
+fn build_address_ddnf(ranges: &[PrefixRange]) -> (Vec<PrefixRange>, Vec<Vec<usize>>) {
     let mut seen = HashSet::new();
     let nodes: Vec<PrefixRange> = std::iter::once(PrefixRange::universe())
         .chain(ranges.iter().copied())
@@ -418,7 +487,7 @@ fn build_address_ddnf(ranges: &[PrefixRange]) -> RangeDag {
     for (c, &p) in parent.iter().enumerate().skip(1) {
         children[p].push(c);
     }
-    RangeDag::from_parts(nodes, children)
+    (nodes, children)
 }
 
 /// Close a member-range set under intersection, deduplicating by denoted
@@ -470,7 +539,7 @@ fn closed_member_ranges(
 
 /// The member-set ddNF: the closed range set, with containment decided on
 /// the canonical member ranges.
-fn build_member_ddnf(ranges: &[PrefixRange]) -> RangeDag {
+fn build_member_ddnf(ranges: &[PrefixRange]) -> (Vec<PrefixRange>, Vec<Vec<usize>>) {
     let (ranges, keys, trie) = {
         campion_trace::span!("headerloc.ddnf.close");
         closed_member_ranges(ranges)
@@ -507,7 +576,7 @@ fn build_member_ddnf(ranges: &[PrefixRange]) -> RangeDag {
             }
         }
     }
-    RangeDag::from_parts(ranges, children)
+    (ranges, children)
 }
 
 /// `GetMatch` (paper §3.2): returns terms representing `S ∩ set(node)`,
@@ -519,12 +588,30 @@ struct NestedTerm {
     minus: Vec<NestedTerm>,
 }
 
+/// How one query decided "cell ⊆ S", counted on its `headerloc.localize`
+/// span.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct Decisions {
+    /// Nodes decided by evaluating the target at their cell's witness.
+    pub(crate) points: u64,
+    /// Cells built, by the fallback.
+    pub(crate) cells: u64,
+    /// Whether the witnesses' terms failed the re-encode check, so the
+    /// query runs again on cells.
+    pub(crate) fallback: bool,
+}
+
 /// One `GetMatch` node visit. A node that meets `s` is memoized per
 /// `(node, s)` on the DAG; one that misses it returns at once and stores
 /// nothing. `not_s` is `¬s = λ(root) − s`, threaded down so the
 /// include-branch recursion (which queries the complement) computes no
 /// complement; the roles swap on recursion since
 /// `λ(root) − (λ(root) − s) = s` for `s ⊆ λ(root)`.
+///
+/// Until `tally` records a fallback, a node's cell is inside `s` when it is
+/// empty or `s` holds at its witness, and only a memo hit can clear
+/// `exact`; in the fallback, the node's cell is built and tested, and a
+/// cell that splits `s` clears `exact`.
 fn get_match<E: RangeEncoder>(
     space: &mut E,
     ddnf: &RangeDag,
@@ -532,6 +619,7 @@ fn get_match<E: RangeEncoder>(
     not_s: Bdd,
     node: usize,
     exact: &mut bool,
+    tally: &mut Decisions,
 ) -> Vec<NestedTerm> {
     if !space.meets(&ddnf.ranges[node], s) {
         // λ(n) misses S, and every descendant is a subset of λ(n): the
@@ -545,31 +633,37 @@ fn get_match<E: RangeEncoder>(
         return terms;
     }
     let kids = &ddnf.children[node];
-    let remainder = ddnf.remainder(space, node);
     let mut sub_exact = true;
-    let rem_outside = space.manager().diff(remainder, s);
-    // Include-branch: the remainder is inside S (an empty remainder counts,
-    // since the range overlaps S).
-    let terms = if space.manager().is_false(rem_outside) {
-        // Remainder ⊆ S: include the range minus the children not in S.
+    let inside = if tally.fallback {
+        tally.cells += 1;
+        let cell = ddnf.cell(space, node);
+        let m = space.manager();
+        let outside = m.diff(cell, s);
+        let inside = m.is_false(outside);
+        if !inside && !m.and(cell, s).is_const_false() {
+            sub_exact = false; // cell splits S: decomposition inexact
+        }
+        inside
+    } else {
+        tally.points += 1;
+        ddnf.witness(node).is_none_or(|p| space.holds(s, &p))
+    };
+    // Include-branch: the cell is inside S (an empty cell counts, since
+    // the range overlaps S).
+    let terms = if inside {
+        // Cell ⊆ S: include the range minus the children not in S.
         let mut minus = Vec::new();
         for &k in kids {
-            minus.extend(get_match(space, ddnf, not_s, s, k, &mut sub_exact));
+            minus.extend(get_match(space, ddnf, not_s, s, k, &mut sub_exact, tally));
         }
         vec![NestedTerm {
             base: ddnf.ranges[node],
             minus,
         }]
     } else {
-        if space.manager().is_sat(remainder) {
-            let rem_inside = space.manager().and(remainder, s);
-            if space.manager().is_sat(rem_inside) {
-                sub_exact = false; // cell splits S: decomposition inexact
-            }
-        }
         let mut out = Vec::new();
         for &k in kids {
-            out.extend(get_match(space, ddnf, s, not_s, k, &mut sub_exact));
+            out.extend(get_match(space, ddnf, s, not_s, k, &mut sub_exact, tally));
         }
         out
     };
@@ -642,15 +736,24 @@ pub fn header_localize_with<E: RangeEncoder>(
     s: Bdd,
     ddnf: &RangeDag,
 ) -> HeaderLocalization {
-    campion_trace::span!("headerloc.localize");
-    // Drop every cached handle if the space was compacted since they were
-    // made.
+    let mut span = campion_trace::span("headerloc.localize");
+    let (loc, decisions) = localize(space, s, ddnf);
+    span.counter("points", decisions.points as i64);
+    span.counter("cells", decisions.cells as i64);
+    span.counter("fallback", i64::from(decisions.fallback));
+    loc
+}
+
+/// [`header_localize_with`], returning how the query decided.
+pub(crate) fn localize<E: RangeEncoder>(
+    space: &mut E,
+    s: Bdd,
+    ddnf: &RangeDag,
+) -> (HeaderLocalization, Decisions) {
+    // Drop the memo if the space was compacted since its keys were made.
     let gc_runs = space.manager().stats().gc_runs;
     if ddnf.gen.replace(gc_runs) != gc_runs {
         ddnf.memo.borrow_mut().clear();
-        for cell in &ddnf.remainders {
-            cell.set(None);
-        }
     }
     let universe = space.cell(&PrefixRange::universe(), &[]);
     debug_assert!(
@@ -661,15 +764,43 @@ pub fn header_localize_with<E: RangeEncoder>(
         },
         "the target must be projected onto the range variables and lie inside the universe range"
     );
-    let mut exact = true;
     let not_s = space.manager().diff(universe, s);
-    let nested = get_match(space, ddnf, s, not_s, 0, &mut exact);
+    let mut decisions = Decisions::default();
+    let mut exact = true;
+    let nested = get_match(space, ddnf, s, not_s, 0, &mut exact, &mut decisions);
     let loc = localization(nested, exact);
-    debug_assert!(
-        !loc.exact || reencode(space, &loc) == s,
-        "HeaderLocalize must re-encode to exactly S"
-    );
-    loc
+    // A query that decided no node read its result whole from the memo,
+    // which keeps only checked results.
+    if decisions.points == 0 || union_of(space, &loc) == s {
+        return (loc, decisions);
+    }
+    // S is no union of cells, so some witness stood for a cell that splits
+    // it, and the memo may hold what that decided.
+    ddnf.memo.borrow_mut().clear();
+    decisions.fallback = true;
+    let mut exact = true;
+    let nested = get_match(space, ddnf, s, not_s, 0, &mut exact, &mut decisions);
+    let loc = localization(nested, exact);
+    debug_assert!(!loc.exact, "a visited cell must split S");
+    (loc, decisions)
+}
+
+/// `⋃ loc.terms`: the minus-free terms' bases in one [`RangeEncoder::union`],
+/// then each term with a minus list built as its own cell (its minus
+/// ranges lie inside its base).
+fn union_of<E: RangeEncoder>(space: &mut E, loc: &HeaderLocalization) -> Bdd {
+    let bases: Vec<PrefixRange> = loc
+        .terms
+        .iter()
+        .filter(|t| t.minus.is_empty())
+        .map(|t| t.base)
+        .collect();
+    let mut union = space.union(&bases);
+    for t in loc.terms.iter().filter(|t| !t.minus.is_empty()) {
+        let term = space.cell(&t.base, &t.minus);
+        union = space.manager().or(union, term);
+    }
+    union
 }
 
 /// Re-encode a localization back into a BDD (the correctness check used by
@@ -690,17 +821,17 @@ pub fn reencode<E: RangeEncoder>(space: &mut E, loc: &HeaderLocalization) -> Bdd
     space.manager().and(acc, valid)
 }
 
-/// Test-only oracles for the structural ddNF builder and the lazy, pruned
-/// `GetMatch`: the pre-trie, BDD-deciding builder and its prefix index, the
-/// eager, unpruned `GetMatch` over node sets it encodes itself and cells
-/// it folds with `diff`, plus accessors for node-order-included DAG
-/// equality and for which cells a query encoded.
+/// Test-only oracles for the structural ddNF builder and the pruned,
+/// witness-deciding `GetMatch`: the pre-trie, BDD-deciding builder and its
+/// prefix index, the eager, unpruned `GetMatch` over node sets it encodes
+/// itself and cells it folds with `diff`, plus accessors for
+/// node-order-included DAG equality and for what a query left on the DAG.
 #[cfg(test)]
 pub(crate) mod oracle {
     use std::collections::HashMap;
 
     use campion_bdd::Bdd;
-    use campion_net::PrefixRange;
+    use campion_net::{Prefix, PrefixRange};
 
     use super::{localization, HeaderLocalization, NestedTerm, RangeDag, RangeEncoder};
 
@@ -783,7 +914,7 @@ pub(crate) mod oracle {
                 }
             }
         }
-        RangeDag::from_parts(ranges, children)
+        RangeDag::from_parts(space.semantics(), ranges, children)
     }
 
     /// Every node set of `dag`, encoded in `space`, in node order.
@@ -807,9 +938,9 @@ pub(crate) mod oracle {
             .collect()
     }
 
-    /// The DAG's full skeleton `(ranges, sets, children, remainders)`:
-    /// node sets encoded as cells with no children, every remainder through
-    /// the DAG's own lazy cell, for the differential suite's
+    /// The DAG's full skeleton `(ranges, sets, children, cells)`: node sets
+    /// encoded as cells with no children, every cell as the fallback builds
+    /// it, for the differential suite's
     /// node-order-included equality assertions (two builds in one manager
     /// must agree on every node handle too). The root is node 0.
     #[allow(clippy::type_complexity)]
@@ -818,8 +949,8 @@ pub(crate) mod oracle {
         dag: &RangeDag,
     ) -> (Vec<PrefixRange>, Vec<Bdd>, Vec<Vec<usize>>, Vec<Bdd>) {
         let sets = node_sets(space, dag);
-        let remainders = (0..dag.len()).map(|n| dag.remainder(space, n)).collect();
-        (dag.ranges.clone(), sets, dag.children.clone(), remainders)
+        let cells = (0..dag.len()).map(|n| dag.cell(space, n)).collect();
+        (dag.ranges.clone(), sets, dag.children.clone(), cells)
     }
 
     /// The node ranges and cover edges, without encoding anything.
@@ -834,11 +965,16 @@ pub(crate) mod oracle {
         keys
     }
 
-    /// The nodes whose remainder has been encoded so far, ascending.
-    pub(crate) fn materialized(dag: &RangeDag) -> Vec<usize> {
+    /// The nodes whose witness has been found so far, ascending, with it.
+    pub(crate) fn found_witnesses(dag: &RangeDag) -> Vec<(usize, Option<Prefix>)> {
         (0..dag.len())
-            .filter(|&n| dag.remainders[n].get().is_some())
+            .filter_map(|n| dag.witnesses[n].get().map(|&w| (n, w)))
             .collect()
+    }
+
+    /// Node `n`'s witness, found now if no query has yet.
+    pub(crate) fn witness(dag: &RangeDag, n: usize) -> Option<Prefix> {
+        dag.witness(n)
     }
 
     /// The pre-pruning `header_localize_with`: every node set encoded and

@@ -381,7 +381,7 @@ impl RangeScreen {
     /// it has permit ranges and none meets a generator range.
     fn misses(&self, key: &ClauseKey) -> bool {
         key.permit_ranges()
-            .is_some_and(|rs| !rs.iter().any(|r| self.meets(r)))
+            .is_some_and(|mut rs| !rs.any(|r| self.meets(&r)))
     }
 }
 
@@ -507,7 +507,7 @@ pub(crate) fn policy_diff_paths(
                 .iter()
                 .map(|&(s, i)| clause_cond(space, &policies[s].clauses[i], &initial))
                 .collect();
-            let ranges: Option<Vec<Vec<PrefixRange>>> = gens
+            let ranges: Option<Vec<_>> = gens
                 .iter()
                 .map(|&(s, i)| keys[s][i].permit_ranges())
                 .collect();

@@ -1627,14 +1627,15 @@ mod alignment {
 
 // --------------------------------------------------------------- ddNF/trie
 
-/// Differential suite for the structural ddNF builder and the lazy, pruned
-/// `GetMatch`: the trie-based [`RangeDag::build`] must produce
-/// byte-identical DAGs — node order, cover edges, BDD handles and
-/// remainders included — versus the retained BDD-deciding oracle,
-/// localizations against either must agree, every cell must be the `diff`
-/// chain over the node sets, and the pruned query, which decides overlap
-/// by walking the target, must return what the eager, unpruned one does
-/// while encoding only the cells of the nodes that meet the target.
+/// Differential suite for the structural ddNF builder and the pruned,
+/// witness-deciding `GetMatch`: the trie-based [`RangeDag::build`] must
+/// produce byte-identical DAGs — node order, cover edges, BDD handles and
+/// cells included — versus the retained BDD-deciding oracle, localizations
+/// against either must agree, every cell must be the `diff` chain over the
+/// node sets and hold its witness, and the pruned query, which decides
+/// overlap by walking the target and "cell ⊆ S" at a witness, must return
+/// what the eager, unpruned one does, building cells only for a target
+/// that is no union of cells.
 mod ddnf {
     use std::net::Ipv4Addr;
 
@@ -1645,12 +1646,12 @@ mod ddnf {
 
     use super::*;
     use crate::headerloc::oracle::{
-        build_ddnf_oracle, dag_structure, diff_chain_cells, header_localize_eager, materialized,
-        memo_keys, skeleton,
+        build_ddnf_oracle, dag_structure, diff_chain_cells, found_witnesses, header_localize_eager,
+        memo_keys, skeleton, witness,
     };
     use crate::headerloc::{
-        header_localize_with, DstAddrSpace, HeaderLocalization, RangeDag, RangeEncoder,
-        RangeSemantics, RangeTerm, SrcAddrSpace,
+        header_localize_with, localize, Decisions, DstAddrSpace, HeaderLocalization, RangeDag,
+        RangeEncoder, RangeSemantics, RangeTerm, SrcAddrSpace,
     };
 
     /// Build with both builders in the same space (so deterministic
@@ -1718,15 +1719,17 @@ mod ddnf {
             })
     }
 
-    /// Require every cell the DAG encodes (in a route space, one
-    /// first-match build) to be the `diff` chain over the node sets, handle
-    /// for handle. Then localize a battery of targets with the pruned, lazy
-    /// query and with the eager, unpruned oracle — each against its own DAG
-    /// over `ranges` — and require equal terms and `exact` flags. Targets: ∅,
-    /// the universe, every single cell, the union of the input ranges
-    /// (all exact), and, when a leaf cell can be split by a range, that
-    /// sub-range alone and united with the input ranges disjoint from the
-    /// leaf (both inexact).
+    /// Require every cell the DAG builds (in a route space, one first-match
+    /// build) to be the `diff` chain over the node sets, handle for handle.
+    /// Then localize a battery of targets with the pruned query and with
+    /// the eager, unpruned oracle — each against its own DAG over `ranges` —
+    /// and require equal terms and `exact` flags, and that the pruned query
+    /// built cells, in one fallback, exactly for the inexact targets the
+    /// memo did not answer.
+    /// Targets: ∅, the universe, every single cell, the union of the input
+    /// ranges (all exact), and, when a leaf cell can be split by a range,
+    /// that sub-range alone and united with the input ranges disjoint from
+    /// the leaf (both inexact).
     fn assert_pruned_matches_eager<E: RangeEncoder>(
         space: &mut E,
         ranges: &[PrefixRange],
@@ -1765,13 +1768,37 @@ mod ddnf {
         let eager = RangeDag::build(space, ranges);
         for (s, exact) in targets {
             let want = header_localize_eager(space, s, &eager);
-            let got = header_localize_with(space, s, &pruned);
+            let (got, decided) = localize(space, s, &pruned);
             prop_assert_eq!(
                 &got,
                 &want,
                 "pruned GetMatch diverged from the eager oracle"
             );
             prop_assert_eq!(got.exact, exact);
+            // A repeated target is answered by the memo and decides nothing.
+            if decided != Decisions::default() {
+                prop_assert_eq!(decided.fallback, !exact);
+            }
+            if exact {
+                prop_assert_eq!(decided.cells, 0, "an exact target built cells");
+            }
+        }
+        Ok(())
+    }
+
+    /// Require every node's witness to stand for its cell: `None` exactly
+    /// when the cell is empty, and otherwise a point the cell holds.
+    fn assert_witnesses_match_cells<E: RangeEncoder>(
+        space: &mut E,
+        ranges: &[PrefixRange],
+    ) -> Result<(), TestCaseError> {
+        let dag = RangeDag::build(space, ranges);
+        let (nodes, _, _, cells) = dag_structure(space, &dag);
+        for (n, &cell) in cells.iter().enumerate() {
+            match witness(&dag, n) {
+                None => prop_assert!(cell.is_const_false(), "{} has a member", nodes[n]),
+                Some(p) => prop_assert!(space.holds(cell, &p), "{} is outside {}", p, nodes[n]),
+            }
         }
         Ok(())
     }
@@ -1919,6 +1946,36 @@ mod ddnf {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            ProptestConfig::default().cases.max(256)
+        ))]
+
+        /// Witnesses against built cells, member semantics.
+        #[test]
+        fn witnesses_match_cells_in_route_spaces(
+            seeds in proptest::collection::vec(
+                (crowded_bits(), 0u8..=32, 0u8..=32, 0u8..=32), 1..10)
+        ) {
+            assert_witnesses_match_cells(&mut route_space(), &member_ranges(&seeds))?;
+        }
+
+        /// Witnesses against built cells, address semantics, on split
+        /// blocks and on arbitrary length bounds.
+        #[test]
+        fn witnesses_match_cells_in_addr_spaces(
+            split in proptest::collection::vec((crowded_bits(), 0u8..=32, any::<bool>()), 1..10),
+            bounded in proptest::collection::vec(
+                (crowded_bits(), 0u8..=32, 0u8..=32, 0u8..=32), 1..10)
+        ) {
+            let mut space = PacketSpace::new();
+            for ranges in [addr_ranges(&split), member_ranges(&bounded)] {
+                assert_witnesses_match_cells(&mut DstAddrSpace(&mut space), &ranges)?;
+                assert_witnesses_match_cells(&mut SrcAddrSpace(&mut space), &ranges)?;
+            }
+        }
+    }
+
+    proptest! {
         /// The address DAG is the Hasse diagram of the address sets for
         /// arbitrary length bounds, which decide nothing there.
         #[test]
@@ -1971,9 +2028,9 @@ mod ddnf {
             .collect()
     }
 
-    /// Localize a target confined to one leaf and check what was encoded:
-    /// remainders for the path nodes only (overlap tests walk the target
-    /// and encode nothing).
+    /// Localize a target confined to one leaf and check what the query
+    /// did: witnesses for the path nodes only, each decided by its witness,
+    /// and no cell built (overlap tests walk the target and encode nothing).
     fn assert_localizes_one_leaf_lazily<E: RangeEncoder>(space: &mut E) {
         let valid = space.cell(&PrefixRange::universe(), &[]);
         let dag = RangeDag::build(space, &lcg_ranges(1000));
@@ -2014,7 +2071,7 @@ mod ddnf {
 
         let b = space.cell(&nodes[leaf], &[]);
         let s = space.manager().and(b, valid);
-        let loc = header_localize_with(space, s, &dag);
+        let (loc, decided) = localize(space, s, &dag);
         assert_eq!(
             loc,
             HeaderLocalization {
@@ -2025,23 +2082,28 @@ mod ddnf {
                 exact: true,
             }
         );
-        let mut want_rems = path.clone();
-        want_rems.sort_unstable();
         assert_eq!(
-            materialized(&dag),
-            want_rems,
-            "remainders materialized off the path"
+            decided,
+            Decisions {
+                points: path.len() as u64,
+                cells: 0,
+                fallback: false,
+            }
         );
-        assert_eq!(materialized(&snapshot), Vec::<usize>::new());
+        let mut want = path.clone();
+        want.sort_unstable();
+        let found: Vec<usize> = found_witnesses(&dag).iter().map(|&(n, _)| n).collect();
+        assert_eq!(found, want, "witnesses found off the path");
+        assert!(found_witnesses(&snapshot).is_empty());
     }
 
     #[test]
-    fn getmatch_materializes_only_the_visited_path_in_route_spaces() {
+    fn getmatch_witnesses_only_the_visited_path_in_route_spaces() {
         assert_localizes_one_leaf_lazily(&mut route_space());
     }
 
     #[test]
-    fn getmatch_materializes_only_the_visited_path_in_packet_spaces() {
+    fn getmatch_witnesses_only_the_visited_path_in_packet_spaces() {
         let mut space = PacketSpace::new();
         assert_localizes_one_leaf_lazily(&mut DstAddrSpace(&mut space));
         assert_localizes_one_leaf_lazily(&mut SrcAddrSpace(&mut space));
@@ -2148,11 +2210,12 @@ mod ddnf {
         assert_same_dag(&mut route_space(), &ranges);
     }
 
-    /// The DAG's caches must serve repeat queries and, after a compaction
-    /// renumbers the nodes their handles name, re-encode them in the
-    /// compacted arena.
+    /// The memo serves a repeat query, and a compaction between two queries
+    /// keeps the witnesses, which are plain data, and clears the memo,
+    /// whose keys it renumbered: the next query decides every node again
+    /// and leaves the memo a fresh DAG's query leaves.
     #[test]
-    fn memo_is_stable_across_queries_and_collections() {
+    fn compaction_keeps_witnesses_and_clears_the_memo() {
         let r = |s: &str| s.parse::<PrefixRange>().unwrap();
         let ranges = [
             r("10.0.0.0/8:8-32"),
@@ -2164,25 +2227,68 @@ mod ddnf {
         let b = space.prefix_range_bdd(&ranges[0]);
         let valid = space.prefix_range_bdd(&PrefixRange::universe());
         let mut s = [space.manager.and(b, valid)];
-        let first = header_localize_with(&mut space, s[0], &dag);
-        let memo_hit = header_localize_with(&mut space, s[0], &dag);
+        let (first, decided) = localize(&mut space, s[0], &dag);
+        assert!(decided.points > 0 && decided.cells == 0 && !decided.fallback);
+        let (memo_hit, again) = localize(&mut space, s[0], &dag);
         assert_eq!(first, memo_hit);
-        let visited = materialized(&dag);
+        assert_eq!(
+            again,
+            Decisions::default(),
+            "the repeat query missed the memo"
+        );
+        let found = found_witnesses(&dag);
         // Keep only the target, then refill the arena with unrelated
-        // functions, so a stale cached handle would now name one of them.
+        // functions, so a stale memo key would now name one of them.
         space.compact(&mut s);
         for r in ["30.0.0.0/8:8-32", "40.0.0.0/12:12-24", "50.0.0.0/16:16-16"] {
             let _ = space.prefix_range_bdd(&r.parse().unwrap());
         }
-        let after = header_localize_with(&mut space, s[0], &dag);
+        let (after, redecided) = localize(&mut space, s[0], &dag);
         assert_eq!(first, after);
-        assert_eq!(materialized(&dag), visited, "re-materialized other nodes");
+        assert_eq!(redecided, decided, "the memo outlived the compaction");
+        assert_eq!(found_witnesses(&dag), found, "a witness was found again");
         let fresh = RangeDag::build(&mut space, &ranges);
-        assert_eq!(
-            dag_structure(&mut space, &dag),
-            dag_structure(&mut space, &fresh),
-            "a cached handle outlived the compaction"
-        );
+        let _ = localize(&mut space, s[0], &fresh);
+        assert_eq!(memo_keys(&dag), memo_keys(&fresh));
+        assert_eq!(found_witnesses(&fresh), found);
+    }
+
+    /// A target that splits a cell takes the fallback once: the witnesses'
+    /// terms fail the re-encode check, the query runs again on cells and
+    /// returns the eager oracle's terms with `exact: false`, and the next
+    /// in-premise query on the same DAG builds no cell again.
+    fn assert_splitting_target_falls_back<E: RangeEncoder>(space: &mut E) {
+        let r = |s: &str| s.parse::<PrefixRange>().unwrap();
+        let ranges = [
+            r("10.0.0.0/8:8-32"),
+            r("10.1.0.0/16:16-32"),
+            r("20.0.0.0/8:8-32"),
+        ];
+        let valid = space.cell(&PrefixRange::universe(), &[]);
+        let target = |space: &mut E, range: &str| {
+            let b = space.cell(&r(range), &[]);
+            space.manager().and(b, valid)
+        };
+        let dag = RangeDag::build(space, &ranges);
+        let eager = RangeDag::build(space, &ranges);
+        let split = target(space, "10.1.128.0/17:17-32");
+        let (got, decided) = localize(space, split, &dag);
+        assert_eq!(got, header_localize_eager(space, split, &eager));
+        assert!(!got.exact);
+        assert!(decided.fallback && decided.cells > 0, "{decided:?}");
+        let whole = target(space, "10.0.0.0/8:8-32");
+        let (got, decided) = localize(space, whole, &dag);
+        assert_eq!(got, header_localize_eager(space, whole, &eager));
+        assert!(got.exact);
+        assert!(!decided.fallback && decided.cells == 0, "{decided:?}");
+    }
+
+    #[test]
+    fn cell_splitting_targets_fall_back_to_cells() {
+        assert_splitting_target_falls_back(&mut route_space());
+        let mut space = PacketSpace::new();
+        assert_splitting_target_falls_back(&mut DstAddrSpace(&mut space));
+        assert_splitting_target_falls_back(&mut SrcAddrSpace(&mut space));
     }
 
     /// The clone invariant the benchmark's traced replay relies on: a

@@ -126,6 +126,54 @@ impl PrefixRange {
         Some(PrefixRange::new(prefix, min_len, self.max_len))
     }
 
+    /// One member of this range that is a member of none of `others`, or
+    /// `None` when `others` cover every member.
+    ///
+    /// On [`PrefixRange::canonical_members`] forms, the members of one
+    /// length `l` are one interval of `l`-bit values: the truncation of
+    /// the covering prefix below its length, every extension of it from
+    /// there on. So is each of `others`' at `l`. Lengths are tried from
+    /// the shortest, and at each the sorted intervals of `others` are
+    /// swept for the first value they leave uncovered.
+    pub fn member_outside(&self, others: impl IntoIterator<Item = PrefixRange>) -> Option<Prefix> {
+        let own = self.canonical_members()?;
+        let others: Vec<PrefixRange> = others
+            .into_iter()
+            .filter_map(|o| o.canonical_members())
+            .collect();
+        let mut spans: Vec<(u64, u64)> = Vec::new();
+        for len in own.min_len..=own.max_len {
+            spans.clear();
+            spans.extend(
+                others
+                    .iter()
+                    .filter(|o| (o.min_len..=o.max_len).contains(&len))
+                    .map(|o| o.members_at(len)),
+            );
+            spans.sort_unstable();
+            let (mut next, last) = own.members_at(len);
+            for &(lo, hi) in &spans {
+                if lo > next || next > last {
+                    break;
+                }
+                next = next.max(hi + 1);
+            }
+            if next <= last {
+                let bits = (next << (32 - u32::from(len))) as u32;
+                return Some(Prefix::new(bits.into(), len));
+            }
+        }
+        None
+    }
+
+    /// The members of length `len` of a canonical range whose interval
+    /// holds `len`, as an inclusive interval of `len`-bit values.
+    fn members_at(&self, len: u8) -> (u64, u64) {
+        let first = u64::from(self.prefix.bits()) >> (32 - u32::from(len));
+        let free = len.saturating_sub(self.prefix.len());
+        (first, first + (1 << free) - 1)
+    }
+
     /// Member-set containment: is every member of `other` a member of
     /// `self`? (`other ⊆ self`, the paper's `R₁ ⊂ R₂` relation plus
     /// equality.) Structurally different ranges can denote the same set, so

@@ -308,6 +308,47 @@ mod properties {
             let brute = sb.iter().all(|p| sa.contains(p));
             prop_assert_eq!(a.member_superset(&b), brute, "{} ⊇ {}", a, b);
         }
+
+        #[test]
+        fn member_outside_is_exact((r, others) in arb_range_and_others()) {
+            let universe = small_universe();
+            let covered = |p: &Prefix| others.iter().any(|o| o.member(p));
+            match r.member_outside(others.iter().copied()) {
+                Some(p) => {
+                    prop_assert!(r.member(&p), "{} is no member of {}", p, r);
+                    prop_assert!(!covered(&p), "{} is covered", p);
+                }
+                None => prop_assert!(
+                    member_set(&r, &universe).iter().all(covered),
+                    "{} claimed covered by {:?}", r, others
+                ),
+            }
+        }
+    }
+
+    /// A range, and others crowded around it: half keep its covering bits
+    /// and draw the rest, so they often cover some of its lengths and now
+    /// and then every member.
+    fn arb_range_and_others() -> impl Strategy<Value = (PrefixRange, Vec<PrefixRange>)> {
+        let other = (any::<u32>(), 0u8..=8, 0u8..=8, 0u8..=8, any::<bool>());
+        (arb_small_range(), proptest::collection::vec(other, 0..8)).prop_map(|(r, seeds)| {
+            let others = seeds
+                .into_iter()
+                .map(|(tail, len, a, b, near)| {
+                    let keep = if near {
+                        u32::MAX
+                            .checked_shl(32 - u32::from(r.prefix.len()))
+                            .unwrap_or(0)
+                    } else {
+                        0
+                    };
+                    let bits = (r.prefix.bits() & keep) | (tail & !keep);
+                    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+                    PrefixRange::new(Prefix::new(Ipv4Addr::from(bits), len), lo, hi)
+                })
+                .collect();
+            (r, others)
+        })
     }
 
     #[test]
@@ -332,5 +373,82 @@ mod properties {
         // Adjacent blocks are unrelated.
         assert!(!r("10.0.0.0/9:9-32").member_superset(&r("10.128.0.0/9:9-32")));
         assert!(!r("10.128.0.0/9:9-32").member_superset(&r("10.0.0.0/9:9-32")));
+    }
+
+    #[test]
+    fn member_outside_edge_cases() {
+        let r = |s: &str| s.parse::<PrefixRange>().unwrap();
+        let p = |s: &str| s.parse::<Prefix>().unwrap();
+        let outside =
+            |range: &str, others: &[&str]| r(range).member_outside(others.iter().map(|o| r(o)));
+        // Covered exactly by its children.
+        assert_eq!(
+            outside(
+                "10.0.0.0/8:8-9",
+                &["10.0.0.0/8:8-8", "10.0.0.0/9:9-9", "10.128.0.0/9:9-9"]
+            ),
+            None
+        );
+        // A member shorter than the covering prefix: 10.0.0.0 keeps its
+        // bits down to /7.
+        assert_eq!(
+            outside("10.0.0.0/16:0-16", &["10.0.0.0/16:8-16"]),
+            Some(p("10.0.0.0/7"))
+        );
+        assert!(r("10.0.0.0/16:0-16").member(&p("10.0.0.0/7")));
+        assert_eq!(outside("10.0.0.0/16:0-16", &["10.0.0.0/16:7-16"]), None);
+        // Children covering some lengths and not others.
+        assert_eq!(
+            outside("10.0.0.0/8:8-32", &["10.0.0.0/8:8-24", "10.0.0.0/8:26-32"]),
+            Some(p("10.0.0.0/25"))
+        );
+        assert_eq!(
+            outside("10.0.0.0/8:8-32", &["10.0.0.0/8:8-24", "10.0.0.0/8:25-32"]),
+            None
+        );
+        // The first gap in a length's sorted intervals.
+        assert_eq!(
+            outside(
+                "10.0.0.0/8:10-10",
+                &["10.128.0.0/10:10-32", "10.0.0.0/10:10-32"]
+            ),
+            Some(p("10.64.0.0/10"))
+        );
+        // /0: the root's witness is the default route unless a child holds it.
+        assert_eq!(
+            outside("0.0.0.0/0:0-32", &["10.0.0.0/8:8-32"]),
+            Some(p("0.0.0.0/0"))
+        );
+        assert_eq!(
+            outside("0.0.0.0/0:0-32", &["0.0.0.0/0:1-32"]),
+            Some(p("0.0.0.0/0"))
+        );
+        assert_eq!(
+            outside(
+                "0.0.0.0/0:0-32",
+                &["0.0.0.0/0:0-0", "0.0.0.0/1:1-32", "128.0.0.0/1:1-32"]
+            ),
+            None
+        );
+        // /32, and an address block read as its /32 members.
+        assert_eq!(outside("1.2.3.4/32:32-32", &["1.2.3.0/24:24-32"]), None);
+        assert_eq!(
+            outside("1.2.3.4/32:32-32", &["1.2.3.5/32:32-32"]),
+            Some(p("1.2.3.4/32"))
+        );
+        assert_eq!(
+            outside("1.2.3.0/24:32-32", &["1.2.3.0/25:32-32"]),
+            Some(p("1.2.3.128/32"))
+        );
+        assert_eq!(
+            outside("255.255.255.255/32:32-32", &[]),
+            Some(p("255.255.255.255/32"))
+        );
+        // Empty ranges have no member, and empty others cover nothing.
+        assert_eq!(outside("10.0.0.0/8:0-6", &[]), None);
+        assert_eq!(
+            outside("10.0.0.0/8:8-8", &["10.0.0.0/8:0-6"]),
+            Some(p("10.0.0.0/8"))
+        );
     }
 }

@@ -172,17 +172,18 @@ impl ClauseKey {
     /// The ranges of the clause's permit entries, over all its prefix
     /// conditions, or `None` when it has no prefix condition. The clause's
     /// condition lies inside their union.
-    pub fn permit_ranges(&self) -> Option<Vec<PrefixRange>> {
-        let mut out = None;
-        for m in &self.matches {
-            if let MatchKey::Prefix(lists) = m {
-                let ranges = out.get_or_insert_with(Vec::new);
-                for list in lists {
-                    ranges.extend(list.iter().filter(|(permit, _)| *permit).map(|(_, r)| *r));
-                }
-            }
-        }
-        out
+    pub fn permit_ranges(&self) -> Option<impl Iterator<Item = PrefixRange> + '_> {
+        let mut lists = self
+            .matches
+            .iter()
+            .filter_map(|m| match m {
+                MatchKey::Prefix(lists) => Some(lists),
+                _ => None,
+            })
+            .peekable();
+        lists.peek()?;
+        let entries = lists.flatten().flatten();
+        Some(entries.filter(|(permit, _)| *permit).map(|&(_, r)| r))
     }
 }
 
