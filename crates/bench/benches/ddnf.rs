@@ -13,8 +13,8 @@
 //!   first-octet-bucketed prefix trie.
 //! * `ddnf_getmatch`: fixed targets localized against the 10⁴-range
 //!   address DAG, reported as GetMatch calls/s. Every sample starts from a
-//!   fresh snapshot of the DAG with no witness found and an empty memo, so
-//!   it pays what a pair's queries pay, not just memo hits.
+//!   fresh snapshot of the DAG with no witness found, so it pays what a
+//!   pair's queries pay, witness searches included.
 //! * `ddnf_getmatch_route`: the same against the route-space DAG over
 //!   5·10³ member ranges, the size of an `rmap-10k` pair's, whose root has
 //!   thousands of children.

@@ -27,9 +27,12 @@ struct Parser<'a> {
     cfg: CiscoConfig,
 }
 
-/// Tokenize an IOS line on whitespace.
+/// Tokenize an IOS line on whitespace, in one allocation for a line of at
+/// most 16 words (a prefix-list entry has at most 11).
 fn tokens(line: &str) -> Vec<&str> {
-    line.split_whitespace().collect()
+    let mut toks = Vec::with_capacity(16);
+    toks.extend(line.split_whitespace());
+    toks
 }
 
 /// Is this line a stanza-body line (indented continuation)?
@@ -130,18 +133,16 @@ impl<'a> Parser<'a> {
 
     fn prefix_list_line(&mut self, num: u32, toks: &[&str]) -> Result<(), ParseError> {
         // ip prefix-list NAME [seq N] permit|deny PFX [ge G] [le L]
-        let mut it = toks[2..].iter();
-        let name = *it
-            .next()
-            .ok_or_else(|| ParseError::at(num, "prefix-list missing name"))?;
-        let mut rest: Vec<&str> = it.copied().collect();
+        let Some((name, mut rest)) = toks[2..].split_first() else {
+            return Err(ParseError::at(num, "prefix-list missing name"));
+        };
         let mut seq = None;
         if rest.first() == Some(&"seq") {
             if rest.len() < 2 {
                 return Err(ParseError::at(num, "seq missing number"));
             }
             seq = Some(parse_u32(rest[1], num, "sequence number")?);
-            rest.drain(0..2);
+            rest = &rest[2..];
         }
         if rest.first() == Some(&"description") {
             return Ok(()); // descriptions carry no behavior
@@ -195,7 +196,12 @@ impl<'a> Parser<'a> {
                 format!("invalid ge/le bounds {ge}/{le}"),
             ));
         }
-        let list = self.cfg.prefix_lists.entry(name.to_string()).or_default();
+        // The list exists after its first line: allocate its name only then.
+        let lists = &mut self.cfg.prefix_lists;
+        let list = match lists.get_mut(*name) {
+            Some(list) => list,
+            None => lists.entry((*name).to_string()).or_default(),
+        };
         let seq = seq.unwrap_or((list.entries.len() as u32 + 1) * 5);
         list.entries.push(PrefixListEntry {
             seq,

@@ -70,6 +70,47 @@ fn prefix_list_ge_le_defaults() {
     assert_eq!(c.action, LineAction::Deny);
 }
 
+/// Every malformed prefix-list line is refused with its own message.
+#[test]
+fn prefix_list_errors_name_the_fault() {
+    for (line, message) in [
+        ("ip prefix-list", "prefix-list missing name"),
+        ("ip prefix-list A seq", "seq missing number"),
+        (
+            "ip prefix-list A seq x permit 10.0.0.0/8",
+            "bad sequence number: \"x\"",
+        ),
+        ("ip prefix-list A", "prefix-list missing action"),
+        ("ip prefix-list A seq 5", "prefix-list missing action"),
+        ("ip prefix-list A permit", "prefix-list missing prefix"),
+        ("ip prefix-list A permit 10.0.0.0/8 ge", "ge missing value"),
+        (
+            "ip prefix-list A permit 10.0.0.0/8 le 9 le",
+            "le missing value",
+        ),
+        (
+            "ip prefix-list A permit 10.0.0.0/8 le x",
+            "bad le length: \"x\"",
+        ),
+        (
+            "ip prefix-list A permit 10.0.0.0/8 eq 9",
+            "unexpected token \"eq\"",
+        ),
+        (
+            "ip prefix-list A permit 10.0.0.0/16 ge 8",
+            "invalid ge/le bounds 8/32",
+        ),
+    ] {
+        let err = parse_cisco(&format!("!\n{line}\n")).unwrap_err();
+        assert_eq!((err.line, err.message.as_str()), (2, message), "{line}");
+    }
+    let cfg = parse_cisco("ip prefix-list A seq 5 description anything at all\n").unwrap();
+    assert!(
+        cfg.prefix_lists.is_empty(),
+        "a description line adds no list"
+    );
+}
+
 #[test]
 fn prefix_list_rejects_bad_bounds() {
     assert!(parse_cisco("ip prefix-list A permit 10.0.0.0/16 ge 8\n").is_err());

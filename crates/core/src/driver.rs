@@ -11,9 +11,11 @@
 //!
 //! A pair's BDD arena is compacted once, right after SemanticDiff, to the
 //! differences' inputs: localization reads nothing else, and builds what
-//! it needs in what is left.
+//! it needs in what is left. Differences that project to the same target
+//! share one localization per ddNF.
 
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use campion_bdd::{Bdd, ManagerStats};
@@ -22,7 +24,9 @@ use campion_ir::{AclIr, RoutePolicy, RouterIr};
 use campion_net::PrefixRange;
 use campion_symbolic::{PacketSpace, RouteSpace};
 
-use crate::headerloc::{self, DstAddrSpace, SrcAddrSpace};
+use crate::headerloc::{
+    self, DstAddrSpace, HeaderLocalization, RangeDag, RangeEncoder, SrcAddrSpace,
+};
 use crate::matching::{match_policies, PolicyPair};
 use crate::report::{CampionReport, PolicyDiffReport};
 use crate::semantic::{
@@ -370,10 +374,10 @@ fn diff_policy_pair(
         keep_inputs(&mut diffs, |roots| space.compact(roots));
         let mut ranges: Vec<PrefixRange> = p1.prefix_ranges();
         ranges.extend(p2.prefix_ranges());
-        let dag = headerloc::RangeDag::build(&mut space, &ranges);
+        let mut dag = Localizer::new(RangeDag::build(&mut space, &ranges));
         diffs
             .iter()
-            .map(|d| present_policy_diff(r1, r2, &mut space, &dag, &p1, &p2, pair, d, opts))
+            .map(|d| present_policy_diff(r1, r2, &mut space, &mut dag, &p1, &p2, pair, d, opts))
             .collect()
     };
     let stats = pair_stats(
@@ -384,6 +388,33 @@ fn diff_policy_pair(
         &prune,
     );
     (out, stats)
+}
+
+/// A pair's ddNF and the localization of every distinct target asked of it
+/// so far. Its keys are handles in the pair's compacted arena, which is not
+/// compacted again while the pair localizes, so a repeated target is a
+/// repeated key.
+struct Localizer {
+    dag: RangeDag,
+    found: HashMap<Bdd, HeaderLocalization>,
+}
+
+impl Localizer {
+    fn new(dag: RangeDag) -> Self {
+        Localizer {
+            dag,
+            found: HashMap::new(),
+        }
+    }
+
+    /// The localization of the projected target `s`, queried on its first
+    /// request only.
+    fn localize<E: RangeEncoder>(&mut self, space: &mut E, s: Bdd) -> &HeaderLocalization {
+        let dag = &self.dag;
+        self.found
+            .entry(s)
+            .or_insert_with(|| headerloc::header_localize_with(space, s, dag))
+    }
 }
 
 /// Compact a pair's arena to the differences' inputs with `compact`, and
@@ -403,7 +434,7 @@ fn present_policy_diff(
     r1: &RouterIr,
     r2: &RouterIr,
     space: &mut RouteSpace,
-    dag: &headerloc::RangeDag,
+    dag: &mut Localizer,
     p1: &RoutePolicy,
     p2: &RoutePolicy,
     pair: &PolicyPair,
@@ -412,7 +443,7 @@ fn present_policy_diff(
 ) -> PolicyDiffReport {
     campion_trace::span!("present.localize");
     let projected = space.project_to_prefix(d.input);
-    let loc = headerloc::header_localize_with(space, projected, dag);
+    let loc = dag.localize(space, projected);
     let example = if opts.exhaustive_communities {
         let cl = crate::commloc::community_localize(space, d.input);
         if cl.is_unconstrained() {
@@ -509,17 +540,17 @@ fn present_acl_diff(
     r1: &RouterIr,
     r2: &RouterIr,
     space: &mut PacketSpace,
-    dst_dag: &headerloc::RangeDag,
-    src_dag: &headerloc::RangeDag,
+    dst_dag: &mut Localizer,
+    src_dag: &mut Localizer,
     a1: &AclIr,
     a2: &AclIr,
     d: &SemanticDifference,
 ) -> PolicyDiffReport {
     campion_trace::span!("present.localize");
     let dst_proj = space.project_to_dst(d.input);
-    let dst_loc = headerloc::header_localize_with(&mut DstAddrSpace(space), dst_proj, dst_dag);
+    let dst_loc = dst_dag.localize(&mut DstAddrSpace(space), dst_proj);
     let src_proj = space.project_to_src(d.input);
-    let src_loc = headerloc::header_localize_with(&mut SrcAddrSpace(space), src_proj, src_dag);
+    let src_loc = src_dag.localize(&mut SrcAddrSpace(space), src_proj);
     // Render address sets as prefixes (drop the length dimension, which
     // is meaningless for packets).
     let as_addr = |rs: Vec<PrefixRange>| -> Vec<PrefixRange> {
@@ -610,11 +641,13 @@ fn diff_acl_pair(
     } else {
         keep_inputs(&mut diffs, |roots| space.compact(roots));
         let (dst_ranges, src_ranges) = acl_address_ranges(a1, a2);
-        let dst_dag = headerloc::RangeDag::build(&mut DstAddrSpace(&mut space), &dst_ranges);
-        let src_dag = headerloc::RangeDag::build(&mut SrcAddrSpace(&mut space), &src_ranges);
+        let mut dst_dag =
+            Localizer::new(RangeDag::build(&mut DstAddrSpace(&mut space), &dst_ranges));
+        let mut src_dag =
+            Localizer::new(RangeDag::build(&mut SrcAddrSpace(&mut space), &src_ranges));
         diffs
             .iter()
-            .map(|d| present_acl_diff(r1, r2, &mut space, &dst_dag, &src_dag, a1, a2, d))
+            .map(|d| present_acl_diff(r1, r2, &mut space, &mut dst_dag, &mut src_dag, a1, a2, d))
             .collect()
     };
     let stats = pair_stats(

@@ -63,11 +63,12 @@
 //!   range's set) holds on them already.
 //! * **Overlap pruning.** A node that misses `S` contributes no terms and
 //!   is not recursed into: its descendants are subsets of it, so they miss
-//!   `S` as well and cannot split a cell either. `GetMatch` tests overlap
-//!   first and stores nothing for a missed node, since the walk costs less
-//!   than a memo entry. A query visits the root and the children of the
-//!   nodes that actually meet `S`; those are memoized, so a missed node is
-//!   walked at most once per edge into it and target.
+//!   `S` as well and cannot split a cell either. `GetMatch` tests a child's
+//!   overlap before it recurses, and stores nothing for a missed child,
+//!   since the walk costs less than a call and a memo entry. A query walks
+//!   the root and the children of the nodes that actually meet `S`; those
+//!   are memoized for the query, so a missed node is walked at most once
+//!   per edge into it and target.
 //! * **Witness points.** `GetMatch` never builds a cell to ask whether it
 //!   lies inside `S`. The DAG is closed under intersection, so its cells
 //!   are the atoms of the algebra the configurations' ranges generate,
@@ -83,29 +84,26 @@
 //!   caller-built set, or an ACL wildcard past the cover cap) can make a
 //!   witness stand for a cell that splits it. Every term is a union of
 //!   cells, so the terms re-encode to `S` exactly when `S` is one, and
-//!   every query the memo does not answer whole checks that: the union of
-//!   the minus-free terms in one structural pass
-//!   ([`RangeEncoder::union`]), one more per term with a minus list. On a
-//!   mismatch
-//!   the query clears the memo and runs again on cells: each node reached
-//!   builds its cell ([`RangeEncoder::cell`]) and tests it against `S` with
-//!   `diff` and `and`, which also finds the cells that split `S`. Either
-//!   way the terms and `exact` flag are those of the cell-deciding query.
-//!   The `headerloc.localize` span counts the nodes decided by a witness
-//!   (`points`), the cells built (`cells`) and the fallbacks (`fallback`).
-//! * **Reuse across queries.** A pair's DAG serves ~10 difference queries,
-//!   which overlap heavily: witnesses stay for the next query, and the
-//!   `GetMatch` result of every node that meets its target is memoized per
-//!   `(node, S)` on the DAG (`¬S` recursions hit the same table). `¬S`
-//!   itself is `diff(cell(universe, []), S)`, computed once per localize
-//!   call, not once per included node. The universe is always node 0, where
-//!   every query starts.
-//! * **One validity rule.** Witnesses are plain data, but the memo's `S`
-//!   keys are handles, valid until their space is next compacted
-//!   ([`Manager::compact`]); a query that finds the manager's collection
-//!   count moved clears the memo before it starts. The driver compacts a
-//!   pair's space once, before it builds the DAG, and never after, so there
-//!   the memo lives for the whole pair.
+//!   every query checks that: the union of the minus-free terms in one
+//!   structural pass ([`RangeEncoder::union`]), one more per term with a
+//!   minus list. On a mismatch the query runs again on cells, with a fresh
+//!   memo: each node reached builds its cell ([`RangeEncoder::cell`]) and
+//!   tests it against `S` with `diff` and `and`, which also finds the
+//!   cells that split `S`. Either way the terms and `exact` flag are those
+//!   of the cell-deciding query. The `headerloc.localize` span counts the
+//!   nodes decided by a witness (`points`), the cells built (`cells`) and
+//!   the fallbacks (`fallback`).
+//! * **A memo per query, witnesses per DAG.** A route-space node can have
+//!   several parents, and `GetMatch` reaches it once per path. The result
+//!   of every node that meets its target is memoized per `(node, S)` for
+//!   the query (`¬S` recursions hit the same table), which bounds a query
+//!   to one visit per node and target, and is dropped when the query
+//!   returns. The DAG keeps only plain data, its witnesses included, so
+//!   it holds no BDD handle and no compaction of its space can stale it.
+//!   `¬S` itself is `diff(cell(universe, []), S)`, computed once per
+//!   query, not once per included node. The universe is always node 0,
+//!   where every query starts. A caller whose targets repeat asks each
+//!   distinct one once: the driver does, per DAG.
 //!
 //! The eager, unpruned `GetMatch` (every node set encoded up front as a
 //! cell with no children, every cell folded with `diff`, every node
@@ -113,7 +111,7 @@
 //! `oracle::header_localize_eager`; a property suite asserts both return
 //! the same terms and `exact` flag.
 
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
@@ -352,7 +350,7 @@ impl std::fmt::Display for HeaderLocalization {
     }
 }
 
-/// `GetMatch` memo table: `(node, S) → (terms, exact)`.
+/// One query's `GetMatch` memo: `(node, S) → (terms, exact)`.
 type GetMatchMemo = HashMap<(usize, Bdd), (Vec<NestedTerm>, bool)>;
 
 /// The ddNF DAG over prefix ranges. Build it once per compared pair with
@@ -361,14 +359,10 @@ type GetMatchMemo = HashMap<(usize, Bdd), (Vec<NestedTerm>, bool)>;
 /// The build is structural, and no query encodes a node's set: overlap is
 /// decided by walking the target, and whether a node's cell lies inside
 /// the target by evaluating it at a witness of the cell, found on first
-/// use and kept. Memo entries are keyed by handles in the space passed to
-/// [`header_localize_with`], so every query against one DAG value must
-/// pass that same space. The driver localizes all of a pair's differences
-/// in the pair's own space. Cloning a DAG alongside a clone of
-/// that space yields an independent snapshot whose witnesses and memo
-/// entries remain valid in the cloned arena; the benchmark's traced replay
-/// localizes on such clones. A compaction of the space between two queries
-/// invalidates the memo's handles, and the next query clears it.
+/// use and kept. The DAG is plain data and holds no BDD handle, so a query
+/// may pass any space of the DAG's semantics, compacted or not, and a
+/// clone is an independent copy; the benchmark's traced replay localizes
+/// on a clone of the DAG in a clone of the pair's space.
 #[derive(Clone)]
 pub struct RangeDag {
     /// Node ranges (label function λ).
@@ -379,13 +373,6 @@ pub struct RangeDag {
     semantics: RangeSemantics,
     /// Per-node cell witnesses (`None`: the cell is empty), once found.
     witnesses: Vec<OnceCell<Option<Prefix>>>,
-    /// `GetMatch` memo: `(node, S) → (terms, exact)`, for nodes that meet
-    /// `S` only.
-    memo: RefCell<GetMatchMemo>,
-    /// The manager's `gc_runs` when `memo` was last known valid. A
-    /// compaction renumbers the nodes its keys name, so it is cleared once
-    /// this moves.
-    gen: Cell<u64>,
 }
 
 impl RangeDag {
@@ -418,8 +405,6 @@ impl RangeDag {
             children,
             semantics,
             witnesses: vec![OnceCell::new(); n],
-            memo: RefCell::new(HashMap::new()),
-            gen: Cell::new(0),
         }
     }
 
@@ -601,39 +586,33 @@ pub(crate) struct Decisions {
     pub(crate) fallback: bool,
 }
 
-/// One `GetMatch` node visit. A node that meets `s` is memoized per
-/// `(node, s)` on the DAG; one that misses it returns at once and stores
-/// nothing. `not_s` is `¬s = λ(root) − s`, threaded down so the
-/// include-branch recursion (which queries the complement) computes no
-/// complement; the roles swap on recursion since
-/// `λ(root) − (λ(root) − s) = s` for `s ⊆ λ(root)`.
+/// One `GetMatch` node visit: the terms of `s ∩ λ(node)` and whether they
+/// are exact. `λ(node)` meets `s`, and the result is memoized per
+/// `(node, s)` in the query's `memo`. A child that misses its target is
+/// skipped before the call and stores nothing: its descendants are subsets
+/// of it, so its whole subtree contributes no term and splits no cell.
+/// `not_s` is `¬s = λ(root) − s`, threaded down so the include-branch
+/// recursion (which queries the complement) computes no complement; the
+/// roles swap on recursion since `λ(root) − (λ(root) − s) = s` for
+/// `s ⊆ λ(root)`.
 ///
 /// Until `tally` records a fallback, a node's cell is inside `s` when it is
-/// empty or `s` holds at its witness, and only a memo hit can clear
-/// `exact`; in the fallback, the node's cell is built and tested, and a
-/// cell that splits `s` clears `exact`.
+/// empty or `s` holds at its witness, and the terms are taken as exact; in
+/// the fallback, the node's cell is built and tested, and a cell that
+/// splits `s` makes them inexact.
 fn get_match<E: RangeEncoder>(
     space: &mut E,
     ddnf: &RangeDag,
+    memo: &mut GetMatchMemo,
+    tally: &mut Decisions,
     s: Bdd,
     not_s: Bdd,
     node: usize,
-    exact: &mut bool,
-    tally: &mut Decisions,
-) -> Vec<NestedTerm> {
-    if !space.meets(&ddnf.ranges[node], s) {
-        // λ(n) misses S, and every descendant is a subset of λ(n): the
-        // whole subtree contributes no term and splits no cell.
-        return Vec::new();
+) -> (Vec<NestedTerm>, bool) {
+    if let Some(hit) = memo.get(&(node, s)) {
+        return hit.clone();
     }
-    if let Some((terms, sub_exact)) = ddnf.memo.borrow().get(&(node, s)).cloned() {
-        if !sub_exact {
-            *exact = false;
-        }
-        return terms;
-    }
-    let kids = &ddnf.children[node];
-    let mut sub_exact = true;
+    let mut exact = true;
     let inside = if tally.fallback {
         tally.cells += 1;
         let cell = ddnf.cell(space, node);
@@ -641,39 +620,34 @@ fn get_match<E: RangeEncoder>(
         let outside = m.diff(cell, s);
         let inside = m.is_false(outside);
         if !inside && !m.and(cell, s).is_const_false() {
-            sub_exact = false; // cell splits S: decomposition inexact
+            exact = false; // cell splits S: decomposition inexact
         }
         inside
     } else {
         tally.points += 1;
         ddnf.witness(node).is_none_or(|p| space.holds(s, &p))
     };
-    // Include-branch: the cell is inside S (an empty cell counts, since
-    // the range overlaps S).
-    let terms = if inside {
-        // Cell ⊆ S: include the range minus the children not in S.
-        let mut minus = Vec::new();
-        for &k in kids {
-            minus.extend(get_match(space, ddnf, not_s, s, k, &mut sub_exact, tally));
+    // A cell inside S (an empty cell counts, since the range overlaps S)
+    // includes the range minus its children's terms for ¬S; otherwise the
+    // node's terms are its children's for S.
+    let (kid_s, kid_not_s) = if inside { (not_s, s) } else { (s, not_s) };
+    let mut terms = Vec::new();
+    for &k in &ddnf.children[node] {
+        if !space.meets(&ddnf.ranges[k], kid_s) {
+            continue;
         }
-        vec![NestedTerm {
-            base: ddnf.ranges[node],
-            minus,
-        }]
-    } else {
-        let mut out = Vec::new();
-        for &k in kids {
-            out.extend(get_match(space, ddnf, s, not_s, k, &mut sub_exact, tally));
-        }
-        out
-    };
-    if !sub_exact {
-        *exact = false;
+        let (kid_terms, kid_exact) = get_match(space, ddnf, memo, tally, kid_s, kid_not_s, k);
+        terms.extend(kid_terms);
+        exact &= kid_exact;
     }
-    ddnf.memo
-        .borrow_mut()
-        .insert((node, s), (terms.clone(), sub_exact));
-    terms
+    if inside {
+        terms = vec![NestedTerm {
+            base: ddnf.ranges[node],
+            minus: terms,
+        }];
+    }
+    memo.insert((node, s), (terms.clone(), exact));
+    (terms, exact)
 }
 
 /// Remove nested differences in one pass: `C − (F − G)` → `{C − F, G}`.
@@ -730,7 +704,9 @@ pub fn header_localize<E: RangeEncoder>(
 /// when one component pair produces several differences. The same
 /// precondition holds on `s`: it is projected onto the space's range
 /// dimensions and lies inside the universe range's set, which makes the
-/// walking overlap test exact.
+/// walking overlap test exact. Every call runs the whole query, with a
+/// memo of its own, and keeps only the witnesses it found on the DAG: a
+/// caller whose targets repeat asks each distinct target once.
 pub fn header_localize_with<E: RangeEncoder>(
     space: &mut E,
     s: Bdd,
@@ -750,11 +726,6 @@ pub(crate) fn localize<E: RangeEncoder>(
     s: Bdd,
     ddnf: &RangeDag,
 ) -> (HeaderLocalization, Decisions) {
-    // Drop the memo if the space was compacted since its keys were made.
-    let gc_runs = space.manager().stats().gc_runs;
-    if ddnf.gen.replace(gc_runs) != gc_runs {
-        ddnf.memo.borrow_mut().clear();
-    }
     let universe = space.cell(&PrefixRange::universe(), &[]);
     debug_assert!(
         {
@@ -766,21 +737,24 @@ pub(crate) fn localize<E: RangeEncoder>(
     );
     let not_s = space.manager().diff(universe, s);
     let mut decisions = Decisions::default();
-    let mut exact = true;
-    let nested = get_match(space, ddnf, s, not_s, 0, &mut exact, &mut decisions);
-    let loc = localization(nested, exact);
-    // A query that decided no node read its result whole from the memo,
-    // which keeps only checked results.
-    if decisions.points == 0 || union_of(space, &loc) == s {
+    // One `GetMatch` run from the root, with a memo of its own that is
+    // dropped when the run returns.
+    let run = |space: &mut E, tally: &mut Decisions| {
+        let (nested, exact) = if space.meets(&ddnf.ranges[0], s) {
+            get_match(space, ddnf, &mut HashMap::new(), tally, s, not_s, 0)
+        } else {
+            (Vec::new(), true)
+        };
+        localization(nested, exact)
+    };
+    let loc = run(space, &mut decisions);
+    if union_of(space, &loc) == s {
         return (loc, decisions);
     }
     // S is no union of cells, so some witness stood for a cell that splits
-    // it, and the memo may hold what that decided.
-    ddnf.memo.borrow_mut().clear();
+    // it.
     decisions.fallback = true;
-    let mut exact = true;
-    let nested = get_match(space, ddnf, s, not_s, 0, &mut exact, &mut decisions);
-    let loc = localization(nested, exact);
+    let loc = run(space, &mut decisions);
     debug_assert!(!loc.exact, "a visited cell must split S");
     (loc, decisions)
 }
@@ -956,13 +930,6 @@ pub(crate) mod oracle {
     /// The node ranges and cover edges, without encoding anything.
     pub(crate) fn skeleton(dag: &RangeDag) -> (&[PrefixRange], &[Vec<usize>]) {
         (&dag.ranges, &dag.children)
-    }
-
-    /// The `(node, S)` keys of the `GetMatch` memo, sorted.
-    pub(crate) fn memo_keys(dag: &RangeDag) -> Vec<(usize, Bdd)> {
-        let mut keys: Vec<(usize, Bdd)> = dag.memo.borrow().keys().copied().collect();
-        keys.sort_unstable();
-        keys
     }
 
     /// The nodes whose witness has been found so far, ascending, with it.

@@ -1647,7 +1647,7 @@ mod ddnf {
     use super::*;
     use crate::headerloc::oracle::{
         build_ddnf_oracle, dag_structure, diff_chain_cells, found_witnesses, header_localize_eager,
-        memo_keys, skeleton, witness,
+        skeleton, witness,
     };
     use crate::headerloc::{
         header_localize_with, localize, Decisions, DstAddrSpace, HeaderLocalization, RangeDag,
@@ -1724,8 +1724,7 @@ mod ddnf {
     /// Then localize a battery of targets with the pruned query and with
     /// the eager, unpruned oracle — each against its own DAG over `ranges` —
     /// and require equal terms and `exact` flags, and that the pruned query
-    /// built cells, in one fallback, exactly for the inexact targets the
-    /// memo did not answer.
+    /// built cells, in one fallback, exactly for the inexact targets.
     /// Targets: ∅, the universe, every single cell, the union of the input
     /// ranges (all exact), and, when a leaf cell can be split by a range,
     /// that sub-range alone and united with the input ranges disjoint from
@@ -1775,10 +1774,7 @@ mod ddnf {
                 "pruned GetMatch diverged from the eager oracle"
             );
             prop_assert_eq!(got.exact, exact);
-            // A repeated target is answered by the memo and decides nothing.
-            if decided != Decisions::default() {
-                prop_assert_eq!(decided.fallback, !exact);
-            }
+            prop_assert_eq!(decided.fallback, !exact);
             if exact {
                 prop_assert_eq!(decided.cells, 0, "an exact target built cells");
             }
@@ -2110,13 +2106,12 @@ mod ddnf {
     }
 
     /// Localize a target equal to one of `ranges`, which must be pairwise
-    /// disjoint, and require the memo to hold entries only for nodes that
-    /// meet the target they were asked about: the root and that range's
-    /// node, not the other root children the query walked past.
-    fn assert_memo_holds_hits_only<E: RangeEncoder>(space: &mut E, ranges: &[PrefixRange]) {
+    /// disjoint, and require the query to decide only the nodes that meet
+    /// it: the root and that range's node, not the other root children it
+    /// walked past.
+    fn assert_decides_hits_only<E: RangeEncoder>(space: &mut E, ranges: &[PrefixRange]) {
         let dag = RangeDag::build(space, ranges);
-        let (nodes, children) = skeleton(&dag);
-        let nodes = nodes.to_vec();
+        let (_, children) = skeleton(&dag);
         assert_eq!(
             children[0].len(),
             ranges.len(),
@@ -2126,32 +2121,75 @@ mod ddnf {
         let valid = space.cell(&PrefixRange::universe(), &[]);
         let b = space.cell(&hit, &[]);
         let s = space.manager().and(b, valid);
-        let loc = header_localize_with(space, s, &dag);
+        let (loc, decided) = localize(space, s, &dag);
         assert_eq!(loc.included(), [hit]);
-        let keys = memo_keys(&dag);
-        for &(n, target) in &keys {
-            let set = space.cell(&nodes[n], &[]);
-            let meet = space.manager().and(set, target);
-            assert!(
-                !meet.is_const_false(),
-                "memo entry for {}, which misses its target",
-                nodes[n]
-            );
-        }
-        assert_eq!(keys.len(), 2, "the root and the hit child: {keys:?}");
+        assert_eq!(
+            decided,
+            Decisions {
+                points: 2,
+                cells: 0,
+                fallback: false,
+            },
+            "the root and the hit child"
+        );
     }
 
-    /// `GetMatch` stores results, not misses: 64 disjoint `/8` root
-    /// children and a target inside one of them leave two memo entries.
+    /// `GetMatch` decides hits, not misses: 64 disjoint `/8` root children
+    /// and a target inside one of them take two decisions.
     #[test]
-    fn getmatch_memoizes_only_nodes_that_meet_their_target() {
+    fn getmatch_decides_only_nodes_that_meet_their_target() {
         let ranges: Vec<PrefixRange> = (1..=64u8)
             .map(|i| PrefixRange::or_longer(Prefix::new(Ipv4Addr::new(i, 0, 0, 0), 8)))
             .collect();
-        assert_memo_holds_hits_only(&mut route_space(), &ranges);
+        assert_decides_hits_only(&mut route_space(), &ranges);
         let mut space = PacketSpace::new();
-        assert_memo_holds_hits_only(&mut DstAddrSpace(&mut space), &ranges);
-        assert_memo_holds_hits_only(&mut SrcAddrSpace(&mut space), &ranges);
+        assert_decides_hits_only(&mut DstAddrSpace(&mut space), &ranges);
+        assert_decides_hits_only(&mut SrcAddrSpace(&mut space), &ranges);
+    }
+
+    /// Why a query keeps a memo. At one prefix `P`, the ranges `(P, a, 32)`
+    /// and `(P, 20, b)` for `a, b` in `20..=32` close to every length
+    /// interval inside `20..=32`, and each interval is covered by its two
+    /// one-longer neighbours, so `[a, b]` lies on `C(12 − (b − a), a − 20)`
+    /// paths down from `[20, 32]`: 924 for `[26, 26]`. A target at length
+    /// 26 or its complement meets every interval, so `GetMatch` recurses
+    /// along every path. With the memo the query decides each node at most
+    /// once per target, `S` or `¬S`.
+    #[test]
+    fn getmatch_decides_a_shared_node_once_per_target() {
+        let p = Prefix::new(Ipv4Addr::new(10, 0, 0, 0), 20);
+        let ranges: Vec<PrefixRange> = (20..=32u8)
+            .flat_map(|x| [PrefixRange::new(p, x, 32), PrefixRange::new(p, 20, x)])
+            .collect();
+        let mut space = route_space();
+        let dag = RangeDag::build(&mut space, &ranges);
+        assert_eq!(
+            dag.len(),
+            1 + 13 * 14 / 2,
+            "every interval and the universe"
+        );
+        let (nodes, children) = skeleton(&dag);
+        let shared = (0..dag.len())
+            .filter(|&c| children.iter().filter(|kids| kids.contains(&c)).count() == 2)
+            .count();
+        assert_eq!(
+            shared,
+            11 * 12 / 2,
+            "every interval inside 21..=31 has two covers"
+        );
+        let target = PrefixRange::new(p, 26, 26);
+        assert!(nodes.contains(&target));
+        let s = space.cell(&target, &[]);
+        let (got, decided) = localize(&mut space, s, &dag);
+        let eager = RangeDag::build(&mut space, &ranges);
+        assert_eq!(got, header_localize_eager(&mut space, s, &eager));
+        assert!(got.exact);
+        assert!(
+            decided.points <= 2 * dag.len() as u64,
+            "{} decisions on a {}-node DAG",
+            decided.points,
+            dag.len()
+        );
     }
 
     /// The route-space overlap test reads a node's length interval, not
@@ -2210,12 +2248,11 @@ mod ddnf {
         assert_same_dag(&mut route_space(), &ranges);
     }
 
-    /// The memo serves a repeat query, and a compaction between two queries
-    /// keeps the witnesses, which are plain data, and clears the memo,
-    /// whose keys it renumbered: the next query decides every node again
-    /// and leaves the memo a fresh DAG's query leaves.
+    /// A query leaves only witnesses on the DAG: a repeat query decides as
+    /// many nodes as the first, and a compaction between two queries keeps
+    /// every witness, which is plain data, and changes no answer.
     #[test]
-    fn compaction_keeps_witnesses_and_clears_the_memo() {
+    fn repeat_queries_decide_afresh_and_compaction_keeps_witnesses() {
         let r = |s: &str| s.parse::<PrefixRange>().unwrap();
         let ranges = [
             r("10.0.0.0/8:8-32"),
@@ -2224,32 +2261,43 @@ mod ddnf {
         ];
         let mut space = route_space();
         let dag = RangeDag::build(&mut space, &ranges);
-        let b = space.prefix_range_bdd(&ranges[0]);
         let valid = space.prefix_range_bdd(&PrefixRange::universe());
-        let mut s = [space.manager.and(b, valid)];
-        let (first, decided) = localize(&mut space, s[0], &dag);
-        assert!(decided.points > 0 && decided.cells == 0 && !decided.fallback);
-        let (memo_hit, again) = localize(&mut space, s[0], &dag);
-        assert_eq!(first, memo_hit);
-        assert_eq!(
-            again,
-            Decisions::default(),
-            "the repeat query missed the memo"
-        );
+        let mut targets: Vec<Bdd> = ranges
+            .iter()
+            .map(|r| {
+                let b = space.prefix_range_bdd(r);
+                space.manager.and(b, valid)
+            })
+            .collect();
+        let first: Vec<_> = targets
+            .iter()
+            .map(|&s| localize(&mut space, s, &dag))
+            .collect();
+        assert!(first
+            .iter()
+            .all(|(_, d)| d.points > 0 && d.cells == 0 && !d.fallback));
+        let (again, redecided) = localize(&mut space, targets[0], &dag);
+        assert_eq!((&again, &redecided), (&first[0].0, &first[0].1));
         let found = found_witnesses(&dag);
-        // Keep only the target, then refill the arena with unrelated
-        // functions, so a stale memo key would now name one of them.
-        space.compact(&mut s);
+        // Keep only the targets, then refill the arena with unrelated
+        // functions, so a handle kept across the compaction would now name
+        // one of them.
+        space.compact(&mut targets);
         for r in ["30.0.0.0/8:8-32", "40.0.0.0/12:12-24", "50.0.0.0/16:16-16"] {
             let _ = space.prefix_range_bdd(&r.parse().unwrap());
         }
-        let (after, redecided) = localize(&mut space, s[0], &dag);
-        assert_eq!(first, after);
-        assert_eq!(redecided, decided, "the memo outlived the compaction");
-        assert_eq!(found_witnesses(&dag), found, "a witness was found again");
+        for (&s, want) in targets.iter().zip(&first) {
+            assert_eq!(&localize(&mut space, s, &dag), want);
+        }
+        assert_eq!(
+            found_witnesses(&dag),
+            found,
+            "a witness was lost or found again"
+        );
         let fresh = RangeDag::build(&mut space, &ranges);
-        let _ = localize(&mut space, s[0], &fresh);
-        assert_eq!(memo_keys(&dag), memo_keys(&fresh));
+        for &s in &targets {
+            let _ = localize(&mut space, s, &fresh);
+        }
         assert_eq!(found_witnesses(&fresh), found);
     }
 

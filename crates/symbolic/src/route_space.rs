@@ -319,15 +319,15 @@ impl RouteSpace {
     /// protocol is a real protocol, and the tag/metric one-hot fields carry
     /// at most one value.
     pub fn universe(&mut self) -> Bdd {
-        let canon = self.canonical();
-        let raw = self.universe_raw();
-        self.manager.and(canon, raw)
+        let u = self.universe_without_regex_refinement();
+        self.regex_atom_constraints(u)
     }
 
     /// The universe *without* the regex-language refinement of
-    /// [`RouteSpace::universe`]'s atom constraints — used by the ablation
-    /// harness to quantify how many spurious differences the refinement
-    /// removes. (Canonicality and the one-hot field constraints are kept.)
+    /// [`RouteSpace::universe`]'s atom constraints, which `universe` adds
+    /// to it. The ablation harness uses it to quantify how many spurious
+    /// differences the refinement removes. (Canonicality and the one-hot
+    /// field constraints are kept.)
     pub fn universe_without_regex_refinement(&mut self) -> Bdd {
         let canon = self.canonical();
         let len_vars: Vec<u32> = LEN_VARS.collect();
@@ -338,21 +338,6 @@ impl RouteSpace {
         u = self.at_most_one(u, self.tag_base, self.tag_values.len());
         u = self.at_most_one(u, self.metric_base, self.metric_values.len());
         self.manager.and(u, canon)
-    }
-
-    /// [`RouteSpace::universe`] without the canonical-prefix constraint:
-    /// the length bound, the protocol range, the one-hot tag/metric
-    /// fields and the regex-atom refinement.
-    fn universe_raw(&mut self) -> Bdd {
-        let len_vars: Vec<u32> = LEN_VARS.collect();
-        let mut u = bits::le_const(&mut self.manager, &len_vars, 32);
-        let proto_vars: Vec<u32> = PROTO_VARS.collect();
-        let p = bits::le_const(&mut self.manager, &proto_vars, 4);
-        u = self.manager.and(u, p);
-        u = self.at_most_one(u, self.tag_base, self.tag_values.len());
-        u = self.at_most_one(u, self.metric_base, self.metric_values.len());
-        u = self.regex_atom_constraints(u);
-        u
     }
 
     /// Refine the unknown-regex atoms with language-level facts, so that

@@ -13,6 +13,7 @@ use campion::cfg::parse_config;
 use campion::core::{compare_routers, CampionOptions, CampionReport};
 use campion::gen::{capirca_acl_pair, scenario2};
 use campion::ir::{lower, RouterIr};
+use campion::net::PrefixRange;
 use campion::trace;
 use campion::trace::json::validate_chrome_trace;
 
@@ -245,4 +246,61 @@ fn disabled_collector_stays_empty_through_a_compare() {
         t.events.len()
     );
     assert!(report.total_differences() > 0);
+}
+
+/// Two differences of one route-map pair that project to the same prefix
+/// set share one localization: the Cisco side tells routes in `NETS` with
+/// and without community `10:10` apart, the JunOS side does not, so both
+/// differences lie on `10.9.0.0/16` alone and the compare opens one
+/// `headerloc.localize` span for them.
+#[test]
+fn differences_sharing_a_prefix_set_are_localized_once() {
+    let _g = collector();
+    let cisco = load(
+        "ip prefix-list NETS permit 10.9.0.0/16\n\
+         ip community-list standard COMM permit 10:10\n\
+         route-map POL permit 10\n \
+         match ip address prefix-list NETS\n \
+         match community COMM\n \
+         set local-preference 200\n\
+         route-map POL permit 20\n \
+         match ip address prefix-list NETS\n \
+         set local-preference 100\n",
+    );
+    let juniper = load(
+        "policy-options {
+             prefix-list NETS {
+                 10.9.0.0/16;
+             }
+             policy-statement POL {
+                 term t1 {
+                     from prefix-list NETS;
+                     then {
+                         local-preference 300;
+                         accept;
+                     }
+                 }
+                 term t2 {
+                     then reject;
+                 }
+             }
+         }\n",
+    );
+    trace::enable();
+    let report = compare_routers(&cisco, &juniper, &opts(1));
+    trace::disable();
+    let t = trace::drain();
+    let rows = &report.route_map_diffs;
+    assert_eq!(rows.len(), 2, "{report}");
+    let net: PrefixRange = "10.9.0.0/16:16-16".parse().expect("a range");
+    for row in rows {
+        assert_eq!((&row.included, &row.excluded), (&vec![net], &Vec::new()));
+    }
+    let count = |name: &str| t.spans().iter().filter(|s| s.name == name).count();
+    assert_eq!(count("present.localize"), 2);
+    assert_eq!(
+        count("headerloc.localize"),
+        1,
+        "the shared set was localized twice"
+    );
 }
